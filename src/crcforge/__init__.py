@@ -17,7 +17,7 @@ from .designer import (
     truncated_union_bound,
     undetected_spectrum,
 )
-from .encoder import Branch, ConvCode, TBPath, encode_tb
+from .encoder import ConvCode, TBPath, encode_tb
 from .errors import (
     CatastrophicEncoderError,
     CodeConstructionError,
@@ -30,7 +30,13 @@ from .errors import (
     TieError,
 )
 from .gf2 import GF2Poly, parse_hex_crc, parse_octal
-from .oracle import OracleReport, brute_force_iees, brute_force_spectrum, oracle_report
+from .oracle import (
+    OracleReport,
+    brute_force_iees,
+    brute_force_partition,
+    brute_force_spectrum,
+    oracle_report,
+)
 from .reconstructor import (
     TBPathSet,
     WeightLengthTable,
@@ -48,7 +54,6 @@ __all__ = [
     "parse_octal",
     "parse_hex_crc",
     "ConvCode",
-    "Branch",
     "TBPath",
     "encode_tb",
     "IEE",
@@ -75,6 +80,7 @@ __all__ = [
     "OracleReport",
     "brute_force_spectrum",
     "brute_force_iees",
+    "brute_force_partition",
     "oracle_report",
     "CrcforgeError",
     "PolynomialParseError",

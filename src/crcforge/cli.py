@@ -24,10 +24,10 @@ from .designer import (
     undetected_spectrum,
     write_bound_csv,
 )
-from .encoder import ConvCode, encode_tb
+from .encoder import ConvCode
 from .errors import CrcforgeError
 from .gf2 import parse_hex_crc, parse_octal
-from .oracle import MAX_ORACLE_LEN, MAX_ORACLE_V, brute_force_iees, oracle_report
+from .oracle import MAX_ORACLE_LEN, MAX_ORACLE_V, brute_force_iees, brute_force_partition, oracle_report
 from .reconstructor import build_tables, expand_and_dedup, growth_profile, iter_state_paths
 
 __all__ = ["RunConfig", "main"]
@@ -70,15 +70,6 @@ def _resolve_threads(flag: int | None) -> int:
         if flag < 1:
             raise ValueError(f"--threads must be >= 1, got {flag}")
         return flag
-    env = os.environ.get("CRCFORGE_THREADS")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"CRCFORGE_THREADS must be an integer, got {env!r}") from None
-        if value < 1:
-            raise ValueError(f"CRCFORGE_THREADS must be >= 1, got {value}")
-        return value
     return os.cpu_count() or 1
 
 
@@ -248,15 +239,7 @@ def cmd_verify(args) -> int:
 
     check("cyclic-closure", paths.is_cyclic_closed(), f"{len(paths)} paths")
 
-    oracle_classes: dict[int, set[int]] = {s: set() for s in db.ordering}
-    position = {s: i for i, s in enumerate(db.ordering)}
-    for u in range(1, 1 << N):
-        inputs = tuple((u >> i) & 1 for i in range(N))
-        path = encode_tb(code, inputs)
-        if path.weight >= d_tilde:
-            continue
-        anchor = min(path.states[:N], key=position.__getitem__)
-        oracle_classes[anchor].add(u)
+    oracle_classes = brute_force_partition(code, N, d_tilde, db.ordering)
     ours = {
         s: {word for word, _w in iter_state_paths(tables, s)} for s in db.ordering
     }
@@ -271,14 +254,7 @@ def cmd_verify(args) -> int:
 
     if code.v <= MAX_ORACLE_V and N <= MAX_ORACLE_LEN:
         agree = all(
-            [
-                (e.start_state, e.inputs, e.weight)
-                for e in db.per_state[s]
-            ]
-            == [
-                (e.start_state, e.inputs, e.weight)
-                for e in brute_force_iees(code, s, d_tilde, N)
-            ]
+            list(db.per_state[s]) == brute_force_iees(code, s, d_tilde, N)
             for s in db.ordering
         )
         check("iee-exhaustive", agree, f"{db.num_iees} events vs brute force")
@@ -299,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=None,
-            help="worker count (default: CRCFORGE_THREADS or all cores); results do not depend on it",
+            help="worker count (default: all cores); results do not depend on it",
         )
 
     p = sub.add_parser("collect", help="collect the IEE database of a code")

@@ -24,7 +24,7 @@ import concurrent.futures
 import hashlib
 import heapq
 import json
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .encoder import ConvCode
 from .errors import CatastrophicEncoderError, DatabaseFormatError
@@ -38,93 +38,34 @@ __all__ = [
 ]
 
 DB_FORMAT_VERSION = 1
+# JSON type of each database field, in the order load_database unpacks them.
+_FIELD_TYPES = {
+    "generators_octal": list,
+    "v": int,
+    "n": int,
+    "ordering": list,
+    "d_tilde": int,
+    "max_len": int,
+    "iees": list,
+}
 
 
-class IEE:
+class IEE(NamedTuple):
     """One irreducible error event.
 
-    Inputs are held packed (bit i = input at step i); the tuple views and
-    the output bits are materialized on demand so that multi-million-event
-    databases stay a few hundred megabytes.
+    Inputs are held packed (bit i = input at step i). The field order is
+    the per-state sort key, so plain sorting orders a state's events by
+    (weight, length, input bits).
     """
 
-    __slots__ = ("start_state", "weight", "_bits", "_length", "_outputs", "_code")
-
-    def __init__(
-        self,
-        start_state: int,
-        inputs: Sequence[int],
-        outputs: Sequence[int] | None,
-        weight: int,
-    ):
-        self.start_state = start_state
-        self.weight = weight
-        self._length = len(inputs)
-        bits = 0
-        for i, b in enumerate(inputs):
-            bits |= (b & 1) << i
-        self._bits = bits
-        self._outputs = tuple(outputs) if outputs is not None else None
-        self._code: ConvCode | None = None
-
-    @classmethod
-    def _packed(cls, code: ConvCode, state: int, bits: int, length: int, weight: int) -> "IEE":
-        self = cls.__new__(cls)
-        self.start_state = state
-        self.weight = weight
-        self._bits = bits
-        self._length = length
-        self._outputs = None
-        self._code = code
-        return self
-
-    @property
-    def length(self) -> int:
-        return self._length
-
-    @property
-    def input_bits(self) -> int:
-        """Inputs packed into an int, bit i = input at step i."""
-        return self._bits
+    weight: int
+    length: int
+    input_bits: int
+    start_state: int
 
     @property
     def inputs(self) -> tuple[int, ...]:
-        return tuple((self._bits >> i) & 1 for i in range(self._length))
-
-    @property
-    def outputs(self) -> tuple[int, ...]:
-        if self._outputs is None:
-            if self._code is None:
-                raise AttributeError("outputs were not stored and no code is attached")
-            out: list[int] = []
-            s = self.start_state
-            for b in self.inputs:
-                out.extend(self._code.branch_output(s, b))
-                s = self._code.next_state(s, b)
-            self._outputs = tuple(out)
-        return self._outputs
-
-    def inputs_bitstring(self) -> str:
-        return "".join(str(b) for b in self.inputs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IEE):
-            return NotImplemented
-        return (
-            self.start_state == other.start_state
-            and self._length == other._length
-            and self._bits == other._bits
-            and self.weight == other.weight
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.start_state, self._length, self._bits, self.weight))
-
-    def __repr__(self) -> str:
-        return (
-            f"IEE(state={self.start_state}, inputs={self.inputs_bitstring()}, "
-            f"weight={self.weight})"
-        )
+        return tuple((self.input_bits >> i) & 1 for i in range(self.length))
 
 
 def _materialize(code: ConvCode, state: int, bits: int, length: int) -> IEE:
@@ -137,7 +78,7 @@ def _materialize(code: ConvCode, state: int, bits: int, length: int) -> IEE:
         s = code.next_state(s, b)
     if s != state:
         raise ValueError("input bits do not close at the start state")
-    return IEE._packed(code, state, bits, length, weight)
+    return IEE(weight, length, bits, state)
 
 
 def _return_bounds(
@@ -232,7 +173,7 @@ class IEEDatabase:
     """The collected IEEs of one code under one ordering.
 
     per_state maps each state to its IEE tuple sorted by
-    (weight, length, input bits); complete_up_to names the largest trellis
+    (weight, length, input bits); max_len is also the largest trellis
     length N the database provably covers (no IEE longer than max_len can
     take part in a length <= max_len tail-biting path).
     """
@@ -262,10 +203,6 @@ class IEEDatabase:
         if self._code is None:
             self._code = ConvCode(list(self.generators_octal), self.v)
         return self._code
-
-    @property
-    def complete_up_to(self) -> int:
-        return self.max_len
 
     @property
     def num_iees(self) -> int:
@@ -370,7 +307,7 @@ def _payload(db: IEEDatabase) -> dict:
         "d_tilde": db.d_tilde,
         "max_len": db.max_len,
         "iees": [
-            {"state": e.start_state, "inputs": e.inputs_bitstring(), "weight": e.weight}
+            {"state": e.start_state, "inputs": f"{e.input_bits:0{e.length}b}"[::-1], "weight": e.weight}
             for e in db.iees()
         ],
     }
@@ -393,14 +330,15 @@ def save_database(db: IEEDatabase, path) -> None:
 def load_database(path) -> IEEDatabase:
     """Read a database file, verifying version, checksum, and contents.
 
-    Outputs and weights are recomputed from the stored input bits; a
-    stored weight that disagrees with the re-encoded one marks the file
-    as corrupt.
+    Weights are recomputed from the stored input bits; a stored weight
+    that disagrees with the re-encoded one marks the file as corrupt.
+    Every field is type-checked, so no malformed file escapes as anything
+    but DatabaseFormatError or another CrcforgeError.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DatabaseFormatError(f"cannot read database {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise DatabaseFormatError(f"{path}: not a database object")
@@ -412,16 +350,15 @@ def load_database(path) -> IEEDatabase:
     declared = payload.pop("checksum", None)
     if declared != _checksum(payload):
         raise DatabaseFormatError(f"{path}: checksum mismatch, file corrupt")
-    try:
-        gens = payload["generators_octal"]
-        v = payload["v"]
-        n = payload["n"]
-        ordering = tuple(payload["ordering"])
-        d_tilde = payload["d_tilde"]
-        max_len = payload["max_len"]
-        iees = payload["iees"]
-    except KeyError as exc:
-        raise DatabaseFormatError(f"{path}: missing field {exc}") from exc
+    for key, kind in _FIELD_TYPES.items():
+        if key not in payload:
+            raise DatabaseFormatError(f"{path}: missing field {key!r}")
+        if type(payload[key]) is not kind:
+            raise DatabaseFormatError(f"{path}: field {key!r} is not a JSON {kind.__name__}")
+    gens, v, n, ordering, d_tilde, max_len, iees = (payload[key] for key in _FIELD_TYPES)
+    ordering = tuple(ordering)
+    if not all(type(g) is str for g in gens) or not all(type(s) is int for s in ordering):
+        raise DatabaseFormatError(f"{path}: generators must be strings and states ints")
 
     code = ConvCode(list(gens), v)  # raises if v and tap degrees disagree
     if code.n != n:
@@ -431,13 +368,15 @@ def load_database(path) -> IEEDatabase:
 
     per_state: dict[int, list[IEE]] = {s: [] for s in ordering}
     for rec in iees:
-        try:
-            state = rec["state"]
-            text = rec["inputs"]
-            weight = rec["weight"]
-        except (TypeError, KeyError) as exc:
-            raise DatabaseFormatError(f"{path}: malformed IEE record {rec!r}") from exc
-        if state not in per_state or not text or any(c not in "01" for c in text):
+        if type(rec) is not dict:
+            raise DatabaseFormatError(f"{path}: malformed IEE record {rec!r}")
+        state, text, weight = rec.get("state"), rec.get("inputs"), rec.get("weight")
+        if (
+            (type(state), type(text), type(weight)) != (int, str, int)
+            or state not in per_state
+            or not text
+            or any(c not in "01" for c in text)
+        ):
             raise DatabaseFormatError(f"{path}: malformed IEE record {rec!r}")
         bits = int(text[::-1], 2)
         try:
@@ -450,10 +389,7 @@ def load_database(path) -> IEEDatabase:
             )
         per_state[state].append(event)
 
-    frozen = {
-        s: tuple(sorted(lst, key=lambda e: (e.weight, e.length, e.input_bits)))
-        for s, lst in per_state.items()
-    }
+    frozen = {s: tuple(sorted(lst)) for s, lst in per_state.items()}
     return IEEDatabase(code.generators_octal, v, ordering, d_tilde, max_len, frozen)
 
 

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CoverageError, InvalidCrcError
-from .gf2 import GF2Poly, poly_rem
+from .gf2 import GF2Poly
 from .reconstructor import TBPathSet
 
 __all__ = [
@@ -40,24 +40,26 @@ __all__ = [
     "write_bound_csv",
 ]
 
-MAX_DENSE_D_TILDE = 1 << 20
+# Residues are held in uint32 table entries.
+_MAX_DEGREE = 31
 
 
 def candidate_list(m: int) -> list[GF2Poly]:
     """All degree-m polynomials with a constant term, ascending.
 
     Both end taps are forced (x^m for the degree, 1 so the CRC detects
-    trailing-bit errors), leaving 2^(m-1) candidates.
+    trailing-bit errors), leaving 2^(m-1) candidates. Degrees the residue
+    tables cannot hold are refused before any candidate is built.
     """
-    if m < 1:
-        raise InvalidCrcError(f"CRC degree must be >= 1, got {m}")
+    if not 1 <= m <= _MAX_DEGREE:
+        raise InvalidCrcError(f"CRC degree must be in [1, {_MAX_DEGREE}], got {m}")
     return [GF2Poly((1 << m) | (mid << 1) | 1) for mid in range(1 << (m - 1))]
 
 
 def _check_crc(p: GF2Poly) -> int:
     if p.is_zero or p.degree < 1 or not (p.bits & 1):
         raise InvalidCrcError(f"{p!r} is not a CRC generator (need degree >= 1 and a constant term)")
-    if p.degree > 31:
+    if p.degree > _MAX_DEGREE:
         raise InvalidCrcError(f"CRC degree {p.degree} exceeds the 31-bit residue tables")
     return p.degree
 
@@ -65,10 +67,10 @@ def _check_crc(p: GF2Poly) -> int:
 def _residue_tables(p: GF2Poly, width: int) -> np.ndarray:
     """tables[k][b] = (b(x) * x^(8k)) mod p, as packed residue bits."""
     tables = np.zeros((width, 256), dtype=np.uint32)
-    prev = [poly_rem(GF2Poly(b), p).bits for b in range(256)]
+    prev = [(GF2Poly(b) % p).bits for b in range(256)]
     tables[0] = prev
     for k in range(1, width):
-        prev = [poly_rem(GF2Poly(r << 8), p).bits for r in prev]
+        prev = [(GF2Poly(r << 8) % p).bits for r in prev]
         tables[k] = prev
     return tables
 
@@ -81,11 +83,6 @@ class DistanceSpectrum:
     N: int
     d_tilde: int
     counts: tuple[int, ...]
-
-    def a(self, d: int) -> int:
-        if not (0 <= d < self.d_tilde):
-            raise ValueError(f"d must be in [0, {self.d_tilde}), got {d}")
-        return self.counts[d]
 
     def nonzero(self) -> dict[int, int]:
         return {d: c for d, c in enumerate(self.counts) if c}
@@ -104,16 +101,21 @@ class DistanceSpectrum:
 
     @classmethod
     def from_csv(cls, path) -> "DistanceSpectrum":
-        """Rebuild a spectrum from CSV; the CRC label comes from the filename.
+        """Rebuild a spectrum from CSV; CRC, N and d_tilde come from the filename.
 
-        Files written by to_csv carry N and d_tilde in their canonical
-        name; for renamed files any single 0x token still identifies the
-        CRC and d_tilde falls back to one past the largest listed d.
+        Only the canonical csv_filename() form, spectrum_0x<crc>_N<n>_dt<d>.csv,
+        is accepted; any other name raises ValueError.
         """
         import os
         import re
 
         name = os.path.basename(str(path))
+        match = re.fullmatch(r"spectrum_0x([0-9a-f]+)_N(\d+)_dt(\d+)\.csv", name)
+        if not match:
+            raise ValueError(f"{name}: not a spectrum_0x<crc>_N<n>_dt<d>.csv file name")
+        crc = GF2Poly(int(match.group(1), 16))
+        N = int(match.group(2))
+        d_tilde = int(match.group(3))
         rows: list[tuple[int, int]] = []
         with open(path) as fh:
             header = fh.readline().strip()
@@ -125,18 +127,6 @@ class DistanceSpectrum:
                     continue
                 d_text, c_text = line.split(",")
                 rows.append((int(d_text), int(c_text)))
-        match = re.fullmatch(r"spectrum_0x([0-9a-f]+)_N(\d+)_dt(\d+)\.csv", name)
-        if match:
-            crc = GF2Poly(int(match.group(1), 16))
-            N = int(match.group(2))
-            d_tilde = int(match.group(3))
-        else:
-            tokens = set(re.findall(r"0x[0-9a-fA-F]+", name))
-            if len(tokens) != 1:
-                raise ValueError(f"{name}: cannot read a unique CRC label from the filename")
-            crc = GF2Poly(int(tokens.pop(), 16))
-            N = 0
-            d_tilde = max(d for d, _ in rows) + 1 if rows else 1
         counts = [0] * d_tilde
         for d, c in rows:
             if not (0 <= d < d_tilde):
@@ -148,11 +138,6 @@ class DistanceSpectrum:
 def undetected_spectrum(paths: TBPathSet, crc: GF2Poly) -> DistanceSpectrum:
     """Histogram the paths whose input polynomial the CRC divides."""
     _check_crc(crc)
-    if paths.d_tilde > MAX_DENSE_D_TILDE:
-        raise ValueError(
-            f"d_tilde={paths.d_tilde} too large for a dense spectrum "
-            f"(cap {MAX_DENSE_D_TILDE})"
-        )
     d_tilde = paths.d_tilde
     if len(paths) == 0:
         return DistanceSpectrum(crc, paths.N, d_tilde, (0,) * d_tilde)
@@ -189,11 +174,6 @@ class DsoSearchResult:
     @property
     def is_tie(self) -> bool:
         return self.winner is None
-
-    def __iter__(self):
-        # Allows `winner, rounds = search_dso(...)` at call sites.
-        yield self.winner
-        yield self.rounds
 
 
 def search_dso(

@@ -18,22 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import CodeConstructionError
 from .gf2 import GF2Poly, parse_octal, poly_gcd
 
-__all__ = ["ConvCode", "Branch", "TBPath", "next_state", "branch_output", "encode_tb"]
-
-
-@dataclass(frozen=True)
-class Branch:
-    """One trellis edge: (from_state, input_bit) -> (to_state, output label)."""
-
-    from_state: int
-    input_bit: int
-    to_state: int
-    output: tuple[int, ...]
+__all__ = ["ConvCode", "TBPath", "encode_tb"]
 
 
 @dataclass(frozen=True)
@@ -48,10 +38,6 @@ class TBPath:
     states: tuple[int, ...]
     outputs: tuple[int, ...]
     weight: int
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.inputs)
 
 
 class ConvCode:
@@ -78,7 +64,6 @@ class ConvCode:
         "_next",
         "_outputs",
         "_out_weight",
-        "_out_bits",
     )
 
     def __init__(self, generators: Sequence[str | GF2Poly], v: int):
@@ -111,19 +96,13 @@ class ConvCode:
         self._next = tuple(
             (s >> 1) | (b << (v - 1)) for s in range(nstates) for b in (0, 1)
         )
-        out_bits = []
         outputs = []
         for s in range(nstates):
             for b in (0, 1):
                 window = (b << v) | s
-                label = tuple((window & m).bit_count() & 1 for m in masks)
-                outputs.append(label)
-                out_bits.append(
-                    sum(bit << j for j, bit in enumerate(label))
-                )
+                outputs.append(tuple((window & m).bit_count() & 1 for m in masks))
         self._outputs = tuple(outputs)
-        self._out_bits = tuple(out_bits)
-        self._out_weight = tuple(x.bit_count() for x in out_bits)
+        self._out_weight = tuple(sum(label) for label in outputs)
 
     def next_state(self, state: int, bit: int) -> int:
         return self._next[(state << 1) | bit]
@@ -134,36 +113,9 @@ class ConvCode:
     def branch_weight(self, state: int, bit: int) -> int:
         return self._out_weight[(state << 1) | bit]
 
-    def branch_output_bits(self, state: int, bit: int) -> int:
-        """Output label packed as an int, generator j at bit j."""
-        return self._out_bits[(state << 1) | bit]
-
-    def branches(self) -> Iterator[Branch]:
-        """All 2^(v+1) trellis edges."""
-        for s in range(self.num_states):
-            for b in (0, 1):
-                yield Branch(s, b, self.next_state(s, b), self.branch_output(s, b))
-
     def __repr__(self) -> str:
         gens = ",".join(self.generators_octal)
         return f"ConvCode(({gens}) octal, v={self.v})"
-
-
-def _check_state(code: ConvCode, state: int) -> None:
-    if not 0 <= state < code.num_states:
-        raise ValueError(f"state {state} out of range [0, {code.num_states})")
-
-
-def next_state(code: ConvCode, state: int, bit: int) -> int:
-    """Shift-register successor of state under the given input bit."""
-    _check_state(code, state)
-    return code.next_state(state, bit & 1)
-
-
-def branch_output(code: ConvCode, state: int, bit: int) -> tuple[int, ...]:
-    """The n output bits on the branch leaving state under the input bit."""
-    _check_state(code, state)
-    return code.branch_output(state, bit & 1)
 
 
 def encode_tb(code: ConvCode, inputs: Sequence[int]) -> TBPath:

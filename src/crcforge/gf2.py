@@ -17,26 +17,15 @@ Conventions baked in here and relied on everywhere else:
   MSB being the coefficient of x^m: ``parse_hex_crc("0x63", 6)`` is
   x^6 + x^5 + x + 1.
 * A bit sequence u_0, u_1, ..., u_{N-1} in transmission order maps to the
-  polynomial sum of u_i * x^i (first bit = constant term); see
-  :func:`sequence_to_poly`.
+  polynomial sum of u_i * x^i (first bit = constant term), so a word
+  packed with u_i at bit i is its own polynomial: ``GF2Poly(word)``.
 """
 
 from __future__ import annotations
 
 from .errors import InvalidCrcError, PolynomialParseError
 
-__all__ = [
-    "GF2Poly",
-    "parse_octal",
-    "parse_hex_crc",
-    "poly_mul",
-    "poly_divmod",
-    "poly_quo",
-    "poly_rem",
-    "poly_gcd",
-    "divides",
-    "sequence_to_poly",
-]
+__all__ = ["GF2Poly", "parse_octal", "parse_hex_crc", "poly_gcd"]
 
 
 def _mul(a: int, b: int) -> int:
@@ -161,12 +150,6 @@ class GF2Poly:
         rev = int(f"{self._bits:0{width}b}"[::-1], 2)
         return f"{rev:o}"
 
-    def to_bitstring(self) -> str:
-        """Coefficients LSB-first (x^0 coefficient written first)."""
-        if self._bits == 0:
-            return "0"
-        return f"{self._bits:b}"[::-1]
-
 
 def parse_octal(text: str) -> GF2Poly:
     """Parse an octal generator string such as "13" or "171".
@@ -211,49 +194,6 @@ def parse_hex_crc(text: str, m: int | None = None) -> GF2Poly:
     return GF2Poly(value)
 
 
-def poly_mul(a: GF2Poly, b: GF2Poly) -> GF2Poly:
-    """Product over GF(2)."""
-    return a * b
-
-
-def poly_divmod(a: GF2Poly, b: GF2Poly) -> tuple[GF2Poly, GF2Poly]:
-    """Quotient and remainder, b nonzero."""
-    return divmod(a, b)
-
-
-def poly_quo(a: GF2Poly, b: GF2Poly) -> GF2Poly:
-    """Quotient of long division, b nonzero."""
-    return a // b
-
-
-def poly_rem(a: GF2Poly, b: GF2Poly) -> GF2Poly:
-    """Remainder of long division, b nonzero."""
-    return a % b
-
-
 def poly_gcd(a: GF2Poly, b: GF2Poly) -> GF2Poly:
     """Greatest common divisor (monic by construction over GF(2))."""
     return GF2Poly(_gcd(a.bits, b.bits))
-
-
-def divides(p: GF2Poly, e: GF2Poly) -> bool:
-    """True iff p divides e; p must be nonzero.
-
-    divides(p, 0) is true; callers that care about the zero error event
-    exclude it themselves.
-    """
-    return p.divides(e)
-
-
-def sequence_to_poly(bits: int, length: int) -> GF2Poly:
-    """Map a packed bit sequence to its polynomial.
-
-    ``bits`` packs u_0..u_{length-1} with u_i at bit i. The sequence
-    polynomial places the first bit at the constant term, so under this
-    packing the mapping is the identity on the int. It exists as a named
-    function so the transmission-order-to-coefficient convention has a
-    single home.
-    """
-    if bits >> length:
-        raise ValueError("bit sequence longer than declared length")
-    return GF2Poly(bits)

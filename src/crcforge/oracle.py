@@ -16,7 +16,7 @@ from typing import Sequence
 from .collector import IEE
 from .encoder import ConvCode, encode_tb
 from .errors import EnumerationGuardError
-from .gf2 import GF2Poly, sequence_to_poly
+from .gf2 import GF2Poly
 
 __all__ = [
     "MAX_ORACLE_N",
@@ -25,6 +25,7 @@ __all__ = [
     "OracleReport",
     "brute_force_spectrum",
     "brute_force_iees",
+    "brute_force_partition",
     "oracle_report",
 ]
 
@@ -51,7 +52,7 @@ def brute_force_spectrum(code: ConvCode, N: int, crc: GF2Poly | None = None) -> 
         raise ValueError(f"need at least v={code.v} input bits, got {N}")
     counts: dict[int, int] = {}
     for u in range(1, 1 << N):
-        if crc is not None and not crc.divides(sequence_to_poly(u, N)):
+        if crc is not None and not crc.divides(GF2Poly(u)):
             continue
         inputs = tuple((u >> i) & 1 for i in range(N))
         path = encode_tb(code, inputs)
@@ -92,29 +93,15 @@ def brute_force_iees(
             t = code.next_state(s, b)
             longer = inputs + (b,)
             if t == state:
-                candidate = IEE(
-                    state,
-                    longer,
-                    _outputs_of(code, state, longer),
-                    _weight_of(code, state, longer),
-                )
-                if candidate.weight < d_tilde:
-                    found.append(candidate)
+                weight = _weight_of(code, state, longer)
+                if weight < d_tilde:
+                    bits = sum(bit << i for i, bit in enumerate(longer))
+                    found.append(IEE(weight, len(longer), bits, state))
             elif t not in blocked and len(longer) < max_len:
                 walk(t, longer)
 
     walk(state, ())
-    found.sort(key=lambda e: (e.weight, e.length, e.input_bits))
-    return found
-
-
-def _outputs_of(code: ConvCode, state: int, inputs: tuple[int, ...]) -> tuple[int, ...]:
-    out: list[int] = []
-    s = state
-    for b in inputs:
-        out.extend(code.branch_output(s, b))
-        s = code.next_state(s, b)
-    return tuple(out)
+    return sorted(found)
 
 
 def _weight_of(code: ConvCode, state: int, inputs: tuple[int, ...]) -> int:
@@ -126,6 +113,26 @@ def _weight_of(code: ConvCode, state: int, inputs: tuple[int, ...]) -> int:
     return w
 
 
+def brute_force_partition(
+    code: ConvCode, N: int, d_tilde: int, ordering: Sequence[int]
+) -> dict[int, set[int]]:
+    """Input words of weight < d_tilde, grouped by anchor state.
+
+    A word's anchor is the state of its tail-biting path that comes first
+    in the ordering, so the classes are disjoint and together hold every
+    nonzero word of weight < d_tilde. The reconstructor's per-state
+    expansion must reproduce them exactly.
+    """
+    _check_n(N)
+    position = {s: i for i, s in enumerate(ordering)}
+    classes: dict[int, set[int]] = {s: set() for s in ordering}
+    for u in range(1, 1 << N):
+        path = encode_tb(code, tuple((u >> i) & 1 for i in range(N)))
+        if path.weight < d_tilde:
+            classes[min(path.states[:N], key=position.__getitem__)].add(u)
+    return classes
+
+
 @dataclass
 class OracleReport:
     """Everything the exhaustive pass learned about one (code, N) pair."""
@@ -135,7 +142,6 @@ class OracleReport:
     total_paths: int
     weight_counts: dict[int, int]
     crc_counts: dict[str, dict[int, int]] = field(default_factory=dict)
-    iees_per_state: dict[int, list[IEE]] | None = None
 
     def counts_below(self, d_tilde: int) -> dict[int, int]:
         return {w: c for w, c in self.weight_counts.items() if w < d_tilde}
@@ -145,9 +151,6 @@ def oracle_report(
     code: ConvCode,
     N: int,
     crcs: Sequence[GF2Poly] = (),
-    include_iees: bool = False,
-    d_tilde: int | None = None,
-    max_len: int | None = None,
 ) -> OracleReport:
     """Single exhaustive pass; one encode per input, residues per crc."""
     _check_n(N)
@@ -161,25 +164,12 @@ def oracle_report(
         w = encode_tb(code, inputs).weight
         weight_counts[w] = weight_counts.get(w, 0) + 1
         for name, c in crc_pairs:
-            if c.divides(sequence_to_poly(u, N)):
+            if c.divides(GF2Poly(u)):
                 crc_counts[name][w] = crc_counts[name].get(w, 0) + 1
-
-    iees = None
-    if include_iees:
-        iees = {
-            s: brute_force_iees(
-                code,
-                s,
-                d_tilde if d_tilde is not None else 1 + 2 * code.n * N,
-                max_len if max_len is not None else min(N, MAX_ORACLE_LEN),
-            )
-            for s in range(code.num_states)
-        }
     return OracleReport(
         code_octal=code.generators_octal,
         N=N,
         total_paths=(1 << N) - 1,
         weight_counts=weight_counts,
         crc_counts=crc_counts,
-        iees_per_state=iees,
     )

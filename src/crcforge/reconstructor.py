@@ -18,9 +18,9 @@ based uniqueness check guards the invariant. States other than 0 have no
 zero loop, so their skeletons must fill the length budget exactly.
 
 Tables are kept as index sequences into the per-state IEE lists; the
-weight/length cells of the classic recurrence are materialized on demand
-by entries() rather than stored, which keeps the N=70 design workload in
-tens of megabytes instead of gigabytes.
+weight/length cells of the classic recurrence are never materialized,
+which keeps the N=70 design workload in tens of megabytes instead of
+gigabytes.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .collector import IEE, IEEDatabase
-from .encoder import TBPath, encode_tb
 from .errors import CoverageError
 
 __all__ = [
@@ -133,10 +132,8 @@ def _skeletons_for_state(
 class WeightLengthTable:
     """Anchored-path table of one state, stored in skeleton normal form.
 
-    entries(w, l) materializes the classic cell contents: all ordered IEE
-    compositions of total weight w and total length l, zero loops spelled
-    out. Bulk expansion never materializes cells; it walks the packed
-    skeletons directly.
+    Expansion walks the skeletons directly; zero_index is the position of
+    the zero loop in iees, or None for states without one.
     """
 
     __slots__ = ("state", "iees", "N", "d_tilde", "zero_index", "skeletons")
@@ -156,41 +153,6 @@ class WeightLengthTable:
         self.d_tilde = d_tilde
         self.zero_index = zero_index
         self.skeletons = skeletons
-
-    @property
-    def has_zero_loop(self) -> bool:
-        return self.zero_index is not None
-
-    def entries(self, w: int, l: int) -> list[tuple[IEE, ...]]:
-        """All compositions filling cell (w, l), lexicographic by event index.
-
-        (0, 0) holds the single empty composition, the recurrence seed.
-        """
-        if not (0 <= w < self.d_tilde):
-            raise ValueError(f"w must be in [0, {self.d_tilde}), got {w}")
-        if not (0 <= l <= self.N):
-            raise ValueError(f"l must be in [0, {self.N}], got {l}")
-        if l == 0 and w > 0:
-            raise ValueError("only the (0, 0) cell has zero length")
-        items = [(i, e.length, e.weight) for i, e in enumerate(self.iees)]
-        out: list[tuple[IEE, ...]] = []
-
-        def rec(prefix: list[int], rl: int, rw: int) -> None:
-            if rl == 0:
-                if rw == 0:
-                    out.append(tuple(self.iees[i] for i in prefix))
-                return
-            for i, el, ew in items:
-                if el <= rl and ew <= rw:
-                    prefix.append(i)
-                    rec(prefix, rl - el, rw - ew)
-                    prefix.pop()
-
-        rec([], l, w)
-        return out
-
-    def cell_count(self, w: int, l: int) -> int:
-        return len(self.entries(w, l))
 
     def __repr__(self) -> str:
         return (
@@ -292,16 +254,14 @@ class TBPathSet:
     globally unique.
     """
 
-    __slots__ = ("N", "d_tilde", "packed", "weights", "code", "_counts", "_input_set")
+    __slots__ = ("N", "d_tilde", "packed", "weights", "_counts")
 
-    def __init__(self, N: int, d_tilde: int, packed: np.ndarray, weights: np.ndarray, code):
+    def __init__(self, N: int, d_tilde: int, packed: np.ndarray, weights: np.ndarray):
         self.N = N
         self.d_tilde = d_tilde
         self.packed = packed
         self.weights = weights
-        self.code = code
         self._counts: dict[int, int] | None = None
-        self._input_set: frozenset[int] | None = None
 
     def __len__(self) -> int:
         return int(self.packed.shape[0])
@@ -319,19 +279,6 @@ class TBPathSet:
     def iter_inputs(self) -> Iterator[int]:
         for row in self.packed:
             yield int.from_bytes(row.tobytes(), "little")
-
-    def input_set(self) -> frozenset[int]:
-        if self._input_set is None:
-            self._input_set = frozenset(self.iter_inputs())
-        return self._input_set
-
-    def paths(self) -> Iterator[TBPath]:
-        """Re-encode each stored word; weights are revalidated on the fly."""
-        for word, w in zip(self.iter_inputs(), self.weights):
-            path = encode_tb(self.code, tuple((word >> i) & 1 for i in range(self.N)))
-            if path.weight != int(w):
-                raise RuntimeError(f"stored weight {w} != re-encoded {path.weight}")
-            yield path
 
     def _rotated_rows(self) -> np.ndarray:
         """Every word rotated one step later in time, vectorized bytewise."""
@@ -357,17 +304,6 @@ class TBPathSet:
         return np.array_equal(
             np.sort(_row_keys(self.packed)), np.sort(_row_keys(self._rotated_rows()))
         )
-
-    def export_csv(self, path) -> None:
-        """weight,input_hex rows sorted by (weight, input value)."""
-        cols = [self.packed[:, k] for k in range(self.packed.shape[1])]
-        order = np.lexsort(tuple(cols) + (self.weights,))
-        digits = (self.N + 3) // 4
-        with open(path, "w", newline="\n") as fh:
-            fh.write("weight,input_hex\n")
-            for idx in order:
-                word = int.from_bytes(self.packed[idx].tobytes(), "little")
-                fh.write(f"{int(self.weights[idx])},0x{word:0{digits}x}\n")
 
     def __repr__(self) -> str:
         return f"TBPathSet(N={self.N}, d_tilde={self.d_tilde}, paths={len(self)})"
@@ -409,7 +345,7 @@ def expand_and_dedup(tables: ReconstructionTables, N: int) -> TBPathSet:
     else:
         packed = np.zeros((0, width), dtype=np.uint8)
         wvec = np.zeros(0, dtype=np.uint32)
-    return TBPathSet(N, tables.d_tilde, packed, wvec, tables.db.code)
+    return TBPathSet(N, tables.d_tilde, packed, wvec)
 
 
 def growth_profile(

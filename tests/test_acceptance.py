@@ -16,8 +16,8 @@ from crcforge import (
     build_tables,
     candidate_list,
     collect_iees,
+    brute_force_partition,
     db_to_linear,
-    encode_tb,
     expand_and_dedup,
     growth_profile,
     iter_state_paths,
@@ -109,16 +109,10 @@ def test_criterion_5_invariants(code1317, db70, capsys):
         N = 12
         db_full = collect_iees(code1317, 2 * N + 1, N)
         tables = build_tables(db_full, N, 2 * N + 1)
-        owner = {}
-        for state in tables.ordering:
-            for word, _ in iter_state_paths(tables, state):
-                assert word not in owner, "classes overlap"
-                owner[word] = state
-        assert set(owner) == set(range(1, 1 << N)), "classes miss paths"
-        position = {s: i for i, s in enumerate(tables.ordering)}
-        for word, state in owner.items():
-            path = encode_tb(code1317, tuple((word >> i) & 1 for i in range(N)))
-            assert min(path.states[:N], key=position.__getitem__) == state
+        ours = {s: [word for word, _ in iter_state_paths(tables, s)] for s in tables.ordering}
+        assert sum(map(len, ours.values())) == (1 << N) - 1, "classes overlap or miss paths"
+        oracle = brute_force_partition(code1317, N, 2 * N + 1, tables.ordering)
+        assert {s: set(words) for s, words in ours.items()} == oracle
 
         for event in db70.iees():
             assert verify_iee(db70, event)

@@ -30,22 +30,21 @@ class TestRunConfig:
 
 
 class TestThreadResolution:
-    def test_flag_wins(self, monkeypatch):
-        monkeypatch.setenv("CRCFORGE_THREADS", "7")
+    def test_flag_wins(self):
         assert _resolve_threads(3) == 3
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("CRCFORGE_THREADS", "5")
-        assert _resolve_threads(None) == 5
-
-    def test_default_is_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("CRCFORGE_THREADS", raising=False)
+    def test_default_is_cpu_count(self):
         assert _resolve_threads(None) == (os.cpu_count() or 1)
 
-    def test_bad_env(self, monkeypatch):
-        monkeypatch.setenv("CRCFORGE_THREADS", "many")
-        with pytest.raises(ValueError):
-            _resolve_threads(None)
+    def test_bad_flag(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match="--threads"):
+            _resolve_threads(0)
+        rc = main([
+            "collect", "--gens", "13,17", "--v", "3", "--dtilde", "5",
+            "--max-len", "6", "--out", str(tmp_path / "db.json"), "--threads", "0",
+        ])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
 
 
 class TestSnrGrid:
@@ -93,6 +92,25 @@ class TestExitCodes:
     def test_missing_database_is_1(self, tmp_path, capsys):
         rc = main(["design", "--iee", str(tmp_path / "nope.json"), "--k", "8", "--m", "3"])
         assert rc == 1
+
+    def test_crc_degree_above_31_is_1(self, small_db, tmp_path, capsys):
+        rc = main([
+            "design", "--iee", str(small_db), "--n", "14", "--m", "32",
+            "--out-dir", str(tmp_path),
+        ])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_renamed_spectrum_is_1(self, small_db, tmp_path, capsys):
+        assert main([
+            "spectrum", "--iee", str(small_db), "--n", "14", "--crc", "0xb",
+            "--out-dir", str(tmp_path),
+        ]) == 0
+        renamed = tmp_path / "crc_0xb.csv"
+        (tmp_path / "spectrum_0xb_N14_dt9.csv").rename(renamed)
+        rc = main(["bound", "--spectra", str(renamed), "--snr", "3:1:4", "--out", str(tmp_path / "b.csv")])
+        assert rc == 1
+        assert "spectrum_0x<crc>_N<n>_dt<d>" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

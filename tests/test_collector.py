@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from crcforge.cli import main
 from crcforge.collector import (
     IEE,
+    _checksum,
     collect_iees,
     load_database,
     save_database,
@@ -56,7 +58,8 @@ class TestCollectedSet:
     def test_irreducibility_predicate(self, db7, code):
         assert all(verify_iee(db7, e) for e in db7.iees())
         # A loop at state 1 that dips through state 0 is not irreducible.
-        fake = IEE(1, (0, 1, 0, 0), None, 3)
+        fake = IEE(weight=3, length=4, input_bits=0b0010, start_state=1)
+        assert fake.inputs == (0, 1, 0, 0)
         assert not verify_iee(db7, fake)
 
     @pytest.mark.parametrize("gens,v", [(["5", "7"], 2), (["13", "17"], 3)])
@@ -65,9 +68,8 @@ class TestCollectedSet:
         code = ConvCode(gens, v)
         db = collect_iees(code, d_tilde, max_len)
         for s in range(code.num_states):
-            mine = [(e.inputs, e.weight) for e in db.per_state[s]]
-            ref = [(e.inputs, e.weight) for e in brute_force_iees(code, s, d_tilde, max_len)]
-            assert mine == ref, f"state {s}"
+            ref = brute_force_iees(code, s, d_tilde, max_len)
+            assert list(db.per_state[s]) == ref, f"state {s}"
 
     def test_threads_do_not_change_result(self, code):
         serial = collect_iees(code, 7, 10, threads=1)
@@ -80,14 +82,14 @@ class TestCollectedSet:
         a = expand_and_dedup(build_tables(natural, 10, 7), 10)
         b = expand_and_dedup(build_tables(reversed_, 10, 7), 10)
         assert a.counts_by_weight() == b.counts_by_weight()
-        assert a.input_set() == b.input_set()
+        assert set(a.iter_inputs()) == set(b.iter_inputs())
 
     def test_max_len_headroom_changes_nothing(self, code):
         tight = collect_iees(code, 7, 10)
         loose = collect_iees(code, 7, 13)
         a = expand_and_dedup(build_tables(tight, 10, 7), 10)
         b = expand_and_dedup(build_tables(loose, 10, 7), 10)
-        assert a.input_set() == b.input_set()
+        assert set(a.iter_inputs()) == set(b.iter_inputs())
 
     def test_catastrophic_refused(self):
         with pytest.raises(CatastrophicEncoderError):
@@ -135,8 +137,6 @@ class TestSaveLoad:
         payload = json.loads(path.read_text())
         payload["iees"][1]["weight"] = 1
         del payload["checksum"]
-        from crcforge.collector import _checksum
-
         payload["checksum"] = _checksum(payload)
         path.write_text(json.dumps(payload))
         with pytest.raises(DatabaseFormatError, match="weight"):
@@ -148,8 +148,6 @@ class TestSaveLoad:
         payload = json.loads(path.read_text())
         payload["v"] = 5
         del payload["checksum"]
-        from crcforge.collector import _checksum
-
         payload["checksum"] = _checksum(payload)
         path.write_text(json.dumps(payload))
         with pytest.raises(CrcforgeError):
@@ -164,3 +162,65 @@ class TestSaveLoad:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatabaseFormatError):
             load_database(tmp_path / "nope.json")
+
+
+def _flip_high_bit(blob: bytes) -> bytes:
+    mid = len(blob) // 2
+    return blob[:mid] + bytes([blob[mid] | 0x80]) + blob[mid + 1:]
+
+
+def _set_field(key, value, record=None):
+    """Change one field (of IEE record `record` if given), then re-sign the file."""
+
+    def tamper(blob: bytes) -> bytes:
+        payload = json.loads(blob)
+        del payload["checksum"]
+        target = payload if record is None else payload["iees"][record]
+        target[key] = value
+        payload["checksum"] = _checksum(payload)
+        return json.dumps(payload).encode()
+
+    return tamper
+
+
+def _replace_record(value):
+    def tamper(blob: bytes) -> bytes:
+        payload = json.loads(blob)
+        del payload["checksum"]
+        payload["iees"][0] = value
+        payload["checksum"] = _checksum(payload)
+        return json.dumps(payload).encode()
+
+    return tamper
+
+
+CORRUPTIONS = {
+    "truncated": lambda blob: blob[: len(blob) // 2],
+    "high-bit-flipped": _flip_high_bit,
+    "wrong-version": lambda blob: blob.replace(b'"format_version": 1', b'"format_version": 2'),
+    "gens-not-list": _set_field("generators_octal", "13,17"),
+    "gen-not-string": _set_field("generators_octal", [13, 17]),
+    "v-string": _set_field("v", "3"),
+    "n-string": _set_field("n", "2"),
+    "ordering-string": _set_field("ordering", "01234567"),
+    "ordering-state-string": _set_field("ordering", [0, 1, 2, 3, 4, 5, 6, "7"]),
+    "d_tilde-string": _set_field("d_tilde", "7"),
+    "max_len-float": _set_field("max_len", 8.0),
+    "iees-int": _set_field("iees", 5),
+    "record-list": _replace_record([0, "0", 0]),
+    "record-state-string": _set_field("state", "0", record=0),
+    "record-inputs-int": _set_field("inputs", 1, record=0),
+    "record-weight-string": _set_field("weight", "0", record=0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_corrupt_database_is_refused(db7, tmp_path, capsys, name):
+    path = tmp_path / "db.json"
+    save_database(db7, path)
+    path.write_bytes(CORRUPTIONS[name](path.read_bytes()))
+    with pytest.raises(DatabaseFormatError):
+        load_database(path)
+    rc = main(["design", "--iee", str(path), "--n", "8", "--m", "3", "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err

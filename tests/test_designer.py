@@ -50,6 +50,11 @@ class TestCandidates:
         with pytest.raises(InvalidCrcError):
             candidate_list(0)
 
+    def test_degree_above_residue_width_rejected(self):
+        # Refused up front: building 2^(m-1) candidates first would not end.
+        with pytest.raises(InvalidCrcError, match="31"):
+            candidate_list(32)
+
 
 class TestUndetectedSpectrum:
     @pytest.mark.parametrize("crc_bits", [0x9, 0xB, 0xD, 0xF, 0x13])
@@ -110,11 +115,6 @@ class TestSearch:
         assert result.is_tie
         assert result.winner is None
         assert len(result.survivors) == 32
-
-    def test_unpacks_like_a_pair(self, paths12):
-        winner, rounds = search_dso(paths12, 4)
-        assert winner is None or winner.degree == 4
-        assert all(hasattr(r, "c_star") for r in rounds)
 
     def test_coverage_guard(self, paths12):
         with pytest.raises(CoverageError):
@@ -191,13 +191,13 @@ class TestCsv:
         spec = undetected_spectrum(paths12, GF2Poly(0x9))
         assert spec.csv_filename() == "spectrum_0x9_N12_dt9.csv"
 
-    def test_renamed_file_still_loads(self, paths12, tmp_path):
+    def test_renamed_file_rejected(self, paths12, tmp_path):
+        # A renamed file has lost N and d_tilde; it is refused, not guessed.
         spec = undetected_spectrum(paths12, GF2Poly(0x9))
-        out = tmp_path / "spec_0x9.csv"
-        spec.to_csv(out)
-        again = DistanceSpectrum.from_csv(out)
-        assert again.crc == spec.crc
-        assert again.counts == spec.counts
+        for name in ("spec_0x9.csv", "spectrum_0x9.csv", "spectrum_0x9_N12_dt9.txt"):
+            spec.to_csv(tmp_path / name)
+            with pytest.raises(ValueError, match="spectrum_0x<crc>_N<n>_dt<d>"):
+                DistanceSpectrum.from_csv(tmp_path / name)
 
     def test_unlabeled_file_rejected(self, paths12, tmp_path):
         spec = undetected_spectrum(paths12, GF2Poly(0x9))

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crcforge.encoder import ConvCode, branch_output, encode_tb, next_state
+from crcforge.encoder import ConvCode, encode_tb
 from crcforge.errors import CodeConstructionError
 
 
@@ -21,24 +21,14 @@ class TestStateMachine:
     def test_branch_output_example(self, code):
         assert code.branch_output(1, 0) == (1, 1)
 
-    def test_module_level_helpers_agree(self, code):
-        for s in range(8):
-            for b in (0, 1):
-                assert next_state(code, s, b) == code.next_state(s, b)
-                assert branch_output(code, s, b) == code.branch_output(s, b)
-
-    def test_state_out_of_range(self, code):
-        with pytest.raises(ValueError):
-            next_state(code, 8, 0)
-        with pytest.raises(ValueError):
-            branch_output(code, -1, 1)
-
     def test_branches_enumeration(self, code):
-        branches = list(code.branches())
-        assert len(branches) == 16
-        for br in branches:
-            assert br.to_state == code.next_state(br.from_state, br.input_bit)
-            assert br.output == code.branch_output(br.from_state, br.input_bit)
+        # All 2^(v+1) trellis edges: every state is entered by exactly two,
+        # and each edge's label weight is its branch weight.
+        edges = [(s, b, code.next_state(s, b)) for s in range(8) for b in (0, 1)]
+        assert len(edges) == 16
+        assert sorted(t for _s, _b, t in edges) == sorted(list(range(8)) * 2)
+        for s, b, _t in edges:
+            assert code.branch_weight(s, b) == sum(code.branch_output(s, b))
 
 
 class TestEncodeTB:

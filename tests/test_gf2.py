@@ -3,17 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from crcforge.errors import InvalidCrcError, PolynomialParseError
-from crcforge.gf2 import (
-    GF2Poly,
-    divides,
-    parse_hex_crc,
-    parse_octal,
-    poly_divmod,
-    poly_gcd,
-    poly_mul,
-    poly_rem,
-    sequence_to_poly,
-)
+from crcforge.gf2 import GF2Poly, parse_hex_crc, parse_octal, poly_gcd
 
 
 class TestParseOctal:
@@ -69,14 +59,14 @@ class TestParseHexCrc:
 
 class TestArithmetic:
     def test_factorization_of_0x63(self):
-        assert poly_mul(GF2Poly(0b11), GF2Poly(0b100001)) == GF2Poly(0x63)
+        assert GF2Poly(0b11) * GF2Poly(0b100001) == GF2Poly(0x63)
 
     def test_remainder_example(self):
         # x^6 mod (x^6+x^5+x+1) = x^5+x+1
-        assert poly_rem(GF2Poly(1 << 6), GF2Poly(0x63)) == GF2Poly(0x23)
+        assert GF2Poly(1 << 6) % GF2Poly(0x63) == GF2Poly(0x23)
 
     def test_0x43_divides_x63_plus_1(self):
-        assert divides(GF2Poly(0x43), GF2Poly((1 << 63) | 1))
+        assert GF2Poly(0x43).divides(GF2Poly((1 << 63) | 1))
 
     def test_zero_poly(self):
         zero = GF2Poly(0)
@@ -86,7 +76,9 @@ class TestArithmetic:
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            poly_divmod(GF2Poly(0b101), GF2Poly(0))
+            divmod(GF2Poly(0b101), GF2Poly(0))
+        with pytest.raises(ZeroDivisionError):
+            GF2Poly(0b101) % GF2Poly(0)
 
     def test_gcd(self):
         # x^2+x and x^2+1 share x+1
@@ -104,8 +96,9 @@ any_poly = st.integers(min_value=0, max_value=(1 << 64) - 1).map(GF2Poly)
 
 @given(any_poly, nonzero_poly)
 def test_divmod_identity(a, b):
-    q, r = poly_divmod(a, b)
+    q, r = divmod(a, b)
     assert q * b + r == a
+    assert a % b == r and a // b == q
     assert r.is_zero or r.degree < b.degree
 
 
@@ -126,15 +119,6 @@ def test_crc_encoding_identity(message_bits):
     g = GF2Poly(0x63)
     m = GF2Poly(message_bits)
     shifted = m * GF2Poly(1 << g.degree)
-    codeword = shifted + poly_rem(shifted, g)
-    assert divides(g, codeword)
+    codeword = shifted + shifted % g
+    assert g.divides(codeword)
 
-
-def test_sequence_to_poly_is_identity_on_packed_bits():
-    assert sequence_to_poly(0b1011, 4).bits == 0b1011
-    assert sequence_to_poly(1, 70).bits == 1
-
-
-def test_sequence_to_poly_guards_width():
-    with pytest.raises(ValueError):
-        sequence_to_poly(0b10000, 4)

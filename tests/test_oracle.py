@@ -5,6 +5,7 @@ from crcforge.errors import EnumerationGuardError
 from crcforge.gf2 import GF2Poly
 from crcforge.oracle import (
     brute_force_iees,
+    brute_force_partition,
     brute_force_spectrum,
     oracle_report,
 )
@@ -32,6 +33,8 @@ def test_spectrum_guard():
     code = ConvCode(["13", "17"], 3)
     with pytest.raises(EnumerationGuardError):
         brute_force_spectrum(code, 25)
+    with pytest.raises(EnumerationGuardError):
+        brute_force_partition(code, 25, 8, range(8))
 
 
 def test_iee_guards():
@@ -51,13 +54,12 @@ def test_iee_zero_loop_found():
 
 def test_report_bundles_everything(code):
     crcs = [GF2Poly(0b1011), GF2Poly(0b1101)]
-    report = oracle_report(code, 6, crcs=crcs, include_iees=True, d_tilde=8, max_len=6)
+    report = oracle_report(code, 6, crcs=crcs)
     assert report.N == 6
     assert report.total_paths == 63
     assert sum(report.weight_counts.values()) == 63
     assert set(report.crc_counts) == {"0xb", "0xd"}
     for counts in report.crc_counts.values():
         assert sum(counts.values()) <= 63
-    assert set(report.iees_per_state) == set(range(8))
     below = report.counts_below(5)
     assert all(w < 5 for w in below)

@@ -1,12 +1,10 @@
-import numpy as np
 import pytest
 
 from crcforge.collector import collect_iees
 from crcforge.encoder import ConvCode, encode_tb
 from crcforge.errors import CoverageError
-from crcforge.oracle import brute_force_spectrum
+from crcforge.oracle import brute_force_partition, brute_force_spectrum
 from crcforge.reconstructor import (
-    TBPathSet,
     build_tables,
     expand_and_dedup,
     growth_profile,
@@ -26,33 +24,33 @@ def db7(code):
 
 class TestBuildTables:
     def test_zero_cell_holds_empty_composition(self, db7):
+        # The (0, 0) cell holds only the empty composition, the recurrence
+        # seed. It is the all-zero word, which is no error, so no skeleton
+        # is empty and no class emits the zero word.
         tables = build_tables(db7, 8, 7)
-        assert tables[0].entries(0, 0) == [()]
+        for s in tables:
+            assert all(sk.events for sk in tables[s].skeletons)
+            assert 0 not in {word for word, _w in iter_state_paths(tables, s)}
 
     def test_zero_weight_cells_are_pure_padding(self, db7):
+        # Only state 0 owns the zero loop, and it appears in no skeleton:
+        # zero-weight steps enter a word only as gap padding.
         tables = build_tables(db7, 8, 7)
-        cells = tables[0].entries(0, 3)
-        assert len(cells) == 1
-        assert [e.weight for e in cells[0]] == [0, 0, 0]
+        assert [tables[s].zero_index is not None for s in tables] == [True] + [False] * 7
+        zero = tables[0].iees[tables[0].zero_index]
+        assert (zero.weight, zero.length) == (0, 1)
+        for s in tables:
+            for sk in tables[s].skeletons:
+                assert all(tables[s].iees[i].weight > 0 for i in sk.events)
 
     def test_weight6_length8_cell(self, db7):
-        # One weight-6 event of length 5 plus three zero loops, 4 placements.
+        # One weight-6 event of length 5 (inputs 11000) plus three zero
+        # loops: the cell's 4 placements start the event at times 0..3,
+        # and the rotations that wrap past time 7 add 4 more words.
         tables = build_tables(db7, 8, 7)
-        cells = tables[0].entries(6, 8)
-        assert len(cells) == 4
-        patterns = [tuple(e.weight for e in comp) for comp in cells]
-        assert sorted(patterns) == sorted(
-            [(0, 0, 0, 6), (0, 0, 6, 0), (0, 6, 0, 0), (6, 0, 0, 0)]
-        )
-
-    def test_entries_bounds(self, db7):
-        tables = build_tables(db7, 8, 7)
-        with pytest.raises(ValueError):
-            tables[0].entries(7, 8)
-        with pytest.raises(ValueError):
-            tables[0].entries(2, 9)
-        with pytest.raises(ValueError):
-            tables[0].entries(1, 0)
+        words = {word for word, w in iter_state_paths(tables, 0) if w == 6}
+        assert words == {((0b11 << t) | (0b11 >> (8 - t))) & 0xFF for t in range(8)}
+        assert {0b11 << t for t in range(4)} <= words
 
     def test_requested_bounds_must_be_covered(self, db7):
         with pytest.raises(CoverageError, match="re-collect"):
@@ -70,7 +68,7 @@ class TestExpansion:
         db = collect_iees(code, 2**31, 8)
         paths = expand_and_dedup(build_tables(db, 8, 2**31), 8)
         assert len(paths) == 255
-        assert paths.input_set() == frozenset(range(1, 256))
+        assert set(paths.iter_inputs()) == set(range(1, 256))
 
     @pytest.mark.parametrize("N", [4, 7, 9, 12])
     def test_matches_oracle(self, code, db7, N):
@@ -86,18 +84,15 @@ class TestExpansion:
     def test_partition_classes_disjoint_and_complete(self, code, db7):
         N = 12
         tables = build_tables(db7, N, 7)
-        seen: dict[int, int] = {}
-        for s in range(8):
-            for word, _w in iter_state_paths(tables, s):
-                assert word not in seen
-                seen[word] = s
-        for u, anchor in seen.items():
-            path = encode_tb(code, tuple((u >> i) & 1 for i in range(N)))
-            assert min(path.states[:N]) == anchor
+        ours = {s: [word for word, _w in iter_state_paths(tables, s)] for s in tables}
+        oracle = brute_force_partition(code, N, 7, tables.ordering)
+        assert {s: set(words) for s, words in ours.items()} == oracle
+        assert sum(map(len, ours.values())) == sum(map(len, oracle.values()))
 
-    def test_paths_reencode_to_stored_weights(self, db7):
+    def test_paths_reencode_to_stored_weights(self, code, db7):
         paths = expand_and_dedup(build_tables(db7, 8, 7), 8)
-        assert sum(1 for _ in paths.paths()) == len(paths)
+        for word, w in zip(paths.iter_inputs(), paths.weights):
+            assert encode_tb(code, tuple((word >> i) & 1 for i in range(8))).weight == w
 
     def test_cyclic_closure(self, db7):
         paths = expand_and_dedup(build_tables(db7, 11, 7), 11)
@@ -111,16 +106,6 @@ class TestExpansion:
             expect = ((word << 1) | (word >> (N - 1))) & ((1 << N) - 1)
             got = int.from_bytes(rotated[i].tobytes(), "little")
             assert got == expect
-
-    def test_export_sorted(self, db7, tmp_path):
-        paths = expand_and_dedup(build_tables(db7, 8, 7), 8)
-        out = tmp_path / "paths.csv"
-        paths.export_csv(out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "weight,input_hex"
-        rows = [(int(w), int(h, 16)) for w, h in (ln.split(",") for ln in lines[1:])]
-        assert rows == sorted(rows)
-        assert len(rows) == len(paths)
 
     def test_empty_set(self, code):
         db = collect_iees(code, 1, 8)
