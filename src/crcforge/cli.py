@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .collector import collect_iees, load_database, save_database, verify_iee
 from .designer import (
+    _MAX_DEGREE,
     DistanceSpectrum,
     bound_sweep,
     search_dso,
@@ -40,7 +41,6 @@ class RunConfig:
     N: int
     m: int
     d_tilde: int
-    threads: int
 
     @classmethod
     def resolve(
@@ -50,27 +50,18 @@ class RunConfig:
         n: int | None,
         m: int,
         d_tilde: int,
-        threads: int,
         v: int,
     ) -> "RunConfig":
         if (k is None) == (n is None):
             raise ValueError("give exactly one of --k (message bits) or --n (block bits)")
-        if m < 1:
-            raise ValueError(f"CRC degree m must be >= 1, got {m}")
+        if not 1 <= m <= _MAX_DEGREE:
+            raise ValueError(f"CRC degree m must be in [1, {_MAX_DEGREE}], got {m}")
         N = n if n is not None else k + m
         if d_tilde < 2:
             raise ValueError(f"d_tilde must be >= 2, got {d_tilde}")
         if N < v:
             raise ValueError(f"block length N={N} is degenerate for memory v={v}")
-        return cls(N, m, d_tilde, threads)
-
-
-def _resolve_threads(flag: int | None) -> int:
-    if flag is not None:
-        if flag < 1:
-            raise ValueError(f"--threads must be >= 1, got {flag}")
-        return flag
-    return os.cpu_count() or 1
+        return cls(N, m, d_tilde)
 
 
 def _parse_gens(text: str) -> list[str]:
@@ -111,9 +102,8 @@ def cmd_collect(args) -> int:
     ordering = None
     if args.ordering:
         ordering = [int(s) for s in args.ordering.split(",")]
-    threads = _resolve_threads(args.threads)
     start = time.perf_counter()
-    db = collect_iees(code, args.dtilde, args.max_len, ordering=ordering, threads=threads)
+    db = collect_iees(code, args.dtilde, args.max_len, ordering=ordering)
     elapsed = time.perf_counter() - start
     for state, count in db.state_counts().items():
         print(f"state {state}: {count} events")
@@ -125,15 +115,12 @@ def cmd_collect(args) -> int:
 
 def cmd_design(args) -> int:
     db = load_database(args.iee)
-    threads = _resolve_threads(args.threads)
     d_tilde = args.dtilde if args.dtilde is not None else db.d_tilde
-    cfg = RunConfig.resolve(
-        k=args.k, n=args.n, m=args.m, d_tilde=d_tilde, threads=threads, v=db.v
-    )
+    cfg = RunConfig.resolve(k=args.k, n=args.n, m=args.m, d_tilde=d_tilde, v=db.v)
     tables = build_tables(db, cfg.N, cfg.d_tilde)
     paths = expand_and_dedup(tables, cfg.N)
     print(f"expanded {len(paths)} paths of weight < {cfg.d_tilde} at N={cfg.N}")
-    result = search_dso(paths, cfg.m, cfg.d_tilde, threads=cfg.threads)
+    result = search_dso(paths, cfg.m, cfg.d_tilde)
     for row in result.rounds:
         survivors = ",".join(row.survivors_hex)
         print(f"d={row.d} C*={row.c_star} survivors={row.survivors_remaining} [{survivors}]")
@@ -168,12 +155,9 @@ def cmd_design(args) -> int:
 
 def cmd_spectrum(args) -> int:
     db = load_database(args.iee)
-    threads = _resolve_threads(args.threads)
     d_tilde = args.dtilde if args.dtilde is not None else db.d_tilde
     crc = parse_hex_crc(args.crc)
-    cfg = RunConfig.resolve(
-        k=args.k, n=args.n, m=crc.degree, d_tilde=d_tilde, threads=threads, v=db.v
-    )
+    cfg = RunConfig.resolve(k=args.k, n=args.n, m=crc.degree, d_tilde=d_tilde, v=db.v)
     tables = build_tables(db, cfg.N, cfg.d_tilde)
     paths = expand_and_dedup(tables, cfg.N)
     spectrum = undetected_spectrum(paths, crc)
@@ -218,9 +202,8 @@ def cmd_verify(args) -> int:
     N, d_tilde = args.n, args.dtilde
     if N > 16:
         raise ValueError(f"verify enumerates all 2^N inputs; keep N <= 16 (got {N})")
-    threads = _resolve_threads(args.threads)
 
-    db = collect_iees(code, d_tilde, max_len=N, threads=threads)
+    db = collect_iees(code, d_tilde, max_len=N)
     tables = build_tables(db, N, d_tilde)
     paths = expand_and_dedup(tables, N)
     report = oracle_report(code, N)
@@ -275,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=None,
-            help="worker count (default: all cores); results do not depend on it",
+            help="accepted for compatibility and ignored; crcforge runs on one thread",
         )
 
     p = sub.add_parser("collect", help="collect the IEE database of a code")

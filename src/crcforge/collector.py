@@ -13,14 +13,14 @@ reduced state diagram, pruned on accumulated weight >= d_tilde and length
 > max_len. Two admissible lower bounds (cheapest remaining weight and
 shortest remaining length back to the start state, from a Dijkstra /
 BFS pass over the reduced diagram) cut provably dead branches early; they
-never change the collected set. Catastrophic encoders are refused: they
-have zero-weight cycles away from state 0, so weight pruning alone would
-not bound the search.
+never change the collected set. The states are searched one after
+another on one thread. Catastrophic encoders are refused: they have
+zero-weight cycles away from state 0, so weight pruning alone would not
+bound the search.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import heapq
 import json
@@ -68,16 +68,25 @@ class IEE(NamedTuple):
         return tuple((self.input_bits >> i) & 1 for i in range(self.length))
 
 
-def _materialize(code: ConvCode, state: int, bits: int, length: int) -> IEE:
-    """Build an IEE record from packed input bits, validating closure."""
+def _materialize(
+    code: ConvCode, state: int, bits: int, length: int, blocked: frozenset[int] = frozenset()
+) -> IEE:
+    """Build an IEE record from packed input bits, validating closure.
+
+    ``blocked`` holds the states the interior must avoid: for an
+    irreducible event, its own state and every state before it in the
+    ordering. A walk that closes early or passes through one is refused.
+    """
     weight = 0
     s = state
     for i in range(length):
+        if i and s in blocked:
+            raise ValueError(f"passes through blocked state {s} mid-event")
         b = (bits >> i) & 1
         weight += code.branch_weight(s, b)
         s = code.next_state(s, b)
     if s != state:
-        raise ValueError("input bits do not close at the start state")
+        raise ValueError("does not close at its start state")
     return IEE(weight, length, bits, state)
 
 
@@ -152,21 +161,6 @@ def _search_state(
             stack.append((t, d2, w2, bits | (b << depth)))
     found.sort(key=lambda rec: (rec[1], rec[0], rec[2]))
     return found
-
-
-def _collect_one_state(
-    generators_octal: Sequence[str],
-    v: int,
-    ordering: Sequence[int],
-    position: int,
-    d_tilde: int,
-    max_len: int,
-) -> list[tuple[int, int, int]]:
-    """Worker entry point (picklable) for per-state parallel collection."""
-    code = ConvCode(list(generators_octal), v)
-    sigma = ordering[position]
-    blocked = frozenset(ordering[:position])
-    return _search_state(code, sigma, blocked, d_tilde, max_len)
 
 
 class IEEDatabase:
@@ -246,8 +240,8 @@ def collect_iees(
 
     ``ordering`` defaults to natural state order 0..2^v-1, which keeps the
     zero-weight self-loop (state 0, input 0) as the padding event of the
-    first partition class. With threads > 1 the per-state searches run in
-    a process pool; the assembled database is identical either way.
+    first partition class. The per-state searches run one after another;
+    ``threads`` is accepted for compatibility and ignored.
     """
     if code.is_catastrophic:
         gens = ",".join(code.generators_octal)
@@ -265,27 +259,10 @@ def collect_iees(
     if sorted(ordering) != list(range(code.num_states)):
         raise ValueError("ordering must be a permutation of all states")
 
-    raws: list[list[tuple[int, int, int]]]
-    if threads > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(
-                    _collect_one_state,
-                    code.generators_octal,
-                    code.v,
-                    ordering,
-                    i,
-                    d_tilde,
-                    max_len,
-                )
-                for i in range(len(ordering))
-            ]
-            raws = [f.result() for f in futures]
-    else:
-        raws = [
-            _search_state(code, ordering[i], frozenset(ordering[:i]), d_tilde, max_len)
-            for i in range(len(ordering))
-        ]
+    raws = [
+        _search_state(code, ordering[i], frozenset(ordering[:i]), d_tilde, max_len)
+        for i in range(len(ordering))
+    ]
 
     per_state = {
         ordering[i]: tuple(
@@ -331,7 +308,9 @@ def load_database(path) -> IEEDatabase:
     """Read a database file, verifying version, checksum, and contents.
 
     Weights are recomputed from the stored input bits; a stored weight
-    that disagrees with the re-encoded one marks the file as corrupt.
+    that disagrees with the re-encoded one, a record that is not
+    irreducible under the stored ordering, or a repeated record marks the
+    file as corrupt.
     Every field is type-checked, so no malformed file escapes as anything
     but DatabaseFormatError or another CrcforgeError.
     """
@@ -367,6 +346,8 @@ def load_database(path) -> IEEDatabase:
         raise DatabaseFormatError(f"{path}: ordering is not a state permutation")
 
     per_state: dict[int, list[IEE]] = {s: [] for s in ordering}
+    blocked = {s: frozenset(ordering[: i + 1]) for i, s in enumerate(ordering)}
+    seen: set[tuple[int, str]] = set()
     for rec in iees:
         if type(rec) is not dict:
             raise DatabaseFormatError(f"{path}: malformed IEE record {rec!r}")
@@ -378,11 +359,13 @@ def load_database(path) -> IEEDatabase:
             or any(c not in "01" for c in text)
         ):
             raise DatabaseFormatError(f"{path}: malformed IEE record {rec!r}")
-        bits = int(text[::-1], 2)
+        if (state, text) in seen:
+            raise DatabaseFormatError(f"{path}: repeated IEE record {rec!r}")
+        seen.add((state, text))
         try:
-            event = _materialize(code, state, bits, len(text))
+            event = _materialize(code, state, int(text[::-1], 2), len(text), blocked[state])
         except ValueError as exc:
-            raise DatabaseFormatError(f"{path}: IEE does not close: {rec!r}") from exc
+            raise DatabaseFormatError(f"{path}: IEE {rec!r} {exc}") from exc
         if event.weight != weight:
             raise DatabaseFormatError(
                 f"{path}: stored weight {weight} != recomputed {event.weight} for {rec!r}"
@@ -400,12 +383,9 @@ def verify_iee(db: IEEDatabase, event: IEE) -> bool:
     avoid the start state and all states earlier in the ordering.
     """
     position = db.ordering.index(event.start_state)
-    blocked = set(db.ordering[: position + 1])
-    code = db.code
-    s = event.start_state
-    for i, b in enumerate(event.inputs):
-        s = code.next_state(s, b)
-        interior = i + 1 < event.length
-        if interior and s in blocked:
-            return False
-    return s == event.start_state and event.weight < db.d_tilde
+    blocked = frozenset(db.ordering[: position + 1])
+    try:
+        _materialize(db.code, event.start_state, event.input_bits, event.length, blocked)
+    except ValueError:
+        return False
+    return event.weight < db.d_tilde

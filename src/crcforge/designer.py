@@ -7,15 +7,15 @@ weight histogram. Residues are computed bytewise: precomputed tables
 T_k[b] = (b(x) * x^(8k)) mod p turn the whole matrix into one XOR fold
 per byte column, no per-word Python loop.
 
-The design search scans distances upward and keeps, at each distance,
-the candidates with the fewest undetected paths; the survivor left when
-the scan hits d_tilde (or the survivor set collapses to one) is the
-distance-spectrum-optimal CRC at that horizon.
+The design search is the distance-ordered elimination of Lou, Daneshrad
+and Wesel: at d = 1, 2, ... it screens the surviving candidates on the
+paths of weight d only and keeps those with the fewest undetected paths,
+stopping once one survivor is left or d reaches d_tilde. Full spectra
+are computed for the final survivors only. Everything runs on one thread.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -56,23 +56,38 @@ def candidate_list(m: int) -> list[GF2Poly]:
     return [GF2Poly((1 << m) | (mid << 1) | 1) for mid in range(1 << (m - 1))]
 
 
-def _check_crc(p: GF2Poly) -> int:
+def _check_crc(p: GF2Poly) -> None:
     if p.is_zero or p.degree < 1 or not (p.bits & 1):
         raise InvalidCrcError(f"{p!r} is not a CRC generator (need degree >= 1 and a constant term)")
     if p.degree > _MAX_DEGREE:
         raise InvalidCrcError(f"CRC degree {p.degree} exceeds the 31-bit residue tables")
-    return p.degree
 
 
 def _residue_tables(p: GF2Poly, width: int) -> np.ndarray:
-    """tables[k][b] = (b(x) * x^(8k)) mod p, as packed residue bits."""
+    """tables[k][b] = (b(x) * x^(8k)) mod p, as packed residue bits.
+
+    Reduction is linear, so tables[k][b] is the XOR of x^(8k+j) mod p over
+    the set bits j of b: 8 * width shift-reduce steps build every table.
+    """
+    powers = np.zeros(8 * width, dtype=np.uint32)
+    r = 1
+    for i in range(8 * width):
+        powers[i] = r
+        r <<= 1
+        if r >> p.degree:
+            r ^= p.bits
     tables = np.zeros((width, 256), dtype=np.uint32)
-    prev = [(GF2Poly(b) % p).bits for b in range(256)]
-    tables[0] = prev
-    for k in range(1, width):
-        prev = [(GF2Poly(r << 8) % p).bits for r in prev]
-        tables[k] = prev
+    for j in range(8):
+        tables[:, 1 << j : 2 << j] = tables[:, : 1 << j] ^ powers[j::8, None]
     return tables
+
+
+def _divisible_rows(packed: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """Mask of the packed rows whose word the tables' CRC divides."""
+    residues = np.zeros(packed.shape[0], dtype=np.uint32)
+    for k in range(packed.shape[1]):
+        residues ^= tables[k][packed[:, k]]
+    return residues == 0
 
 
 @dataclass(frozen=True)
@@ -135,19 +150,17 @@ class DistanceSpectrum:
         return cls(crc, N, d_tilde, tuple(counts))
 
 
+def _spectrum(paths: TBPathSet, crc: GF2Poly, tables: np.ndarray) -> DistanceSpectrum:
+    d_tilde = paths.d_tilde
+    hits = paths.weights[_divisible_rows(paths.packed, tables)]
+    hist = np.bincount(hits, minlength=d_tilde)
+    return DistanceSpectrum(crc, paths.N, d_tilde, tuple(int(c) for c in hist[:d_tilde]))
+
+
 def undetected_spectrum(paths: TBPathSet, crc: GF2Poly) -> DistanceSpectrum:
     """Histogram the paths whose input polynomial the CRC divides."""
     _check_crc(crc)
-    d_tilde = paths.d_tilde
-    if len(paths) == 0:
-        return DistanceSpectrum(crc, paths.N, d_tilde, (0,) * d_tilde)
-    tables = _residue_tables(crc, paths.packed.shape[1])
-    residues = np.zeros(len(paths), dtype=np.uint32)
-    for k in range(paths.packed.shape[1]):
-        residues ^= tables[k][paths.packed[:, k]]
-    hits = paths.weights[residues == 0]
-    hist = np.bincount(hits, minlength=d_tilde)
-    return DistanceSpectrum(crc, paths.N, d_tilde, tuple(int(c) for c in hist[:d_tilde]))
+    return _spectrum(paths, crc, _residue_tables(crc, paths.packed.shape[1]))
 
 
 @dataclass(frozen=True)
@@ -162,7 +175,11 @@ class EliminationRound:
 
 @dataclass(frozen=True)
 class DsoSearchResult:
-    """Search outcome; winner is None when candidates stay tied at d_tilde."""
+    """Search outcome; winner is None when candidates stay tied at d_tilde.
+
+    spectra maps each final survivor (the winner or the tied set) to its
+    full spectrum; eliminated candidates have none.
+    """
 
     winner: GF2Poly | None
     survivors: tuple[GF2Poly, ...]
@@ -181,9 +198,12 @@ def search_dso(
 ) -> DsoSearchResult:
     """Pick the degree-m CRC with the best undetected spectrum.
 
-    Candidates are eliminated distance by distance, keeping the argmin
-    set of A_d at each d < d_tilde; ties at exhaustion are reported as a
-    full survivor set, never broken silently.
+    Candidates are eliminated distance by distance: at each d < d_tilde
+    the survivors are screened on the weight-d paths alone and the argmin
+    set of A_d is kept, until one survivor is left. Ties at exhaustion are
+    reported as a full survivor set, never broken silently. ``spectra``
+    holds the full spectrum of each final survivor only. ``threads`` is
+    accepted for compatibility and ignored; the search runs on one thread.
     """
     if d_tilde is None:
         d_tilde = paths.d_tilde
@@ -191,27 +211,24 @@ def search_dso(
         raise CoverageError(
             f"path set covers weights < {paths.d_tilde}, cannot screen at d_tilde={d_tilde}"
         )
-    candidates = candidate_list(m)
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            all_spectra = list(pool.map(lambda c: undetected_spectrum(paths, c), candidates))
-    else:
-        all_spectra = [undetected_spectrum(paths, c) for c in candidates]
-    spectra = {c.to_hex(): s for c, s in zip(candidates, all_spectra)}
-
-    survivors = list(candidates)
+    width = paths.packed.shape[1]
+    survivors = [(c, _residue_tables(c, width)) for c in candidate_list(m)]
     rounds: list[EliminationRound] = []
     for d in range(1, d_tilde):
         if len(survivors) == 1:
             break
-        values = [spectra[c.to_hex()].counts[d] for c in survivors]
+        rows = paths.packed[paths.weights == d]
+        values = [int(np.count_nonzero(_divisible_rows(rows, t))) for _c, t in survivors]
         c_star = min(values)
-        survivors = [c for c, a_d in zip(survivors, values) if a_d == c_star]
+        survivors = [s for s, a_d in zip(survivors, values) if a_d == c_star]
         rounds.append(
-            EliminationRound(d, c_star, len(survivors), tuple(c.to_hex() for c in survivors))
+            EliminationRound(d, c_star, len(survivors), tuple(c.to_hex() for c, _t in survivors))
         )
-    winner = survivors[0] if len(survivors) == 1 else None
-    return DsoSearchResult(winner, tuple(survivors), tuple(rounds), spectra, m, d_tilde)
+    spectra = {c.to_hex(): _spectrum(paths, c, t) for c, t in survivors}
+    winner = survivors[0][0] if len(survivors) == 1 else None
+    return DsoSearchResult(
+        winner, tuple(c for c, _t in survivors), tuple(rounds), spectra, m, d_tilde
+    )
 
 
 def q_function(x: float) -> float:

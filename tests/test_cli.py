@@ -1,50 +1,33 @@
-import os
-
 import pytest
 
-from crcforge.cli import RunConfig, _parse_snr_grid, _resolve_threads, main
+from crcforge import cli
+from crcforge.cli import RunConfig, _parse_snr_grid, main
 
 
 class TestRunConfig:
     def test_k_and_m_give_n(self):
-        cfg = RunConfig.resolve(k=64, n=None, m=6, d_tilde=18, threads=1, v=3)
+        cfg = RunConfig.resolve(k=64, n=None, m=6, d_tilde=18, v=3)
         assert cfg.N == 70
 
     def test_n_passes_through(self):
-        cfg = RunConfig.resolve(k=None, n=70, m=6, d_tilde=18, threads=1, v=3)
+        cfg = RunConfig.resolve(k=None, n=70, m=6, d_tilde=18, v=3)
         assert cfg.N == 70
 
     def test_exactly_one_of_k_n(self):
         with pytest.raises(ValueError, match="exactly one"):
-            RunConfig.resolve(k=64, n=70, m=6, d_tilde=18, threads=1, v=3)
+            RunConfig.resolve(k=64, n=70, m=6, d_tilde=18, v=3)
         with pytest.raises(ValueError, match="exactly one"):
-            RunConfig.resolve(k=None, n=None, m=6, d_tilde=18, threads=1, v=3)
+            RunConfig.resolve(k=None, n=None, m=6, d_tilde=18, v=3)
 
     def test_bounds(self):
         with pytest.raises(ValueError):
-            RunConfig.resolve(k=64, n=None, m=0, d_tilde=18, threads=1, v=3)
+            RunConfig.resolve(k=64, n=None, m=0, d_tilde=18, v=3)
+        with pytest.raises(ValueError, match=r"\[1, 31\]"):
+            RunConfig.resolve(k=None, n=70, m=32, d_tilde=18, v=3)
         with pytest.raises(ValueError):
-            RunConfig.resolve(k=64, n=None, m=6, d_tilde=1, threads=1, v=3)
+            RunConfig.resolve(k=64, n=None, m=6, d_tilde=1, v=3)
         with pytest.raises(ValueError):
-            RunConfig.resolve(k=None, n=2, m=6, d_tilde=18, threads=1, v=3)
-
-
-class TestThreadResolution:
-    def test_flag_wins(self):
-        assert _resolve_threads(3) == 3
-
-    def test_default_is_cpu_count(self):
-        assert _resolve_threads(None) == (os.cpu_count() or 1)
-
-    def test_bad_flag(self, tmp_path, capsys):
-        with pytest.raises(ValueError, match="--threads"):
-            _resolve_threads(0)
-        rc = main([
-            "collect", "--gens", "13,17", "--v", "3", "--dtilde", "5",
-            "--max-len", "6", "--out", str(tmp_path / "db.json"), "--threads", "0",
-        ])
-        assert rc == 1
-        assert "error:" in capsys.readouterr().err
+            RunConfig.resolve(k=None, n=2, m=6, d_tilde=18, v=3)
 
 
 class TestSnrGrid:
@@ -93,13 +76,15 @@ class TestExitCodes:
         rc = main(["design", "--iee", str(tmp_path / "nope.json"), "--k", "8", "--m", "3"])
         assert rc == 1
 
-    def test_crc_degree_above_31_is_1(self, small_db, tmp_path, capsys):
-        rc = main([
-            "design", "--iee", str(small_db), "--n", "14", "--m", "32",
-            "--out-dir", str(tmp_path),
-        ])
-        assert rc == 1
-        assert "error:" in capsys.readouterr().err
+    def test_crc_degree_above_31_is_1(self, small_db, tmp_path, capsys, monkeypatch):
+        # Refused before any path is expanded: building tables would fail.
+        monkeypatch.setattr(cli, "build_tables", None)
+        for degree_args in (["design", "--m", "32"], ["spectrum", "--crc", "0x100000001"]):
+            rc = main(degree_args + ["--iee", str(small_db), "--n", "14", "--out-dir", str(tmp_path)])
+            assert rc == 1
+            out, err = capsys.readouterr()
+            assert "expanded" not in out
+            assert "error: CRC degree m must be in [1, 31], got 32" in err
 
     def test_renamed_spectrum_is_1(self, small_db, tmp_path, capsys):
         assert main([
@@ -193,6 +178,14 @@ class TestPipeline:
         lines = out_csv.read_text().splitlines()
         assert lines[0] == "snr_db,0x9,0xb"
         assert len(lines) == 18
+
+    def test_threads_flag_is_ignored(self, small_db, tmp_path, capsys):
+        # Any value parses, 0 included, and the database is byte-identical.
+        args = ["collect", "--gens", "13,17", "--v", "3", "--dtilde", "9", "--max-len", "16", "--out"]
+        for threads in ("0", "2"):
+            out = tmp_path / f"db{threads}.json"
+            assert main(args + [str(out), "--threads", threads]) == 0
+            assert out.read_bytes() == small_db.read_bytes()
 
     def test_growth_profile_output(self, small_db, capsys):
         rc = main(["growth", "--iee", str(small_db), "--dtilde", "7", "--l-range", "1:12"])

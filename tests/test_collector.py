@@ -194,6 +194,19 @@ def _replace_record(value):
     return tamper
 
 
+def _append_record(pick):
+    """Append the record pick(stored records) returns, then re-sign the file."""
+
+    def tamper(blob: bytes) -> bytes:
+        payload = json.loads(blob)
+        del payload["checksum"]
+        payload["iees"].append(pick(payload["iees"]))
+        payload["checksum"] = _checksum(payload)
+        return json.dumps(payload).encode()
+
+    return tamper
+
+
 CORRUPTIONS = {
     "truncated": lambda blob: blob[: len(blob) // 2],
     "high-bit-flipped": _flip_high_bit,
@@ -211,6 +224,9 @@ CORRUPTIONS = {
     "record-state-string": _set_field("state", "0", record=0),
     "record-inputs-int": _set_field("inputs", 1, record=0),
     "record-weight-string": _set_field("weight", "0", record=0),
+    "record-repeated": _append_record(lambda iees: iees[1]),
+    # The zero loop then the weight-6 event: it passes through state 0 mid-event.
+    "record-reducible": _append_record(lambda iees: {"state": 0, "inputs": "011000", "weight": 6}),
 }
 
 
@@ -223,4 +239,6 @@ def test_corrupt_database_is_refused(db7, tmp_path, capsys, name):
         load_database(path)
     rc = main(["design", "--iee", str(path), "--n", "8", "--m", "3", "--out-dir", str(tmp_path)])
     assert rc == 1
+    assert "error:" in capsys.readouterr().err
+    assert main(["growth", "--iee", str(path), "--l-range", "8:8"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -1,10 +1,15 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
 from crcforge.collector import collect_iees
 from crcforge.designer import (
     DistanceSpectrum,
+    EliminationRound,
+    _divisible_rows,
+    _residue_tables,
     bound_sweep,
     candidate_list,
     db_to_linear,
@@ -68,6 +73,22 @@ class TestUndetectedSpectrum:
         with pytest.raises(InvalidCrcError):
             undetected_spectrum(paths12, GF2Poly(0b10))  # no constant term
 
+    @pytest.mark.parametrize("crc_bits", [0x3, 0x107, 0x11021, 0xB4C11DB7])
+    def test_divisible_rows_match_polynomial_division(self, crc_bits):
+        # Degrees 1, 8, 16 and 31; 31 is the widest residue a uint32 holds.
+        crc = GF2Poly(crc_bits)
+        tables = _residue_tables(crc, 9)
+        for k in range(9):
+            expect = [(GF2Poly(b << (8 * k)) % crc).bits for b in range(256)]
+            assert tables[k].tolist() == expect, k
+        rng = random.Random(crc_bits)
+        words = [(GF2Poly(rng.getrandbits(70 - crc.degree)) * crc).bits for _ in range(40)]
+        words += [rng.getrandbits(70) for _ in range(40)]
+        packed = np.array([list(w.to_bytes(9, "little")) for w in words], dtype=np.uint8)
+        mask = _divisible_rows(packed, tables)
+        assert mask.tolist() == [crc.divides(GF2Poly(w)) for w in words]
+        assert mask[:40].all()
+
     def test_parity_factor_kills_odd_distances(self, code):
         # Generators of odd+even tap weight preserve input parity, so any
         # CRC divisible by x+1 sees only even-weight paths.
@@ -82,19 +103,56 @@ class TestUndetectedSpectrum:
             assert all(d % 2 == 0 for d in spec.nonzero()), hex(crc_bits)
 
 
+def _check_against_exhaustive(paths, m, d_tilde=None):
+    """search_dso must match a lexicographic screen of every full spectrum.
+
+    The reference computes undetected_spectrum for every candidate; after
+    round d the survivors are the candidates whose (A_1..A_d) is the
+    lexicographic minimum over all of them.
+    """
+    d_tilde = paths.d_tilde if d_tilde is None else d_tilde
+    result = search_dso(paths, m, d_tilde)
+    spectra = {c.to_hex(): undetected_spectrum(paths, c) for c in candidate_list(m)}
+    alive = tuple(spectra)
+    rounds = []
+    for d in range(1, d_tilde):
+        if len(alive) == 1:
+            break
+        best = min(s.counts[1 : d + 1] for s in spectra.values())
+        alive = tuple(h for h, s in spectra.items() if s.counts[1 : d + 1] == best)
+        rounds.append(EliminationRound(d, best[-1], len(alive), alive))
+    assert result.rounds == tuple(rounds)
+    assert tuple(c.to_hex() for c in result.survivors) == alive
+    assert result.spectra == {h: spectra[h] for h in alive}
+    assert result.is_tie == (len(alive) > 1)
+    if not result.is_tie:
+        assert result.winner.to_hex() == alive[0]
+    return result
+
+
 class TestSearch:
-    def test_winner_is_lexicographic_argmin(self, paths12):
-        result = search_dso(paths12, 4)
-        vectors = {
-            c.to_hex(): tuple(result.spectra[c.to_hex()].counts[1:])
-            for c in candidate_list(4)
-        }
-        best = min(vectors.values())
-        argmin = {name for name, vec in vectors.items() if vec == best}
-        assert {c.to_hex() for c in result.survivors} == argmin
-        if len(argmin) == 1:
-            assert result.winner.to_hex() in argmin
-            assert not result.is_tie
+    def test_winner_is_lexicographic_argmin(self):
+        # Every (N, d_tilde) of the oracle-equivalence criterion, m = 3 and 4.
+        for gens, v in ((["5", "7"], 2), (["13", "17"], 3)):
+            db = collect_iees(ConvCode(gens, v), 10, 14)
+            for N in range(4, 15):
+                for d_tilde in range(3, 11):
+                    paths = expand_and_dedup(build_tables(db, N, d_tilde), N)
+                    for m in (3, 4):
+                        _check_against_exhaustive(paths, m)
+
+    def test_early_exit_equals_exhaustive_screen_at_n70(self, paths70):
+        result = _check_against_exhaustive(paths70, 6)
+        assert result.winner == GF2Poly(0x63)
+        assert result.spectra["0x63"].nonzero() == {12: 735, 14: 2310, 16: 13965}
+
+    @pytest.mark.parametrize("m,d_tilde", [(4, 7), (5, 9)])
+    def test_partial_tie_keeps_tied_set_and_their_spectra(self, paths12, m, d_tilde):
+        # Some candidates drop out, but more than one is left at d_tilde.
+        result = _check_against_exhaustive(paths12, m, d_tilde)
+        assert result.is_tie
+        assert 1 < len(result.survivors) < len(candidate_list(m))
+        assert set(result.spectra) == {c.to_hex() for c in result.survivors}
 
     def test_rounds_shrink_monotonically(self, paths12):
         result = search_dso(paths12, 4)
