@@ -13,9 +13,13 @@ gives the normal form used here:
 The (skeleton, gaps, t*) triple is in bijection with the paths of the
 partition class: cutting any length-N word at the event block covering
 time N-1 recovers exactly one triple, periodic words included. Expansion
-therefore emits every path exactly once with no dedup hashing; a sort
-based uniqueness check guards the invariant. States other than 0 have no
-zero loop, so their skeletons must fill the length budget exactly.
+therefore emits every path exactly once with no dedup hashing. Python
+builds one base word per (skeleton, gaps) pair, the word with t* = 0;
+numpy emits its len_j + g_j rotations on rows of ceil(N/64) uint64
+limbs, one rotate-by-one limb shift per step. A lexsort over the limbs,
+comparing neighbouring rows one limb column at a time, guards the
+invariant. States other than 0 have no zero loop, so their skeletons must
+fill the length budget exactly.
 
 Tables are kept as index sequences into the per-state IEE lists; the
 weight/length cells of the classic recurrence are never materialized,
@@ -210,39 +214,67 @@ def build_tables(db: IEEDatabase, N: int, d_tilde: int) -> ReconstructionTables:
     return ReconstructionTables(db, N, d_tilde, per_state)
 
 
-def _state_words(table: WeightLengthTable, N: int) -> Iterator[tuple[int, int]]:
-    """(packed input word, weight) for every path anchored at this state.
+def _base_words(table: WeightLengthTable, N: int) -> Iterator[tuple[int, int, int]]:
+    """(base word, rotation count, weight) for every gap composition of a state.
 
-    Each distinct tail-biting input word of the state's partition class
-    appears exactly once; see the module docstring for the bijection.
+    The base word starts its first event at time 0; the path set of the
+    composition is its first `rotation count` = len_j + g_j rotations, one
+    step later in time each. This is the one statement of the bijection in
+    the module docstring, read by both iter_state_paths and expand_and_dedup.
     """
-    mask = (1 << N) - 1
-    nm1 = N - 1
     padded = table.zero_index is not None
     for sk in table.skeletons:
         if not padded and sk.length != N:
             continue
-        gap_total = N - sk.length
         evs = [table.iees[i] for i in sk.events]
         bits = [e.input_bits for e in evs]
         lens = [e.length for e in evs]
         j = len(evs)
-        w = sk.weight
-        for gaps in _compositions(gap_total, j):
+        for gaps in _compositions(N - sk.length, j):
             base = 0
             pos = 0
             for k in range(j):
                 base |= bits[k] << pos
                 pos += lens[k] + gaps[k]
-            word = base
-            for _ in range(lens[-1] + gaps[-1]):
-                yield word, w
-                word = ((word << 1) | (word >> nm1)) & mask
+            yield base, lens[-1] + gaps[-1], sk.weight
 
 
 def iter_state_paths(tables: ReconstructionTables, state: int) -> Iterator[tuple[int, int]]:
     """(input word, weight) pairs of one partition class, each word once."""
-    return _state_words(tables[state], tables.N)
+    N = tables.N
+    mask = (1 << N) - 1
+    for word, count, w in _base_words(tables[state], N):
+        for _ in range(count):
+            yield word, w
+            word = ((word << 1) | (word >> (N - 1))) & mask
+
+
+def _packed_limbs(packed: np.ndarray) -> np.ndarray:
+    """Little-endian byte rows as rows of uint64 limbs, low limb first."""
+    rows, width = packed.shape
+    buf = np.zeros((rows, 8 * ((width + 7) // 8)), dtype=np.uint8)
+    buf[:, :width] = packed
+    return buf.view("<u8")
+
+
+def _rotate_limbs(limbs: np.ndarray, N: int) -> np.ndarray:
+    """Every N-bit limb row rotated one step later in time: (w << 1) | (w >> (N-1))."""
+    top = limbs.shape[1] - 1
+    out = limbs << np.uint64(1)
+    out[:, 1:] |= limbs[:, :-1] >> np.uint64(63)
+    out[:, 0] |= (limbs[:, top] >> np.uint64((N - 1) % 64)) & np.uint64(1)
+    out[:, top] &= np.uint64((1 << (N - 64 * top)) - 1)
+    return out
+
+
+def _sorted_limb_columns(limbs: np.ndarray) -> Iterator[np.ndarray]:
+    """The limb columns in lexicographic row order, one column at a time.
+
+    Gathering single columns means no sorted copy of whole rows is held.
+    """
+    order = np.lexsort(limbs.T)
+    for i in range(limbs.shape[1]):
+        yield limbs[order, i]
 
 
 class TBPathSet:
@@ -280,71 +312,59 @@ class TBPathSet:
         for row in self.packed:
             yield int.from_bytes(row.tobytes(), "little")
 
-    def _rotated_rows(self) -> np.ndarray:
-        """Every word rotated one step later in time, vectorized bytewise."""
-        b = self.packed
-        top_byte = (self.N - 1) // 8
-        top_bit = (self.N - 1) % 8
-        wrap = (b[:, top_byte] >> top_bit) & 1
-        out = ((b.astype(np.uint16) << 1) & 0xFF).astype(np.uint8)
-        out[:, 1:] |= b[:, :-1] >> 7
-        keep = np.uint8((1 << (top_bit + 1)) - 1) if top_bit < 7 else np.uint8(0xFF)
-        out[:, top_byte] &= keep
-        out[:, 0] |= wrap
-        return out
-
     def is_cyclic_closed(self) -> bool:
         """True iff the word multiset maps onto itself under cyclic shift.
 
         Closure under a single shift implies closure under all shifts, so
         one vectorized pass settles the full invariant.
         """
-        if len(self) == 0:
-            return True
-        return np.array_equal(
-            np.sort(_row_keys(self.packed)), np.sort(_row_keys(self._rotated_rows()))
+        limbs = _packed_limbs(self.packed)
+        rotated = _rotate_limbs(limbs, self.N)
+        return all(
+            np.array_equal(a, b)
+            for a, b in zip(_sorted_limb_columns(limbs), _sorted_limb_columns(rotated))
         )
 
     def __repr__(self) -> str:
         return f"TBPathSet(N={self.N}, d_tilde={self.d_tilde}, paths={len(self)})"
 
 
-def _row_keys(packed: np.ndarray) -> np.ndarray:
-    """View rows as opaque fixed-width keys for sorting and uniqueness."""
-    arr = np.ascontiguousarray(packed)
-    return arr.view(np.dtype((np.void, arr.shape[1]))).reshape(-1)
-
-
 def expand_and_dedup(tables: ReconstructionTables, N: int) -> TBPathSet:
     """Emit every path of every partition class and pack the result.
 
     The emission order is deterministic (state ordering, then skeleton
-    order, then gap compositions, then rotations). A uniqueness check on
-    the packed rows enforces the each-word-exactly-once contract.
+    order, then gap compositions, then rotations). Python builds one base
+    word per gap composition; numpy emits its rotations, each base's rows
+    contiguous at its offset. A lexsort over the limbs then checks the
+    each-word-exactly-once contract.
     """
     if N != tables.N:
         raise ValueError(f"tables were built for N={tables.N}, asked to expand N={N}")
     width = (N + 7) // 8
-    blob = bytearray()
-    weights: list[int] = []
-    append = weights.append
-    for sigma in tables.ordering:
-        for word, w in _state_words(tables.per_state[sigma], N):
-            blob += word.to_bytes(width, "little")
-            append(w)
-    count = len(weights)
-    if count:
-        packed = np.frombuffer(bytes(blob), dtype=np.uint8).reshape(count, width).copy()
-        wvec = np.asarray(weights, dtype=np.uint32)
-        unique = np.unique(_row_keys(packed))
-        if unique.shape[0] != count:
-            raise RuntimeError(
-                f"expansion emitted {count} words but only {unique.shape[0]} distinct; "
-                "bijection invariant broken"
-            )
-    else:
-        packed = np.zeros((0, width), dtype=np.uint8)
-        wvec = np.zeros(0, dtype=np.uint32)
+    comps = [c for sigma in tables.ordering for c in _base_words(tables.per_state[sigma], N)]
+    blob = b"".join(base.to_bytes(width, "little") for base, _c, _w in comps)
+    cur = _packed_limbs(np.frombuffer(blob, dtype=np.uint8).reshape(len(comps), width))
+    count_vec = np.array([c for _b, c, _w in comps], dtype=np.int64)
+    offsets = np.cumsum(count_vec) - count_vec
+    total = int(count_vec.sum())
+    limbs = np.empty((total, cur.shape[1]), dtype="<u8")
+    live = np.arange(len(comps))
+    for r in range(int(count_vec.max(initial=0))):
+        keep = count_vec[live] > r
+        if not keep.all():
+            live, cur = live[keep], cur[keep]
+        limbs[offsets[live] + r] = cur
+        cur = _rotate_limbs(cur, N)
+    repeated = True
+    for col in _sorted_limb_columns(limbs):
+        repeated = repeated & (col[1:] == col[:-1])
+    if repeated.any():
+        raise RuntimeError(
+            f"expansion emitted {total} words but only {total - int(repeated.sum())} distinct; "
+            "bijection invariant broken"
+        )
+    packed = np.ascontiguousarray(limbs.view(np.uint8)[:, :width])
+    wvec = np.repeat(np.array([w for _b, _c, w in comps], dtype=np.uint32), count_vec)
     return TBPathSet(N, tables.d_tilde, packed, wvec)
 
 

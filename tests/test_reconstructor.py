@@ -1,10 +1,15 @@
+import random
+
+import numpy as np
 import pytest
 
+from crcforge import reconstructor
 from crcforge.collector import collect_iees
 from crcforge.encoder import ConvCode, encode_tb
 from crcforge.errors import CoverageError
 from crcforge.oracle import brute_force_partition, brute_force_spectrum
 from crcforge.reconstructor import (
+    WeightLengthTable,
     build_tables,
     expand_and_dedup,
     growth_profile,
@@ -98,21 +103,64 @@ class TestExpansion:
         paths = expand_and_dedup(build_tables(db7, 11, 7), 11)
         assert paths.is_cyclic_closed()
 
-    def test_rotation_helper_against_int_rotation(self, code, db7):
-        paths = expand_and_dedup(build_tables(db7, 11, 7), 11)
-        rotated = paths._rotated_rows()
-        N = 11
-        for i, word in zip(range(40), paths.iter_inputs()):
-            expect = ((word << 1) | (word >> (N - 1))) & ((1 << N) - 1)
-            got = int.from_bytes(rotated[i].tobytes(), "little")
-            assert got == expect
+    def test_rotation_helper_against_int_rotation(self):
+        # One step later in time is ((w << 1) | (w >> (N-1))) & mask, with
+        # the carries across limb boundaries and the wrap of bit N-1.
+        for N in (11, 64, 65):
+            rng = random.Random(N)
+            mask = (1 << N) - 1
+            words = [1, 1 << (N - 1), mask, 0] + [rng.getrandbits(N) for _ in range(200)]
+            packed = np.array([list(w.to_bytes((N + 7) // 8, "little")) for w in words], np.uint8)
+            rotated = reconstructor._rotate_limbs(reconstructor._packed_limbs(packed), N)
+            for word, row in zip(words, rotated):
+                expect = ((word << 1) | (word >> (N - 1))) & mask
+                assert int.from_bytes(row.tobytes(), "little") == expect, (N, word)
+
+    @pytest.mark.parametrize(
+        "gens,v,d_tilde,max_len,N",
+        [
+            (["13", "17"], 3, 14, 65, 63),
+            (["13", "17"], 3, 14, 65, 64),
+            (["13", "17"], 3, 14, 65, 65),
+            (["133", "171"], 6, 12, 130, 128),
+            (["133", "171"], 6, 12, 130, 129),
+        ],
+    )
+    def test_matches_iter_state_paths_across_limb_boundaries(self, gens, v, d_tilde, max_len, N):
+        db = collect_iees(ConvCode(gens, v), d_tilde, max_len)
+        tables = build_tables(db, N, d_tilde)
+        paths = expand_and_dedup(tables, N)
+        ref = [pair for s in tables.ordering for pair in iter_state_paths(tables, s)]
+        assert len(ref) > 0
+        assert list(zip(paths.iter_inputs(), paths.weights.tolist())) == ref
+        assert paths.packed.shape == (len(ref), (N + 7) // 8)
+        assert paths.is_cyclic_closed()
 
     def test_empty_set(self, code):
-        db = collect_iees(code, 1, 8)
-        paths = expand_and_dedup(build_tables(db, 8, 1), 8)
-        assert len(paths) == 0
-        assert paths.counts_by_weight() == {}
-        assert paths.is_cyclic_closed()
+        for N in (8, 64, 65):
+            db = collect_iees(code, 1, N)
+            paths = expand_and_dedup(build_tables(db, N, 1), N)
+            assert len(paths) == 0
+            assert paths.packed.shape == (0, (N + 7) // 8)
+            assert paths.packed.dtype == np.uint8 and paths.weights.shape == (0,)
+            assert paths.counts_by_weight() == {}
+            assert paths.is_cyclic_closed()
+
+    def test_repeated_skeleton_breaks_uniqueness(self, db7):
+        tables = build_tables(db7, 12, 7)
+        t = tables[0]
+        tables.per_state[0] = WeightLengthTable(
+            t.state, t.iees, t.N, t.d_tilde, t.zero_index, t.skeletons + t.skeletons[-1:]
+        )
+        with pytest.raises(RuntimeError, match="bijection invariant broken"):
+            expand_and_dedup(tables, 12)
+
+    def test_guard_compares_every_limb(self, paths70):
+        # 539,971 of the N=70 rows repeat another row's low 64 bits, so a
+        # guard reading the low limb alone would refuse this exact set.
+        assert len(paths70) == 1940785
+        low = reconstructor._packed_limbs(paths70.packed)[:, 0]
+        assert len(paths70) - np.unique(low).size == 539971
 
 
 class TestGrowthProfile:
