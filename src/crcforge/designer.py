@@ -2,14 +2,21 @@
 
 A degree-m CRC leaves an input word undetected exactly when it divides
 the word's polynomial, so the undetected-error spectrum of a candidate
-is a divisibility filter over the packed path matrix followed by a
-weight histogram. Residues are computed bytewise: precomputed tables
-T_k[b] = (b(x) * x^(8k)) mod p turn the whole matrix into one XOR fold
-per byte column, no per-word Python loop.
+counts, by weight, the paths whose residue mod the CRC is zero. The path
+set holds base words, each standing for its first few rotations, so
+residues are taken in the rotation domain: precomputed tables
+T_k[b] = (b(x) * x^(8k)) mod p give each base word's residue in one XOR
+fold per byte column, and the linear rule
+
+    res(rot w) = (x * res(w) mod p) ^ w_{N-1} * ((x^N + 1) mod p)
+
+steps every base to its next rotation at once. With the bases sorted by
+rotation count, the ones still rotating at any step are a prefix, and a
+matrix of (bases, candidates) residues advances all candidates together.
 
 The design search is the distance-ordered elimination of Lou, Daneshrad
 and Wesel: at d = 1, 2, ... it screens the surviving candidates on the
-paths of weight d only and keeps those with the fewest undetected paths,
+weight-d bases only and keeps those with the fewest undetected paths,
 stopping once one survivor is left or d reaches d_tilde. Full spectra
 are computed for the final survivors only. Everything runs on one thread.
 """
@@ -18,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,31 +70,91 @@ def _check_crc(p: GF2Poly) -> None:
         raise InvalidCrcError(f"CRC degree {p.degree} exceeds the 31-bit residue tables")
 
 
-def _residue_tables(p: GF2Poly, width: int) -> np.ndarray:
-    """tables[k][b] = (b(x) * x^(8k)) mod p, as packed residue bits.
+class _Crcs(NamedTuple):
+    """CRC generators as arrays, one entry per CRC on the last axis."""
+
+    polys: np.ndarray  # packed coefficient bits
+    degrees: np.ndarray
+    tables: np.ndarray  # (width, 256, crcs): tables[k][b] = (b(x) * x^(8k)) mod p
+
+    def pick(self, idx) -> "_Crcs":
+        return _Crcs(self.polys[idx], self.degrees[idx], np.take(self.tables, idx, axis=-1))
+
+
+def _times_x(res: np.ndarray, polys: np.ndarray, degrees: np.ndarray) -> None:
+    """res = x * res mod p, in place, for residues of degree below p's."""
+    res <<= np.uint32(1)
+    res ^= (res >> degrees) * polys
+
+
+def _residue_tables(crcs: Sequence[GF2Poly], width: int) -> _Crcs:
+    """The CRCs' residue tables for words of `width` bytes.
 
     Reduction is linear, so tables[k][b] is the XOR of x^(8k+j) mod p over
-    the set bits j of b: 8 * width shift-reduce steps build every table.
+    the set bits j of b: 8 * width shift-reduce steps, taken for all CRCs
+    at once, build every table.
     """
-    powers = np.zeros(8 * width, dtype=np.uint32)
-    r = 1
+    polys = np.array([c.bits for c in crcs], dtype=np.uint32)
+    degrees = np.array([c.degree for c in crcs], dtype=np.uint32)
+    powers = np.empty((8 * width, len(crcs)), dtype=np.uint32)
+    r = np.ones(len(crcs), dtype=np.uint32)
     for i in range(8 * width):
         powers[i] = r
-        r <<= 1
-        if r >> p.degree:
-            r ^= p.bits
-    tables = np.zeros((width, 256), dtype=np.uint32)
+        _times_x(r, polys, degrees)
+    tables = np.zeros((width, 256, len(crcs)), dtype=np.uint32)
     for j in range(8):
         tables[:, 1 << j : 2 << j] = tables[:, : 1 << j] ^ powers[j::8, None]
-    return tables
+    return _Crcs(polys, degrees, tables)
 
 
-def _divisible_rows(packed: np.ndarray, tables: np.ndarray) -> np.ndarray:
-    """Mask of the packed rows whose word the tables' CRC divides."""
-    residues = np.zeros(packed.shape[0], dtype=np.uint32)
-    for k in range(packed.shape[1]):
-        residues ^= tables[k][packed[:, k]]
-    return residues == 0
+def _residues(data: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """res[row, i] = (word of the row) mod crc i, for little-endian byte rows."""
+    out = np.zeros((len(data), tables.shape[2]), dtype=np.uint32)
+    for k in range(data.shape[1]):
+        out ^= tables[k][data[:, k]]
+    return out
+
+
+class _Bases(NamedTuple):
+    """A path set's base words, most rotations first, so that the bases
+    with more than r rotations are a prefix, for every r."""
+
+    data: np.ndarray  # (bases, ceil(N/8)) little-endian bytes
+    counts: np.ndarray
+    weights: np.ndarray
+
+
+def _by_rotation_count(paths: TBPathSet) -> _Bases:
+    order = np.argsort(-paths.counts, kind="stable")
+    data = paths.bases.view(np.uint8)[order, : (paths.N + 7) // 8]
+    return _Bases(data, paths.counts[order], paths.base_weights[order])
+
+
+def _rotation_residues(
+    data: np.ndarray, counts: np.ndarray, N: int, crcs: _Crcs
+) -> Iterator[np.ndarray]:
+    """For r = 0, 1, ...: res[b, i] = rot^r(b) mod crc i, a row per base with counts[b] > r.
+
+    counts must be descending. Each yielded matrix is advanced in place by
+    the next step. A rotation multiplies by x and wraps bit N-1 round to
+    bit 0, rot(w) = x*w + w_{N-1}*(x^N + 1), so
+    res(rot w) = (x*res(w) mod p) ^ w_{N-1}*((x^N + 1) mod p),
+    and bit N-1 of rot^r(b) is bit N-1-r of b.
+    """
+    # (x^N + 1) mod p: one step on from x^(N-1) mod p, a table entry.
+    wrap = crcs.tables[(N - 1) >> 3, 1 << ((N - 1) & 7)].copy()
+    _times_x(wrap, crcs.polys, crcs.degrees)
+    wrap ^= np.uint32(1)
+    res = _residues(data, crcs.tables)
+    live = np.searchsorted(-counts, -np.arange(int(counts.max(initial=0))))
+    for r, n in enumerate(live):
+        yield res[:n]
+        if r + 1 == len(live):
+            break
+        nxt = res[: live[r + 1]]
+        top = (data[: len(nxt), (N - 1 - r) >> 3] >> ((N - 1 - r) & 7)) & 1
+        _times_x(nxt, crcs.polys, crcs.degrees)
+        nxt ^= top[:, None] * wrap
 
 
 @dataclass(frozen=True)
@@ -150,17 +217,20 @@ class DistanceSpectrum:
         return cls(crc, N, d_tilde, tuple(counts))
 
 
-def _spectrum(paths: TBPathSet, crc: GF2Poly, tables: np.ndarray) -> DistanceSpectrum:
-    d_tilde = paths.d_tilde
-    hits = paths.weights[_divisible_rows(paths.packed, tables)]
-    hist = np.bincount(hits, minlength=d_tilde)
-    return DistanceSpectrum(crc, paths.N, d_tilde, tuple(int(c) for c in hist[:d_tilde]))
+def _spectrum(paths: TBPathSet, bases: _Bases, crc: GF2Poly, tables: _Crcs) -> DistanceSpectrum:
+    """Each base's count of rotations the CRC divides, summed by weight."""
+    hits = np.zeros(len(bases.counts), dtype=np.int64)
+    for res in _rotation_residues(bases.data, bases.counts, paths.N, tables):
+        hits[: len(res)] += res[:, 0] == 0
+    hist = np.bincount(bases.weights, weights=hits, minlength=paths.d_tilde)
+    return DistanceSpectrum(crc, paths.N, paths.d_tilde, tuple(int(c) for c in hist[: paths.d_tilde]))
 
 
 def undetected_spectrum(paths: TBPathSet, crc: GF2Poly) -> DistanceSpectrum:
     """Histogram the paths whose input polynomial the CRC divides."""
     _check_crc(crc)
-    return _spectrum(paths, crc, _residue_tables(crc, paths.packed.shape[1]))
+    tables = _residue_tables([crc], (paths.N + 7) // 8)
+    return _spectrum(paths, _by_rotation_count(paths), crc, tables)
 
 
 @dataclass(frozen=True)
@@ -211,23 +281,32 @@ def search_dso(
         raise CoverageError(
             f"path set covers weights < {paths.d_tilde}, cannot screen at d_tilde={d_tilde}"
         )
-    width = paths.packed.shape[1]
-    survivors = [(c, _residue_tables(c, width)) for c in candidate_list(m)]
+    crcs = candidate_list(m)
+    tables = _residue_tables(crcs, (paths.N + 7) // 8)
+    bases = _by_rotation_count(paths)
+    alive = np.arange(len(crcs))  # survivors, with their tables in `tables`
     rounds: list[EliminationRound] = []
     for d in range(1, d_tilde):
-        if len(survivors) == 1:
+        if len(alive) == 1:
             break
-        rows = paths.packed[paths.weights == d]
-        values = [int(np.count_nonzero(_divisible_rows(rows, t))) for _c, t in survivors]
-        c_star = min(values)
-        survivors = [s for s, a_d in zip(survivors, values) if a_d == c_star]
+        sel = bases.weights == d
+        values = np.zeros(len(alive), dtype=np.int64)
+        for res in _rotation_residues(bases.data[sel], bases.counts[sel], paths.N, tables):
+            values += np.count_nonzero(res == 0, axis=0)
+        c_star = int(values.min())
+        if (values > c_star).any():
+            keep = np.flatnonzero(values == c_star)
+            alive, tables = alive[keep], tables.pick(keep)
         rounds.append(
-            EliminationRound(d, c_star, len(survivors), tuple(c.to_hex() for c, _t in survivors))
+            EliminationRound(d, c_star, len(alive), tuple(crcs[i].to_hex() for i in alive))
         )
-    spectra = {c.to_hex(): _spectrum(paths, c, t) for c, t in survivors}
-    winner = survivors[0][0] if len(survivors) == 1 else None
+    spectra = {
+        crcs[i].to_hex(): _spectrum(paths, bases, crcs[i], tables.pick([k]))
+        for k, i in enumerate(alive)
+    }
+    winner = crcs[alive[0]] if len(alive) == 1 else None
     return DsoSearchResult(
-        winner, tuple(c for c, _t in survivors), tuple(rounds), spectra, m, d_tilde
+        winner, tuple(crcs[i] for i in alive), tuple(rounds), spectra, m, d_tilde
     )
 
 

@@ -14,12 +14,18 @@ The (skeleton, gaps, t*) triple is in bijection with the paths of the
 partition class: cutting any length-N word at the event block covering
 time N-1 recovers exactly one triple, periodic words included. Expansion
 therefore emits every path exactly once with no dedup hashing. Python
-builds one base word per (skeleton, gaps) pair, the word with t* = 0;
-numpy emits its len_j + g_j rotations on rows of ceil(N/64) uint64
-limbs, one rotate-by-one limb shift per step. A lexsort over the limbs,
-comparing neighbouring rows one limb column at a time, guards the
-invariant. States other than 0 have no zero loop, so their skeletons must
-fill the length budget exactly.
+builds one base word per (skeleton, gaps) pair, the word with t* = 0, on
+a row of ceil(N/64) uint64 limbs; the path set keeps these base words
+with their rotation counts len_j + g_j and weights, and the rows
+rot^r(base), r < len_j + g_j, stay implied. States other than 0 have no
+zero loop, so their skeletons must fill the length budget exactly.
+
+The uniqueness guard never emits a row. Each base word sits on the cycle
+of its necklace (its least rotation, of period p dividing N) and its
+rotations fill an arc of that cycle; the rows are distinct iff no two
+arcs on one cycle overlap and none is longer than p. The row matrix is
+built only on request, by one rotate-by-one limb shift per step, for the
+cyclic-closure check and for callers that want words one by one.
 
 Tables are kept as index sequences into the per-state IEE lists; the
 weight/length cells of the classic recurrence are never materialized,
@@ -267,105 +273,196 @@ def _rotate_limbs(limbs: np.ndarray, N: int) -> np.ndarray:
     return out
 
 
-def _sorted_limb_columns(limbs: np.ndarray) -> Iterator[np.ndarray]:
-    """The limb columns in lexicographic row order, one column at a time.
+def _emit_rows(bases: np.ndarray, counts: np.ndarray, N: int) -> np.ndarray:
+    """The limb rows rot^r(b), r < counts[b], base by base, rotations in order.
 
-    Gathering single columns means no sorted copy of whole rows is held.
+    One rotate-by-one limb shift per step over the bases still active, each
+    row scattered to its base's offset plus r.
     """
-    order = np.lexsort(limbs.T)
-    for i in range(limbs.shape[1]):
-        yield limbs[order, i]
+    offsets = np.cumsum(counts) - counts
+    limbs = np.empty((int(counts.sum()), bases.shape[1]), dtype="<u8")
+    live = np.arange(len(bases))
+    cur = bases
+    for r in range(int(counts.max(initial=0))):
+        keep = counts[live] > r
+        if not keep.all():
+            live, cur = live[keep], cur[keep]
+        limbs[offsets[live] + r] = cur
+        cur = _rotate_limbs(cur, N)
+    return limbs
+
+
+def _compare_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a < b, a == b) row by row for limb rows, the high limb compared first."""
+    less = np.zeros(len(a), dtype=bool)
+    same = np.ones(len(a), dtype=bool)
+    for i in reversed(range(a.shape[1])):
+        less |= same & (a[:, i] < b[:, i])
+        same &= a[:, i] == b[:, i]
+    return less, same
+
+
+def _necklaces(bases: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(least rotation, its offset k, period p) of every base word.
+
+    rot^k(b) is the least of the N rotations of b, the first on ties. The
+    period p, the least p > 0 with rot^p(b) == b, divides N, and the least
+    rotation comes round N/p times in N steps; so k < p.
+    """
+    least = bases.copy()
+    offset = np.zeros(len(bases), dtype=np.int64)
+    repeats = np.ones(len(bases), dtype=np.int64)
+    cur = bases
+    for r in range(1, N):
+        cur = _rotate_limbs(cur, N)
+        less, same = _compare_rows(cur, least)
+        least[less] = cur[less]
+        offset[less] = r
+        repeats += same
+        repeats[less] = 1
+    return least, offset, N // repeats
+
+
+def _overlapping_arcs(bases: np.ndarray, counts: np.ndarray, N: int) -> int:
+    """How many rotation arcs run into the next arc on their necklace.
+
+    Base b with least rotation c = rot^k(b) and period p puts its row
+    rot^r(b) at position (r - k) mod p on the cycle of c, so its rows fill
+    the arc [(-k) mod p, +counts[b]). Rows of different necklaces differ, so
+    all rows are distinct iff, with the arcs of each necklace sorted by
+    start, every arc ends no later than the next one starts (the last
+    against the first, one turn later). A lone arc must then fit in p.
+    """
+    if len(bases) == 0:
+        return 0
+    least, offset, period = _necklaces(bases, N)
+    start = -offset % period
+    order = np.lexsort((start,) + tuple(least.T))
+    least, start, period = least[order], start[order], period[order]
+    end = start + counts[order]
+    # new[i]: arc i opens its necklace's run, new[i + 1]: arc i closes it.
+    new = np.ones(len(order) + 1, dtype=bool)
+    new[1:-1] = (least[1:] != least[:-1]).any(axis=1)
+    first = np.maximum.accumulate(np.where(new[:-1], np.arange(len(order)), 0))
+    nxt = np.empty_like(start)
+    nxt[:-1] = start[1:]
+    last = new[1:]
+    nxt[last] = start[first[last]] + period[last]
+    return int(np.count_nonzero(end > nxt))
 
 
 class TBPathSet:
-    """All tail-biting paths of weight < d_tilde at one length, packed.
+    """All tail-biting paths of weight < d_tilde at one length, held as base words.
 
-    Input words live in a uint8 matrix, row per path, little-endian bytes
-    (bit i of the word = input at time i). Weights sit in a parallel
-    vector. Row order follows the state ordering of the tables; rows are
-    globally unique.
+    Base b is a row of ceil(N/64) little-endian uint64 limbs (bit i of the
+    word = input at time i). It stands for its first counts[b] rotations
+    rot^r(b), r < counts[b], each one step later in time and all of weight
+    base_weights[b]. Bases follow the state ordering of the tables; the
+    paths of all bases are distinct.
+
+    packed and weights are the row view: one little-endian uint8 row per
+    path, each base's rotations in order, with its weight. They are built
+    on first access; screening and counting never need them.
     """
 
-    __slots__ = ("N", "d_tilde", "packed", "weights", "_counts")
+    __slots__ = ("N", "d_tilde", "bases", "counts", "base_weights", "_rows")
 
-    def __init__(self, N: int, d_tilde: int, packed: np.ndarray, weights: np.ndarray):
+    def __init__(
+        self, N: int, d_tilde: int, bases: np.ndarray, counts: np.ndarray, base_weights: np.ndarray
+    ):
         self.N = N
         self.d_tilde = d_tilde
-        self.packed = packed
-        self.weights = weights
-        self._counts: dict[int, int] | None = None
+        self.bases = bases
+        self.counts = counts
+        self.base_weights = base_weights
+        self._rows: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
-        return int(self.packed.shape[0])
+        return int(self.counts.sum())
 
     def counts_by_weight(self) -> dict[int, int]:
         """{weight: number of paths}, zero weights omitted."""
-        if self._counts is None:
-            if len(self) == 0:
-                self._counts = {}
-            else:
-                binc = np.bincount(self.weights)
-                self._counts = {int(w): int(c) for w, c in enumerate(binc) if c}
-        return dict(self._counts)
+        binc = np.bincount(self.base_weights, weights=self.counts)
+        return {int(w): int(c) for w, c in enumerate(binc) if c}
+
+    def _row_view(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._rows is None:
+            width = (self.N + 7) // 8
+            limbs = _emit_rows(self.bases, self.counts, self.N)
+            packed = np.ascontiguousarray(limbs.view(np.uint8)[:, :width])
+            self._rows = packed, np.repeat(self.base_weights, self.counts)
+        return self._rows
+
+    @property
+    def packed(self) -> np.ndarray:
+        return self._row_view()[0]
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self._row_view()[1]
 
     def iter_inputs(self) -> Iterator[int]:
         for row in self.packed:
             yield int.from_bytes(row.tobytes(), "little")
 
     def is_cyclic_closed(self) -> bool:
-        """True iff the word multiset maps onto itself under cyclic shift.
+        """True iff the row multiset maps onto itself under cyclic shift.
 
-        Closure under a single shift implies closure under all shifts, so
-        one vectorized pass settles the full invariant.
+        Closure under one shift implies closure under all. The rows are
+        sorted once by value. The shift doubles a word whose bit N-1 is 0
+        and sends the others to odd words, keeping the order within each
+        group, so the shifted rows with bit N-1 clear (set) must equal the
+        sorted rows with bit 0 clear (set), one for one. Only one sort
+        order is ever held, and the shifted rows are made in blocks.
         """
         limbs = _packed_limbs(self.packed)
-        rotated = _rotate_limbs(limbs, self.N)
-        return all(
-            np.array_equal(a, b)
-            for a, b in zip(_sorted_limb_columns(limbs), _sorted_limb_columns(rotated))
-        )
+        order = np.lexsort(limbs.T)
+        for i in range(limbs.shape[1]):
+            limbs[:, i] = limbs[order, i]
+        del order
+        top = limbs.shape[1] - 1
+        high = (limbs[:, top] & np.uint64(1 << ((self.N - 1) % 64))) != 0
+        odd = (limbs[:, 0] & np.uint64(1)) != 0
+        block = 1 << 16
+        for bit in (False, True):
+            src = np.flatnonzero(high == bit)
+            dst = np.flatnonzero(odd == bit)
+            if len(src) != len(dst):
+                return False
+            for lo in range(0, len(src), block):
+                shifted = _rotate_limbs(limbs[src[lo : lo + block]], self.N)
+                if not np.array_equal(shifted, limbs[dst[lo : lo + block]]):
+                    return False
+        return True
 
     def __repr__(self) -> str:
         return f"TBPathSet(N={self.N}, d_tilde={self.d_tilde}, paths={len(self)})"
 
 
 def expand_and_dedup(tables: ReconstructionTables, N: int) -> TBPathSet:
-    """Emit every path of every partition class and pack the result.
+    """Build one base word per gap composition and check the rows are distinct.
 
-    The emission order is deterministic (state ordering, then skeleton
-    order, then gap compositions, then rotations). Python builds one base
-    word per gap composition; numpy emits its rotations, each base's rows
-    contiguous at its offset. A lexsort over the limbs then checks the
-    each-word-exactly-once contract.
+    The base order is deterministic (state ordering, then skeleton order,
+    then gap compositions); each base's rotations follow it in the row view.
+    The uniqueness guard checks the rotation arcs of the bases on their
+    necklaces (_overlapping_arcs), without emitting a row.
     """
     if N != tables.N:
         raise ValueError(f"tables were built for N={tables.N}, asked to expand N={N}")
     width = (N + 7) // 8
     comps = [c for sigma in tables.ordering for c in _base_words(tables.per_state[sigma], N)]
     blob = b"".join(base.to_bytes(width, "little") for base, _c, _w in comps)
-    cur = _packed_limbs(np.frombuffer(blob, dtype=np.uint8).reshape(len(comps), width))
-    count_vec = np.array([c for _b, c, _w in comps], dtype=np.int64)
-    offsets = np.cumsum(count_vec) - count_vec
-    total = int(count_vec.sum())
-    limbs = np.empty((total, cur.shape[1]), dtype="<u8")
-    live = np.arange(len(comps))
-    for r in range(int(count_vec.max(initial=0))):
-        keep = count_vec[live] > r
-        if not keep.all():
-            live, cur = live[keep], cur[keep]
-        limbs[offsets[live] + r] = cur
-        cur = _rotate_limbs(cur, N)
-    repeated = True
-    for col in _sorted_limb_columns(limbs):
-        repeated = repeated & (col[1:] == col[:-1])
-    if repeated.any():
+    bases = _packed_limbs(np.frombuffer(blob, dtype=np.uint8).reshape(len(comps), width))
+    counts = np.array([c for _b, c, _w in comps], dtype=np.int64)
+    weights = np.array([w for _b, _c, w in comps], dtype=np.uint32)
+    overlaps = _overlapping_arcs(bases, counts, N)
+    if overlaps:
         raise RuntimeError(
-            f"expansion emitted {total} words but only {total - int(repeated.sum())} distinct; "
+            f"{len(comps)} base words stand for {int(counts.sum())} words, but {overlaps} "
+            "of their rotation arcs overlap the next on their necklace; "
             "bijection invariant broken"
         )
-    packed = np.ascontiguousarray(limbs.view(np.uint8)[:, :width])
-    wvec = np.repeat(np.array([w for _b, _c, w in comps], dtype=np.uint32), count_vec)
-    return TBPathSet(N, tables.d_tilde, packed, wvec)
+    return TBPathSet(N, tables.d_tilde, bases, counts, weights)
 
 
 def growth_profile(
@@ -379,6 +476,8 @@ def growth_profile(
     rotation counts sum to len_j*C(G+j-1, j-1) + G*C(G+j-1, j-1)/j.
     States without the zero loop contribute len_j once when L == l.
     """
+    if d_tilde < 1:
+        raise ValueError(f"d_tilde must be >= 1, got {d_tilde}")
     targets = sorted(set(int(l) for l in l_range))
     if not targets:
         return []

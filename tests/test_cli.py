@@ -86,6 +86,14 @@ class TestExitCodes:
             assert "expanded" not in out
             assert "error: CRC degree m must be in [1, 31], got 32" in err
 
+    @pytest.mark.parametrize("d_tilde", ["0", "-3"])
+    def test_growth_nonpositive_dtilde_is_1(self, small_db, capsys, d_tilde):
+        rc = main(["growth", "--iee", str(small_db), "--l-range", "10:12", "--dtilde", d_tilde])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert "count=" not in out
+        assert f"error: d_tilde must be >= 1, got {d_tilde}" in err
+
     def test_renamed_spectrum_is_1(self, small_db, tmp_path, capsys):
         assert main([
             "spectrum", "--iee", str(small_db), "--n", "14", "--crc", "0xb",

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -8,8 +9,9 @@ from crcforge.collector import collect_iees
 from crcforge.designer import (
     DistanceSpectrum,
     EliminationRound,
-    _divisible_rows,
     _residue_tables,
+    _residues,
+    _rotation_residues,
     bound_sweep,
     candidate_list,
     db_to_linear,
@@ -23,7 +25,10 @@ from crcforge.encoder import ConvCode
 from crcforge.errors import CoverageError, InvalidCrcError
 from crcforge.gf2 import GF2Poly, parse_hex_crc
 from crcforge.oracle import brute_force_spectrum
-from crcforge.reconstructor import build_tables, expand_and_dedup
+from crcforge.reconstructor import TBPathSet, build_tables, expand_and_dedup
+
+GOLDEN_43 = {7: 1, 11: 8, 12: 198, 13: 758, 14: 1114, 15: 2814, 16: 7375, 17: 18473}
+GOLDEN_63 = {12: 735, 14: 2310, 16: 13965}
 
 
 @pytest.fixture(scope="module")
@@ -77,15 +82,15 @@ class TestUndetectedSpectrum:
     def test_divisible_rows_match_polynomial_division(self, crc_bits):
         # Degrees 1, 8, 16 and 31; 31 is the widest residue a uint32 holds.
         crc = GF2Poly(crc_bits)
-        tables = _residue_tables(crc, 9)
+        tables = _residue_tables([crc], 9).tables
         for k in range(9):
             expect = [(GF2Poly(b << (8 * k)) % crc).bits for b in range(256)]
-            assert tables[k].tolist() == expect, k
+            assert tables[k, :, 0].tolist() == expect, k
         rng = random.Random(crc_bits)
         words = [(GF2Poly(rng.getrandbits(70 - crc.degree)) * crc).bits for _ in range(40)]
         words += [rng.getrandbits(70) for _ in range(40)]
         packed = np.array([list(w.to_bytes(9, "little")) for w in words], dtype=np.uint8)
-        mask = _divisible_rows(packed, tables)
+        mask = _residues(packed, tables)[:, 0] == 0
         assert mask.tolist() == [crc.divides(GF2Poly(w)) for w in words]
         assert mask[:40].all()
 
@@ -103,16 +108,65 @@ class TestUndetectedSpectrum:
             assert all(d % 2 == 0 for d in spec.nonzero()), hex(crc_bits)
 
 
+class TestRotationResidues:
+    # Degrees 1, 8, 16 and 31 side by side, so each CRC also gets its own reduction.
+    CRCS = [GF2Poly(b) for b in (0x3, 0x107, 0x11021, 0xB4C11DB7)]
+
+    @pytest.mark.parametrize("N", [11, 64, 65, 70, 129])
+    def test_every_rotation_matches_division(self, N):
+        rng = random.Random(N)
+        mask = (1 << N) - 1
+        words = [0, 1, 1 << (N - 1), mask] + [rng.getrandbits(N) for _ in range(20)]
+        # The special words rotate all the way round; the rest stop early, so
+        # the live prefix shrinks step by step.
+        counts = [N] * 4 + sorted((rng.randint(1, N) for _ in range(20)), reverse=True)
+        width = (N + 7) // 8
+        data = np.array([list(w.to_bytes(width, "little")) for w in words], dtype=np.uint8)
+        steps = _rotation_residues(
+            data, np.array(counts), N, _residue_tables(self.CRCS, width)
+        )
+        for r, res in enumerate(steps):
+            live = sum(c > r for c in counts)
+            assert res.shape == (live, len(self.CRCS))
+            for b, word in enumerate(words[:live]):
+                rotated = ((word << r) | (word >> (N - r))) & mask
+                expect = [(GF2Poly(rotated) % crc).bits for crc in self.CRCS]
+                assert res[b].tolist() == expect, (N, r, b)
+        assert r == N - 1
+
+
+@functools.lru_cache(maxsize=None)
+def _byte_table(crc_bits, k):
+    """(b(x) * x^(8k)) mod crc for every byte b, from GF2Poly division."""
+    crc = GF2Poly(crc_bits)
+    powers = [(GF2Poly(1 << (8 * k + j)) % crc).bits for j in range(8)]
+    table = [0] * 256
+    for b in range(1, 256):
+        low = b & -b
+        table[b] = table[b ^ low] ^ powers[low.bit_length() - 1]
+    return np.array(table, dtype=np.int64)
+
+
+def _row_spectrum(paths, crc):
+    """Reference spectrum from the materialised rows: each row's residue as a
+    bytewise fold over paths.packed, then a histogram of the zero rows' weights."""
+    residues = np.zeros(len(paths), dtype=np.int64)
+    for k in range(paths.packed.shape[1]):
+        residues ^= _byte_table(crc.bits, k)[paths.packed[:, k]]
+    hist = np.bincount(paths.weights[residues == 0], minlength=paths.d_tilde)
+    return DistanceSpectrum(crc, paths.N, paths.d_tilde, tuple(int(c) for c in hist))
+
+
 def _check_against_exhaustive(paths, m, d_tilde=None):
     """search_dso must match a lexicographic screen of every full spectrum.
 
-    The reference computes undetected_spectrum for every candidate; after
-    round d the survivors are the candidates whose (A_1..A_d) is the
-    lexicographic minimum over all of them.
+    The reference folds every candidate over every materialised row
+    (_row_spectrum); after round d the survivors are the candidates whose
+    (A_1..A_d) is the lexicographic minimum over all of them.
     """
     d_tilde = paths.d_tilde if d_tilde is None else d_tilde
     result = search_dso(paths, m, d_tilde)
-    spectra = {c.to_hex(): undetected_spectrum(paths, c) for c in candidate_list(m)}
+    spectra = {c.to_hex(): _row_spectrum(paths, c) for c in candidate_list(m)}
     alive = tuple(spectra)
     rounds = []
     for d in range(1, d_tilde):
@@ -144,7 +198,22 @@ class TestSearch:
     def test_early_exit_equals_exhaustive_screen_at_n70(self, paths70):
         result = _check_against_exhaustive(paths70, 6)
         assert result.winner == GF2Poly(0x63)
-        assert result.spectra["0x63"].nonzero() == {12: 735, 14: 2310, 16: 13965}
+        assert result.spectra["0x63"].nonzero() == GOLDEN_63
+
+    def test_screen_and_spectrum_never_build_rows(self, paths70, monkeypatch):
+        # The row view (packed, weights and their readers) is for verify and
+        # tests only; design and spectrum work on the base words.
+        def refuse(*args):
+            raise AssertionError("row view accessed")
+
+        for name in ("packed", "weights"):
+            monkeypatch.setattr(TBPathSet, name, property(refuse))
+        for name in ("_row_view", "iter_inputs", "is_cyclic_closed"):
+            monkeypatch.setattr(TBPathSet, name, refuse)
+        result = search_dso(paths70, 6)
+        assert result.winner == GF2Poly(0x63)
+        assert result.spectra["0x63"].nonzero() == GOLDEN_63
+        assert undetected_spectrum(paths70, GF2Poly(0x43)).nonzero() == GOLDEN_43
 
     @pytest.mark.parametrize("m,d_tilde", [(4, 7), (5, 9)])
     def test_partial_tie_keeps_tied_set_and_their_spectra(self, paths12, m, d_tilde):

@@ -103,6 +103,19 @@ class TestExpansion:
         paths = expand_and_dedup(build_tables(db7, 11, 7), 11)
         assert paths.is_cyclic_closed()
 
+    @pytest.mark.parametrize("N", [11, 64, 65])
+    def test_open_sets_are_not_closed(self, code, N):
+        # Dropping the last rotation of one base, or adding one more, leaves
+        # a row whose shift is missing (or present twice).
+        db = collect_iees(code, 9, N)
+        paths = expand_and_dedup(build_tables(db, N, 9), N)
+        for b in (0, len(paths.counts) // 2, len(paths.counts) - 1):
+            for step in (-1, 1):
+                counts = paths.counts.copy()
+                counts[b] += step
+                rows = reconstructor.TBPathSet(N, 9, paths.bases, counts, paths.base_weights)
+                assert not rows.is_cyclic_closed(), (b, step)
+
     def test_rotation_helper_against_int_rotation(self):
         # One step later in time is ((w << 1) | (w >> (N-1))) & mask, with
         # the carries across limb boundaries and the wrap of bit N-1.
@@ -163,6 +176,69 @@ class TestExpansion:
         assert len(paths70) - np.unique(low).size == 539971
 
 
+def _rows_distinct(bases, counts, N):
+    rows = reconstructor._emit_rows(bases, counts, N)
+    return len(np.unique(rows, axis=0)) == len(rows)
+
+
+class TestArcGuard:
+    CASES = (
+        [(["5", "7"], 2, N) for N in range(4, 17)]
+        + [(["13", "17"], 3, N) for N in list(range(4, 17)) + [63, 64, 65]]
+        + [(["133", "171"], 6, N) for N in (8, 12, 16, 63, 64, 65, 128, 129)]
+    )
+
+    @pytest.fixture(scope="class")
+    def dbs(self):
+        return {
+            tuple(gens): collect_iees(ConvCode(gens, v), 12 if v == 6 else 9, 129)
+            for gens, v in ((["5", "7"], 2), (["13", "17"], 3), (["133", "171"], 6))
+        }
+
+    @pytest.mark.parametrize("gens,v,N", CASES)
+    def test_agrees_with_row_uniqueness(self, dbs, gens, v, N):
+        # Every real path set passes; a duplicated base and a rotation count
+        # stretched by one must both fail, exactly when the emitted rows repeat.
+        db = dbs[tuple(gens)]
+        paths = expand_and_dedup(build_tables(db, N, db.d_tilde), N)
+        bases, counts = paths.bases, paths.counts
+        assert reconstructor._overlapping_arcs(bases, counts, N) == 0
+        assert _rows_distinct(bases, counts, N)
+        rng = random.Random(N)
+        for b in rng.sample(range(len(bases)), min(8, len(bases))):
+            doubled = np.concatenate([bases, bases[b : b + 1]])
+            doubled_counts = np.concatenate([counts, counts[b : b + 1]])
+            stretched = counts.copy()
+            stretched[b] += 1
+            for bs, cs in ((doubled, doubled_counts), (bases, stretched)):
+                assert reconstructor._overlapping_arcs(bs, cs, N) > 0
+                assert not _rows_distinct(bs, cs, N)
+
+    def test_periodic_words(self, dbs):
+        # (5,7) at N=4..6 has words of period below N, such as all-ones
+        # (period 1) and 0101... (period 2); their arcs wrap their short cycle.
+        db = dbs[("5", "7")]
+        for N in (4, 5, 6):
+            paths = expand_and_dedup(build_tables(db, N, db.d_tilde), N)
+            _least, _offset, period = reconstructor._necklaces(paths.bases, N)
+            assert (period < N).any(), N
+            assert len(np.unique(paths.packed, axis=0)) == len(paths)
+            for b in np.flatnonzero(period < N):
+                stretched = paths.counts.copy()
+                stretched[b] = period[b] + 1
+                assert reconstructor._overlapping_arcs(paths.bases, stretched, N) > 0
+
+    def test_raises_through_expansion(self, db7, monkeypatch):
+        def stretched(table, N):
+            for word, count, w in base_words(table, N):
+                yield word, count + 1, w
+
+        base_words = reconstructor._base_words
+        monkeypatch.setattr(reconstructor, "_base_words", stretched)
+        with pytest.raises(RuntimeError, match="bijection invariant broken"):
+            expand_and_dedup(build_tables(db7, 12, 7), 12)
+
+
 class TestGrowthProfile:
     def test_single_step_paths(self, db7):
         # Only the all-ones-state self-loop closes in one step.
@@ -185,3 +261,8 @@ class TestGrowthProfile:
 
     def test_empty_range(self, db7):
         assert growth_profile(db7, 7, []) == []
+
+    @pytest.mark.parametrize("d_tilde", [0, -3])
+    def test_nonpositive_d_tilde_rejected(self, db7, d_tilde):
+        with pytest.raises(ValueError, match="d_tilde must be >= 1"):
+            growth_profile(db7, d_tilde, range(1, 5))
