@@ -27,7 +27,6 @@ from .errors import (
     EnumerationGuardError,
     InvalidCrcError,
     PolynomialParseError,
-    TieError,
 )
 from .gf2 import GF2Poly, parse_hex_crc, parse_octal
 from .oracle import (
@@ -35,6 +34,7 @@ from .oracle import (
     brute_force_iees,
     brute_force_partition,
     brute_force_spectrum,
+    is_cyclic_closed,
     oracle_report,
 )
 from .reconstructor import (
@@ -81,6 +81,7 @@ __all__ = [
     "brute_force_spectrum",
     "brute_force_iees",
     "brute_force_partition",
+    "is_cyclic_closed",
     "oracle_report",
     "CrcforgeError",
     "PolynomialParseError",
@@ -90,5 +91,4 @@ __all__ = [
     "CoverageError",
     "EnumerationGuardError",
     "DatabaseFormatError",
-    "TieError",
 ]

@@ -28,7 +28,14 @@ from .designer import (
 from .encoder import ConvCode
 from .errors import CrcforgeError
 from .gf2 import parse_hex_crc, parse_octal
-from .oracle import MAX_ORACLE_LEN, MAX_ORACLE_V, brute_force_iees, brute_force_partition, oracle_report
+from .oracle import (
+    MAX_ORACLE_LEN,
+    MAX_ORACLE_V,
+    brute_force_iees,
+    brute_force_partition,
+    is_cyclic_closed,
+    oracle_report,
+)
 from .reconstructor import build_tables, expand_and_dedup, growth_profile, iter_state_paths
 
 __all__ = ["RunConfig", "main"]
@@ -220,17 +227,13 @@ def cmd_verify(args) -> int:
     got = paths.counts_by_weight()
     check("spectrum-match", got == expect, f"{len(paths)} paths below d_tilde={d_tilde}")
 
-    check("cyclic-closure", paths.is_cyclic_closed(), f"{len(paths)} paths")
+    ours = {s: [word for word, _w in iter_state_paths(tables, s)] for s in db.ordering}
+    classes = f"{len(ours)} classes, {sum(map(len, ours.values()))} paths"
+    closed = all(is_cyclic_closed(words, N) for words in ours.values())
+    check("cyclic-closure", closed, classes)
 
     oracle_classes = brute_force_partition(code, N, d_tilde, db.ordering)
-    ours = {
-        s: {word for word, _w in iter_state_paths(tables, s)} for s in db.ordering
-    }
-    check(
-        "partition",
-        ours == oracle_classes,
-        f"{len(db.ordering)} classes, {sum(len(v) for v in ours.values())} paths",
-    )
+    check("partition", {s: set(words) for s, words in ours.items()} == oracle_classes, classes)
 
     irreducible = all(verify_iee(db, e) for e in db.iees())
     check("irreducibility", irreducible, f"{db.num_iees} events")

@@ -130,14 +130,15 @@ def _return_bounds(
 
 def _search_state(
     code: ConvCode, sigma: int, blocked: frozenset[int], d_tilde: int, max_len: int
-) -> list[tuple[int, int, int]]:
-    """All IEEs at sigma as (length, weight, packed input bits) tuples.
+) -> list[IEE]:
+    """All IEEs at sigma, sorted by (weight, length, input bits).
 
     Iterative DFS with an explicit stack; partial paths are carried as
-    packed ints so no undo bookkeeping is needed.
+    packed ints so no undo bookkeeping is needed. An event is recorded
+    only when the walk returns to sigma, so it closes by construction.
     """
     ret_w, ret_len = _return_bounds(code, sigma, blocked)
-    found: list[tuple[int, int, int]] = []
+    found: list[IEE] = []
     # Stack frames: (state, depth, weight, packed input bits so far).
     stack: list[tuple[int, int, int, int]] = [(sigma, 0, 0, 0)]
     next_state = code.next_state
@@ -152,15 +153,14 @@ def _search_state(
             d2 = depth + 1
             if t == sigma:
                 if d2 <= max_len:
-                    found.append((d2, w2, bits | (b << depth)))
+                    found.append(IEE(w2, d2, bits | (b << depth), sigma))
                 continue
             if t in blocked:
                 continue
             if w2 + ret_w[t] >= d_tilde or d2 + ret_len[t] > max_len:
                 continue
             stack.append((t, d2, w2, bits | (b << depth)))
-    found.sort(key=lambda rec: (rec[1], rec[0], rec[2]))
-    return found
+    return sorted(found)
 
 
 class IEEDatabase:
@@ -259,17 +259,9 @@ def collect_iees(
     if sorted(ordering) != list(range(code.num_states)):
         raise ValueError("ordering must be a permutation of all states")
 
-    raws = [
-        _search_state(code, ordering[i], frozenset(ordering[:i]), d_tilde, max_len)
-        for i in range(len(ordering))
-    ]
-
     per_state = {
-        ordering[i]: tuple(
-            _materialize(code, ordering[i], bits, length)
-            for length, _w, bits in raws[i]
-        )
-        for i in range(len(ordering))
+        sigma: tuple(_search_state(code, sigma, frozenset(ordering[:i]), d_tilde, max_len))
+        for i, sigma in enumerate(ordering)
     }
     return IEEDatabase(code.generators_octal, code.v, ordering, d_tilde, max_len, per_state)
 

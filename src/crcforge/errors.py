@@ -40,7 +40,3 @@ class EnumerationGuardError(CrcforgeError):
 
 class DatabaseFormatError(CrcforgeError):
     """Event database file is malformed, corrupt, or version-incompatible."""
-
-
-class TieError(CrcforgeError):
-    """CRC elimination ended with several indistinguishable survivors."""

@@ -1,17 +1,18 @@
 """Brute-force reference implementations for small instances.
 
 Everything here enumerates exhaustively and is deliberately naive: the
-spectrum oracle encodes all 2^N inputs one by one through encode_tb, and
-the IEE oracle is a plain recursive walk. Neither shares search logic
-with the production collector or reconstructor, so agreement between the
-two sides is meaningful evidence. Hard guards refuse instance sizes
-where exhaustive enumeration stops being a reasonable test fixture.
+spectrum oracle encodes all 2^N inputs one by one through encode_tb, the
+IEE oracle is a plain recursive walk, and the closure predicate rotates
+Python ints. None shares search logic with the production collector or
+reconstructor, so agreement between the two sides is meaningful evidence.
+Hard guards refuse instance sizes where exhaustive enumeration stops
+being a reasonable test fixture.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .collector import IEE
 from .encoder import ConvCode, encode_tb
@@ -26,6 +27,7 @@ __all__ = [
     "brute_force_spectrum",
     "brute_force_iees",
     "brute_force_partition",
+    "is_cyclic_closed",
     "oracle_report",
 ]
 
@@ -131,6 +133,21 @@ def brute_force_partition(
         if path.weight < d_tilde:
             classes[min(path.states[:N], key=position.__getitem__)].add(u)
     return classes
+
+
+def is_cyclic_closed(words: Iterable[int], N: int) -> bool:
+    """True iff no word repeats and the words map onto themselves under one shift.
+
+    Words are N-bit ints, bit i = input at time i; the shift moves every
+    input one step later in time, bit N-1 wrapping to bit 0. Closure under
+    one shift implies closure under all.
+    """
+    words = list(words)
+    distinct = set(words)
+    if len(distinct) != len(words):
+        return False
+    mask = (1 << N) - 1
+    return {((w << 1) | (w >> (N - 1))) & mask for w in distinct} == distinct
 
 
 @dataclass

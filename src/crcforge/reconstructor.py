@@ -23,9 +23,7 @@ zero loop, so their skeletons must fill the length budget exactly.
 The uniqueness guard never emits a row. Each base word sits on the cycle
 of its necklace (its least rotation, of period p dividing N) and its
 rotations fill an arc of that cycle; the rows are distinct iff no two
-arcs on one cycle overlap and none is longer than p. The row matrix is
-built only on request, by one rotate-by-one limb shift per step, for the
-cyclic-closure check and for callers that want words one by one.
+arcs on one cycle overlap and none is longer than p.
 
 Tables are kept as index sequences into the per-state IEE lists; the
 weight/length cells of the classic recurrence are never materialized,
@@ -139,36 +137,16 @@ def _skeletons_for_state(
     return zero_index, tuple(skeletons)
 
 
-class WeightLengthTable:
+class WeightLengthTable(NamedTuple):
     """Anchored-path table of one state, stored in skeleton normal form.
 
     Expansion walks the skeletons directly; zero_index is the position of
     the zero loop in iees, or None for states without one.
     """
 
-    __slots__ = ("state", "iees", "N", "d_tilde", "zero_index", "skeletons")
-
-    def __init__(
-        self,
-        state: int,
-        iees: tuple[IEE, ...],
-        N: int,
-        d_tilde: int,
-        zero_index: int | None,
-        skeletons: tuple[_Skeleton, ...],
-    ):
-        self.state = state
-        self.iees = iees
-        self.N = N
-        self.d_tilde = d_tilde
-        self.zero_index = zero_index
-        self.skeletons = skeletons
-
-    def __repr__(self) -> str:
-        return (
-            f"WeightLengthTable(state={self.state}, N={self.N}, "
-            f"d_tilde={self.d_tilde}, skeletons={len(self.skeletons)})"
-        )
+    iees: tuple[IEE, ...]
+    zero_index: int | None
+    skeletons: tuple[_Skeleton, ...]
 
 
 class ReconstructionTables:
@@ -196,27 +174,31 @@ class ReconstructionTables:
         return f"ReconstructionTables(N={self.N}, d_tilde={self.d_tilde}, states={len(self.per_state)})"
 
 
-def build_tables(db: IEEDatabase, N: int, d_tilde: int) -> ReconstructionTables:
-    """Prepare expansion tables, checking the database actually covers the ask."""
-    if d_tilde < 1:
-        raise ValueError(f"d_tilde must be >= 1, got {d_tilde}")
+def _check_coverage(db: IEEDatabase, d_tilde: int, length: int, name: str) -> None:
+    """Refuse a weight bound or a length (called name) the database does not cover."""
     if d_tilde > db.d_tilde:
         raise CoverageError(
             f"database only covers weights < {db.d_tilde}, need d_tilde={d_tilde}; "
             f"re-collect with d_tilde >= {d_tilde}"
         )
-    if N > db.max_len:
+    if length > db.max_len:
         raise CoverageError(
-            f"database only covers event lengths <= {db.max_len}, need N={N}; "
-            f"re-collect with max_len >= {N}"
+            f"database only covers event lengths <= {db.max_len}, need {name}={length}; "
+            f"re-collect with max_len >= {length}"
         )
+
+
+def build_tables(db: IEEDatabase, N: int, d_tilde: int) -> ReconstructionTables:
+    """Prepare expansion tables, checking the database actually covers the ask."""
+    if d_tilde < 1:
+        raise ValueError(f"d_tilde must be >= 1, got {d_tilde}")
+    _check_coverage(db, d_tilde, N, "N")
     if N < db.v:
         raise ValueError(f"N={N} is degenerate for a memory-{db.v} code; need N >= {db.v}")
     per_state: dict[int, WeightLengthTable] = {}
     for sigma in db.ordering:
         iees = db.per_state.get(sigma, ())
-        zero_index, skeletons = _skeletons_for_state(iees, d_tilde, [N])
-        per_state[sigma] = WeightLengthTable(sigma, iees, N, d_tilde, zero_index, skeletons)
+        per_state[sigma] = WeightLengthTable(iees, *_skeletons_for_state(iees, d_tilde, [N]))
     return ReconstructionTables(db, N, d_tilde, per_state)
 
 
@@ -255,14 +237,6 @@ def iter_state_paths(tables: ReconstructionTables, state: int) -> Iterator[tuple
             word = ((word << 1) | (word >> (N - 1))) & mask
 
 
-def _packed_limbs(packed: np.ndarray) -> np.ndarray:
-    """Little-endian byte rows as rows of uint64 limbs, low limb first."""
-    rows, width = packed.shape
-    buf = np.zeros((rows, 8 * ((width + 7) // 8)), dtype=np.uint8)
-    buf[:, :width] = packed
-    return buf.view("<u8")
-
-
 def _rotate_limbs(limbs: np.ndarray, N: int) -> np.ndarray:
     """Every N-bit limb row rotated one step later in time: (w << 1) | (w >> (N-1))."""
     top = limbs.shape[1] - 1
@@ -271,25 +245,6 @@ def _rotate_limbs(limbs: np.ndarray, N: int) -> np.ndarray:
     out[:, 0] |= (limbs[:, top] >> np.uint64((N - 1) % 64)) & np.uint64(1)
     out[:, top] &= np.uint64((1 << (N - 64 * top)) - 1)
     return out
-
-
-def _emit_rows(bases: np.ndarray, counts: np.ndarray, N: int) -> np.ndarray:
-    """The limb rows rot^r(b), r < counts[b], base by base, rotations in order.
-
-    One rotate-by-one limb shift per step over the bases still active, each
-    row scattered to its base's offset plus r.
-    """
-    offsets = np.cumsum(counts) - counts
-    limbs = np.empty((int(counts.sum()), bases.shape[1]), dtype="<u8")
-    live = np.arange(len(bases))
-    cur = bases
-    for r in range(int(counts.max(initial=0))):
-        keep = counts[live] > r
-        if not keep.all():
-            live, cur = live[keep], cur[keep]
-        limbs[offsets[live] + r] = cur
-        cur = _rotate_limbs(cur, N)
-    return limbs
 
 
 def _compare_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -359,13 +314,9 @@ class TBPathSet:
     rot^r(b), r < counts[b], each one step later in time and all of weight
     base_weights[b]. Bases follow the state ordering of the tables; the
     paths of all bases are distinct.
-
-    packed and weights are the row view: one little-endian uint8 row per
-    path, each base's rotations in order, with its weight. They are built
-    on first access; screening and counting never need them.
     """
 
-    __slots__ = ("N", "d_tilde", "bases", "counts", "base_weights", "_rows")
+    __slots__ = ("N", "d_tilde", "bases", "counts", "base_weights")
 
     def __init__(
         self, N: int, d_tilde: int, bases: np.ndarray, counts: np.ndarray, base_weights: np.ndarray
@@ -375,7 +326,6 @@ class TBPathSet:
         self.bases = bases
         self.counts = counts
         self.base_weights = base_weights
-        self._rows: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return int(self.counts.sum())
@@ -385,56 +335,6 @@ class TBPathSet:
         binc = np.bincount(self.base_weights, weights=self.counts)
         return {int(w): int(c) for w, c in enumerate(binc) if c}
 
-    def _row_view(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._rows is None:
-            width = (self.N + 7) // 8
-            limbs = _emit_rows(self.bases, self.counts, self.N)
-            packed = np.ascontiguousarray(limbs.view(np.uint8)[:, :width])
-            self._rows = packed, np.repeat(self.base_weights, self.counts)
-        return self._rows
-
-    @property
-    def packed(self) -> np.ndarray:
-        return self._row_view()[0]
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._row_view()[1]
-
-    def iter_inputs(self) -> Iterator[int]:
-        for row in self.packed:
-            yield int.from_bytes(row.tobytes(), "little")
-
-    def is_cyclic_closed(self) -> bool:
-        """True iff the row multiset maps onto itself under cyclic shift.
-
-        Closure under one shift implies closure under all. The rows are
-        sorted once by value. The shift doubles a word whose bit N-1 is 0
-        and sends the others to odd words, keeping the order within each
-        group, so the shifted rows with bit N-1 clear (set) must equal the
-        sorted rows with bit 0 clear (set), one for one. Only one sort
-        order is ever held, and the shifted rows are made in blocks.
-        """
-        limbs = _packed_limbs(self.packed)
-        order = np.lexsort(limbs.T)
-        for i in range(limbs.shape[1]):
-            limbs[:, i] = limbs[order, i]
-        del order
-        top = limbs.shape[1] - 1
-        high = (limbs[:, top] & np.uint64(1 << ((self.N - 1) % 64))) != 0
-        odd = (limbs[:, 0] & np.uint64(1)) != 0
-        block = 1 << 16
-        for bit in (False, True):
-            src = np.flatnonzero(high == bit)
-            dst = np.flatnonzero(odd == bit)
-            if len(src) != len(dst):
-                return False
-            for lo in range(0, len(src), block):
-                shifted = _rotate_limbs(limbs[src[lo : lo + block]], self.N)
-                if not np.array_equal(shifted, limbs[dst[lo : lo + block]]):
-                    return False
-        return True
-
     def __repr__(self) -> str:
         return f"TBPathSet(N={self.N}, d_tilde={self.d_tilde}, paths={len(self)})"
 
@@ -443,16 +343,16 @@ def expand_and_dedup(tables: ReconstructionTables, N: int) -> TBPathSet:
     """Build one base word per gap composition and check the rows are distinct.
 
     The base order is deterministic (state ordering, then skeleton order,
-    then gap compositions); each base's rotations follow it in the row view.
-    The uniqueness guard checks the rotation arcs of the bases on their
-    necklaces (_overlapping_arcs), without emitting a row.
+    then gap compositions). The uniqueness guard checks the rotation arcs
+    of the bases on their necklaces (_overlapping_arcs), without emitting
+    a row.
     """
     if N != tables.N:
         raise ValueError(f"tables were built for N={tables.N}, asked to expand N={N}")
-    width = (N + 7) // 8
+    limbs = (N + 63) // 64
     comps = [c for sigma in tables.ordering for c in _base_words(tables.per_state[sigma], N)]
-    blob = b"".join(base.to_bytes(width, "little") for base, _c, _w in comps)
-    bases = _packed_limbs(np.frombuffer(blob, dtype=np.uint8).reshape(len(comps), width))
+    blob = b"".join(base.to_bytes(8 * limbs, "little") for base, _c, _w in comps)
+    bases = np.frombuffer(blob, dtype="<u8").reshape(len(comps), limbs)
     counts = np.array([c for _b, c, _w in comps], dtype=np.int64)
     weights = np.array([w for _b, _c, w in comps], dtype=np.uint32)
     overlaps = _overlapping_arcs(bases, counts, N)
@@ -483,16 +383,7 @@ def growth_profile(
         return []
     if targets[0] < 1:
         raise ValueError(f"lengths must be >= 1, got {targets[0]}")
-    if targets[-1] > db.max_len:
-        raise CoverageError(
-            f"database only covers event lengths <= {db.max_len}, need l={targets[-1]}; "
-            f"re-collect with max_len >= {targets[-1]}"
-        )
-    if d_tilde > db.d_tilde:
-        raise CoverageError(
-            f"database only covers weights < {db.d_tilde}, need d_tilde={d_tilde}; "
-            f"re-collect with d_tilde >= {d_tilde}"
-        )
+    _check_coverage(db, d_tilde, targets[-1], "l")
     counts = {l: 0 for l in targets}
     for sigma in db.ordering:
         iees = db.per_state.get(sigma, ())

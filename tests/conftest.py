@@ -1,6 +1,27 @@
+import numpy as np
 import pytest
 
 from crcforge import ConvCode, build_tables, collect_iees, expand_and_dedup
+
+
+def rotations(bases, counts, N):
+    """The words rot^r(b), r < counts[b], base by base, as Python ints.
+
+    Each uint64-limb base row is read as one int and rotated one step
+    later in time per word, with no numpy on the way.
+    """
+    mask = (1 << N) - 1
+    for row, count in zip(bases, counts.tolist()):
+        word = int.from_bytes(row.tobytes(), "little")
+        for _ in range(count):
+            yield word
+            word = ((word << 1) | (word >> (N - 1))) & mask
+
+
+def path_words(paths):
+    """(word, weight) of every path of a TBPathSet, base by base."""
+    weights = np.repeat(paths.base_weights, paths.counts).tolist()
+    return list(zip(rotations(paths.bases, paths.counts, paths.N), weights))
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from conftest import path_words
 
 from crcforge.cli import main
 from crcforge.collector import (
@@ -11,7 +12,7 @@ from crcforge.collector import (
     save_database,
     verify_iee,
 )
-from crcforge.encoder import ConvCode
+from crcforge.encoder import ConvCode, encode_tb
 from crcforge.errors import (
     CatastrophicEncoderError,
     CrcforgeError,
@@ -55,6 +56,25 @@ class TestCollectedSet:
             keys = [(e.weight, e.length, e.input_bits) for e in events]
             assert keys == sorted(keys)
 
+    def test_memory_six_events_reencode(self):
+        # brute_force_iees refuses v > 4, so each (133,171) event is checked
+        # on its own: repeated up to v bits, its inputs tail-bite from its
+        # state with its weight per copy, touch no earlier state in between,
+        # and verify_iee accepts it.
+        code = ConvCode(["133", "171"], 6)
+        db = collect_iees(code, 12, 40)
+        assert db.num_iees > 1000
+        for i, sigma in enumerate(db.ordering):
+            events = db.per_state[sigma]
+            assert list(events) == sorted(set(events))
+            for e in events:
+                assert e.start_state == sigma and 1 <= e.length <= 40 and e.weight < 12
+                copies = -(-code.v // e.length)
+                path = encode_tb(code, e.inputs * copies)
+                assert path.states[0] == sigma and path.weight == copies * e.weight, e
+                assert set(path.states[1 : e.length]).isdisjoint(db.ordering[: i + 1]), e
+                assert verify_iee(db, e)
+
     def test_irreducibility_predicate(self, db7, code):
         assert all(verify_iee(db7, e) for e in db7.iees())
         # A loop at state 1 that dips through state 0 is not irreducible.
@@ -82,14 +102,14 @@ class TestCollectedSet:
         a = expand_and_dedup(build_tables(natural, 10, 7), 10)
         b = expand_and_dedup(build_tables(reversed_, 10, 7), 10)
         assert a.counts_by_weight() == b.counts_by_weight()
-        assert set(a.iter_inputs()) == set(b.iter_inputs())
+        assert set(path_words(a)) == set(path_words(b))
 
     def test_max_len_headroom_changes_nothing(self, code):
         tight = collect_iees(code, 7, 10)
         loose = collect_iees(code, 7, 13)
         a = expand_and_dedup(build_tables(tight, 10, 7), 10)
         b = expand_and_dedup(build_tables(loose, 10, 7), 10)
-        assert set(a.iter_inputs()) == set(b.iter_inputs())
+        assert set(path_words(a)) == set(path_words(b))
 
     def test_catastrophic_refused(self):
         with pytest.raises(CatastrophicEncoderError):

@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from conftest import rotations
 
 from crcforge.collector import collect_iees
 from crcforge.designer import (
@@ -25,9 +26,8 @@ from crcforge.encoder import ConvCode
 from crcforge.errors import CoverageError, InvalidCrcError
 from crcforge.gf2 import GF2Poly, parse_hex_crc
 from crcforge.oracle import brute_force_spectrum
-from crcforge.reconstructor import TBPathSet, build_tables, expand_and_dedup
+from crcforge.reconstructor import build_tables, expand_and_dedup
 
-GOLDEN_43 = {7: 1, 11: 8, 12: 198, 13: 758, 14: 1114, 15: 2814, 16: 7375, 17: 18473}
 GOLDEN_63 = {12: 735, 14: 2310, 16: 13965}
 
 
@@ -147,13 +147,22 @@ def _byte_table(crc_bits, k):
     return np.array(table, dtype=np.int64)
 
 
-def _row_spectrum(paths, crc):
+def _rows(paths):
+    """Every path as a little-endian byte row, with its weight; the words are
+    the bases rotated as Python ints."""
+    width = (paths.N + 7) // 8
+    blob = b"".join(w.to_bytes(width, "little") for w in rotations(paths.bases, paths.counts, paths.N))
+    rows = np.frombuffer(blob, dtype=np.uint8).reshape(len(paths), width)
+    return rows, np.repeat(paths.base_weights, paths.counts)
+
+
+def _row_spectrum(paths, rows, weights, crc):
     """Reference spectrum from the materialised rows: each row's residue as a
-    bytewise fold over paths.packed, then a histogram of the zero rows' weights."""
-    residues = np.zeros(len(paths), dtype=np.int64)
-    for k in range(paths.packed.shape[1]):
-        residues ^= _byte_table(crc.bits, k)[paths.packed[:, k]]
-    hist = np.bincount(paths.weights[residues == 0], minlength=paths.d_tilde)
+    bytewise fold over its bytes, then a histogram of the zero rows' weights."""
+    residues = np.zeros(len(rows), dtype=np.int64)
+    for k in range(rows.shape[1]):
+        residues ^= _byte_table(crc.bits, k)[rows[:, k]]
+    hist = np.bincount(weights[residues == 0], minlength=paths.d_tilde)
     return DistanceSpectrum(crc, paths.N, paths.d_tilde, tuple(int(c) for c in hist))
 
 
@@ -166,7 +175,8 @@ def _check_against_exhaustive(paths, m, d_tilde=None):
     """
     d_tilde = paths.d_tilde if d_tilde is None else d_tilde
     result = search_dso(paths, m, d_tilde)
-    spectra = {c.to_hex(): _row_spectrum(paths, c) for c in candidate_list(m)}
+    rows, weights = _rows(paths)
+    spectra = {c.to_hex(): _row_spectrum(paths, rows, weights, c) for c in candidate_list(m)}
     alive = tuple(spectra)
     rounds = []
     for d in range(1, d_tilde):
@@ -199,21 +209,6 @@ class TestSearch:
         result = _check_against_exhaustive(paths70, 6)
         assert result.winner == GF2Poly(0x63)
         assert result.spectra["0x63"].nonzero() == GOLDEN_63
-
-    def test_screen_and_spectrum_never_build_rows(self, paths70, monkeypatch):
-        # The row view (packed, weights and their readers) is for verify and
-        # tests only; design and spectrum work on the base words.
-        def refuse(*args):
-            raise AssertionError("row view accessed")
-
-        for name in ("packed", "weights"):
-            monkeypatch.setattr(TBPathSet, name, property(refuse))
-        for name in ("_row_view", "iter_inputs", "is_cyclic_closed"):
-            monkeypatch.setattr(TBPathSet, name, refuse)
-        result = search_dso(paths70, 6)
-        assert result.winner == GF2Poly(0x63)
-        assert result.spectra["0x63"].nonzero() == GOLDEN_63
-        assert undetected_spectrum(paths70, GF2Poly(0x43)).nonzero() == GOLDEN_43
 
     @pytest.mark.parametrize("m,d_tilde", [(4, 7), (5, 9)])
     def test_partial_tie_keeps_tied_set_and_their_spectra(self, paths12, m, d_tilde):

@@ -7,6 +7,7 @@ from crcforge.oracle import (
     brute_force_iees,
     brute_force_partition,
     brute_force_spectrum,
+    is_cyclic_closed,
     oracle_report,
 )
 
@@ -63,3 +64,33 @@ def test_report_bundles_everything(code):
         assert sum(counts.values()) <= 63
     below = report.counts_below(5)
     assert all(w < 5 for w in below)
+
+
+def test_cyclic_closure_of_partition_classes(code):
+    # Every anchor-state class is closed; dropping one word opens it, and one
+    # more rotation of a word or a repeated word is a word held twice.
+    N = 8
+    mask = (1 << N) - 1
+    classes = brute_force_partition(code, N, 11, range(code.num_states))
+    checked = 0
+    for words in classes.values():
+        words = sorted(words)
+        assert is_cyclic_closed(words, N)
+        if len(words) < 2:
+            continue
+        rotated = ((words[0] << 1) | (words[0] >> (N - 1))) & mask
+        assert not is_cyclic_closed(words[1:], N)
+        assert not is_cyclic_closed(words + [rotated], N)
+        assert not is_cyclic_closed(words + words[-1:], N)
+        checked += 1
+    assert checked >= 4
+
+
+def test_cyclic_closure_small_sets():
+    assert is_cyclic_closed([], 5)
+    assert is_cyclic_closed([0b11111], 5)
+    assert is_cyclic_closed(iter([0b0101, 0b1010]), 4)
+    assert is_cyclic_closed([1, 2, 4, 8, 16], 5)
+    assert not is_cyclic_closed([1, 2, 4, 8], 5)
+    assert not is_cyclic_closed([0b11111, 0b11111], 5)
+    assert not is_cyclic_closed([1, 2, 4, 8, 16, 1], 5)

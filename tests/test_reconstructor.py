@@ -2,14 +2,14 @@ import random
 
 import numpy as np
 import pytest
+from conftest import path_words, rotations
 
 from crcforge import reconstructor
 from crcforge.collector import collect_iees
 from crcforge.encoder import ConvCode, encode_tb
 from crcforge.errors import CoverageError
-from crcforge.oracle import brute_force_partition, brute_force_spectrum
+from crcforge.oracle import brute_force_partition, brute_force_spectrum, is_cyclic_closed
 from crcforge.reconstructor import (
-    WeightLengthTable,
     build_tables,
     expand_and_dedup,
     growth_profile,
@@ -73,7 +73,7 @@ class TestExpansion:
         db = collect_iees(code, 2**31, 8)
         paths = expand_and_dedup(build_tables(db, 8, 2**31), 8)
         assert len(paths) == 255
-        assert set(paths.iter_inputs()) == set(range(1, 256))
+        assert {word for word, _w in path_words(paths)} == set(range(1, 256))
 
     @pytest.mark.parametrize("N", [4, 7, 9, 12])
     def test_matches_oracle(self, code, db7, N):
@@ -96,25 +96,29 @@ class TestExpansion:
 
     def test_paths_reencode_to_stored_weights(self, code, db7):
         paths = expand_and_dedup(build_tables(db7, 8, 7), 8)
-        for word, w in zip(paths.iter_inputs(), paths.weights):
+        for word, w in path_words(paths):
             assert encode_tb(code, tuple((word >> i) & 1 for i in range(8))).weight == w
 
     def test_cyclic_closure(self, db7):
-        paths = expand_and_dedup(build_tables(db7, 11, 7), 11)
-        assert paths.is_cyclic_closed()
+        # Each partition class is closed on its own, and so is their union.
+        tables = build_tables(db7, 11, 7)
+        for s in tables:
+            assert is_cyclic_closed((word for word, _w in iter_state_paths(tables, s)), 11), s
+        paths = expand_and_dedup(tables, 11)
+        assert is_cyclic_closed((word for word, _w in path_words(paths)), 11)
 
     @pytest.mark.parametrize("N", [11, 64, 65])
     def test_open_sets_are_not_closed(self, code, N):
-        # Dropping the last rotation of one base, or adding one more, leaves
-        # a row whose shift is missing (or present twice).
+        # Dropping the last rotation of one base leaves a word whose shift is
+        # missing; adding one more repeats the base word itself.
         db = collect_iees(code, 9, N)
         paths = expand_and_dedup(build_tables(db, N, 9), N)
+        assert is_cyclic_closed(rotations(paths.bases, paths.counts, N), N)
         for b in (0, len(paths.counts) // 2, len(paths.counts) - 1):
             for step in (-1, 1):
                 counts = paths.counts.copy()
                 counts[b] += step
-                rows = reconstructor.TBPathSet(N, 9, paths.bases, counts, paths.base_weights)
-                assert not rows.is_cyclic_closed(), (b, step)
+                assert not is_cyclic_closed(rotations(paths.bases, counts, N), N), (b, step)
 
     def test_rotation_helper_against_int_rotation(self):
         # One step later in time is ((w << 1) | (w >> (N-1))) & mask, with
@@ -123,8 +127,10 @@ class TestExpansion:
             rng = random.Random(N)
             mask = (1 << N) - 1
             words = [1, 1 << (N - 1), mask, 0] + [rng.getrandbits(N) for _ in range(200)]
-            packed = np.array([list(w.to_bytes((N + 7) // 8, "little")) for w in words], np.uint8)
-            rotated = reconstructor._rotate_limbs(reconstructor._packed_limbs(packed), N)
+            width = (N + 63) // 64
+            blob = b"".join(w.to_bytes(8 * width, "little") for w in words)
+            limbs = np.frombuffer(blob, dtype="<u8").reshape(len(words), width)
+            rotated = reconstructor._rotate_limbs(limbs, N)
             for word, row in zip(words, rotated):
                 expect = ((word << 1) | (word >> (N - 1))) & mask
                 assert int.from_bytes(row.tobytes(), "little") == expect, (N, word)
@@ -143,28 +149,29 @@ class TestExpansion:
         db = collect_iees(ConvCode(gens, v), d_tilde, max_len)
         tables = build_tables(db, N, d_tilde)
         paths = expand_and_dedup(tables, N)
-        ref = [pair for s in tables.ordering for pair in iter_state_paths(tables, s)]
+        classes = {s: list(iter_state_paths(tables, s)) for s in tables.ordering}
+        ref = [pair for s in tables.ordering for pair in classes[s]]
         assert len(ref) > 0
-        assert list(zip(paths.iter_inputs(), paths.weights.tolist())) == ref
-        assert paths.packed.shape == (len(ref), (N + 7) // 8)
-        assert paths.is_cyclic_closed()
+        assert path_words(paths) == ref
+        assert paths.bases.shape == (len(paths.counts), (N + 63) // 64)
+        for s, pairs in classes.items():
+            assert is_cyclic_closed((word for word, _w in pairs), N), s
 
     def test_empty_set(self, code):
         for N in (8, 64, 65):
             db = collect_iees(code, 1, N)
             paths = expand_and_dedup(build_tables(db, N, 1), N)
             assert len(paths) == 0
-            assert paths.packed.shape == (0, (N + 7) // 8)
-            assert paths.packed.dtype == np.uint8 and paths.weights.shape == (0,)
+            assert paths.bases.shape == (0, (N + 63) // 64)
+            assert paths.bases.dtype == np.dtype("<u8") and paths.base_weights.shape == (0,)
             assert paths.counts_by_weight() == {}
-            assert paths.is_cyclic_closed()
+            assert path_words(paths) == []
+            assert is_cyclic_closed(rotations(paths.bases, paths.counts, N), N)
 
     def test_repeated_skeleton_breaks_uniqueness(self, db7):
         tables = build_tables(db7, 12, 7)
         t = tables[0]
-        tables.per_state[0] = WeightLengthTable(
-            t.state, t.iees, t.N, t.d_tilde, t.zero_index, t.skeletons + t.skeletons[-1:]
-        )
+        tables.per_state[0] = t._replace(skeletons=t.skeletons + t.skeletons[-1:])
         with pytest.raises(RuntimeError, match="bijection invariant broken"):
             expand_and_dedup(tables, 12)
 
@@ -172,13 +179,13 @@ class TestExpansion:
         # 539,971 of the N=70 rows repeat another row's low 64 bits, so a
         # guard reading the low limb alone would refuse this exact set.
         assert len(paths70) == 1940785
-        low = reconstructor._packed_limbs(paths70.packed)[:, 0]
-        assert len(paths70) - np.unique(low).size == 539971
+        low = {word & ((1 << 64) - 1) for word in rotations(paths70.bases, paths70.counts, 70)}
+        assert len(paths70) - len(low) == 539971
 
 
 def _rows_distinct(bases, counts, N):
-    rows = reconstructor._emit_rows(bases, counts, N)
-    return len(np.unique(rows, axis=0)) == len(rows)
+    words = list(rotations(bases, counts, N))
+    return len(set(words)) == len(words)
 
 
 class TestArcGuard:
@@ -222,7 +229,7 @@ class TestArcGuard:
             paths = expand_and_dedup(build_tables(db, N, db.d_tilde), N)
             _least, _offset, period = reconstructor._necklaces(paths.bases, N)
             assert (period < N).any(), N
-            assert len(np.unique(paths.packed, axis=0)) == len(paths)
+            assert _rows_distinct(paths.bases, paths.counts, N)
             for b in np.flatnonzero(period < N):
                 stretched = paths.counts.copy()
                 stretched[b] = period[b] + 1
