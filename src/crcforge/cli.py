@@ -3,18 +3,22 @@
 Subcommands mirror the library stages: collect (IEE database), design
 (CRC search), spectrum (one CRC's undetected spectrum), bound (union
 bound sweep), growth (codeword count vs length), verify (cross-check
-against brute force on a small instance). Exit codes: 0 success, 1
-domain failure (catastrophic code, coverage, ties, corrupt files),
-2 usage errors (argparse's native behavior).
+against brute force on a small instance). design and spectrum share one
+front end, _path_set, which decides the block length N (--n, or --k plus
+the CRC degree) and the screening bound (--dtilde, or the database's)
+and expands the path set; both read N and the bound back from it. Exit
+codes: 0 success, 1 domain failure (catastrophic code, coverage, ties,
+corrupt files, bad values), 2 usage errors (argparse's native behavior).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from collections import Counter
 
 from .collector import collect_iees, load_database, save_database, verify_iee
 from .designer import (
@@ -25,7 +29,7 @@ from .designer import (
     undetected_spectrum,
     write_bound_csv,
 )
-from .encoder import ConvCode
+from .encoder import ConvCode, encode_tb
 from .errors import CrcforgeError
 from .gf2 import parse_hex_crc, parse_octal
 from .oracle import (
@@ -34,41 +38,10 @@ from .oracle import (
     brute_force_iees,
     brute_force_partition,
     is_cyclic_closed,
-    oracle_report,
 )
-from .reconstructor import build_tables, expand_and_dedup, growth_profile, iter_state_paths
+from .reconstructor import TBPathSet, build_tables, expand_and_dedup, growth_profile, iter_state_paths
 
-__all__ = ["RunConfig", "main"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by the design-side commands."""
-
-    N: int
-    m: int
-    d_tilde: int
-
-    @classmethod
-    def resolve(
-        cls,
-        *,
-        k: int | None,
-        n: int | None,
-        m: int,
-        d_tilde: int,
-        v: int,
-    ) -> "RunConfig":
-        if (k is None) == (n is None):
-            raise ValueError("give exactly one of --k (message bits) or --n (block bits)")
-        if not 1 <= m <= _MAX_DEGREE:
-            raise ValueError(f"CRC degree m must be in [1, {_MAX_DEGREE}], got {m}")
-        N = n if n is not None else k + m
-        if d_tilde < 2:
-            raise ValueError(f"d_tilde must be >= 2, got {d_tilde}")
-        if N < v:
-            raise ValueError(f"block length N={N} is degenerate for memory v={v}")
-        return cls(N, m, d_tilde)
+__all__ = ["main"]
 
 
 def _parse_gens(text: str) -> list[str]:
@@ -88,7 +61,10 @@ def _parse_snr_grid(text: str) -> list[float]:
         raise ValueError(f"SNR step must be positive, got {step}")
     if stop < start:
         raise ValueError(f"SNR range is empty: {text!r}")
-    count = int(round((stop - start) / step))
+    points = (stop - start) / step
+    if not all(map(math.isfinite, (start, step, stop, points))):
+        raise ValueError(f"SNR grid {text!r} needs a finite start, step, stop and point count")
+    count = int(round(points))
     if abs(start + count * step - stop) > 1e-9:
         raise ValueError(f"SNR step does not land on the endpoint: {text!r}")
     return [start + i * step for i in range(count + 1)]
@@ -120,21 +96,35 @@ def cmd_collect(args) -> int:
     return 0
 
 
-def cmd_design(args) -> int:
+def _path_set(args, m: int) -> TBPathSet:
+    """The paths of weight < d_tilde at block length N, for design and spectrum.
+
+    N is --n, or --k plus the CRC degree m; d_tilde is --dtilde, or the
+    database's. build_tables checks N against the code and the database.
+    """
+    if (args.k is None) == (args.n is None):
+        raise ValueError("give exactly one of --k (message bits) or --n (block bits)")
+    if not 1 <= m <= _MAX_DEGREE:
+        raise ValueError(f"CRC degree m must be in [1, {_MAX_DEGREE}], got {m}")
     db = load_database(args.iee)
     d_tilde = args.dtilde if args.dtilde is not None else db.d_tilde
-    cfg = RunConfig.resolve(k=args.k, n=args.n, m=args.m, d_tilde=d_tilde, v=db.v)
-    tables = build_tables(db, cfg.N, cfg.d_tilde)
-    paths = expand_and_dedup(tables, cfg.N)
-    print(f"expanded {len(paths)} paths of weight < {cfg.d_tilde} at N={cfg.N}")
-    result = search_dso(paths, cfg.m, cfg.d_tilde)
+    if d_tilde < 2:
+        raise ValueError(f"d_tilde must be >= 2, got {d_tilde}")
+    N = args.n if args.n is not None else args.k + m
+    return expand_and_dedup(build_tables(db, N, d_tilde), N)
+
+
+def cmd_design(args) -> int:
+    paths = _path_set(args, args.m)
+    print(f"expanded {len(paths)} paths of weight < {paths.d_tilde} at N={paths.N}")
+    result = search_dso(paths, args.m)
     for row in result.rounds:
         survivors = ",".join(row.survivors_hex)
         print(f"d={row.d} C*={row.c_star} survivors={row.survivors_remaining} [{survivors}]")
 
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    log_path = os.path.join(out_dir, f"elimination_m{cfg.m}_N{cfg.N}_dt{cfg.d_tilde}.csv")
+    log_path = os.path.join(out_dir, f"elimination_m{args.m}_N{paths.N}_dt{paths.d_tilde}.csv")
     with open(log_path, "w", newline="\n") as fh:
         fh.write("d,c_star,survivors_remaining,survivor_list_hex\n")
         for row in result.rounds:
@@ -148,7 +138,7 @@ def cmd_design(args) -> int:
     if result.is_tie:
         tied = ",".join(c.to_hex() for c in result.survivors)
         print(
-            f"candidates indistinguishable below d_tilde={cfg.d_tilde}: {tied}; "
+            f"candidates indistinguishable below d_tilde={paths.d_tilde}: {tied}; "
             "re-collect with a larger d_tilde to separate them"
         )
         return 1
@@ -161,13 +151,8 @@ def cmd_design(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    db = load_database(args.iee)
-    d_tilde = args.dtilde if args.dtilde is not None else db.d_tilde
     crc = parse_hex_crc(args.crc)
-    cfg = RunConfig.resolve(k=args.k, n=args.n, m=crc.degree, d_tilde=d_tilde, v=db.v)
-    tables = build_tables(db, cfg.N, cfg.d_tilde)
-    paths = expand_and_dedup(tables, cfg.N)
-    spectrum = undetected_spectrum(paths, crc)
+    spectrum = undetected_spectrum(_path_set(args, crc.degree), crc)
     for d, count in spectrum.nonzero().items():
         print(f"d={d} A_d={count}")
     os.makedirs(args.out_dir, exist_ok=True)
@@ -207,13 +192,14 @@ def cmd_growth(args) -> int:
 def cmd_verify(args) -> int:
     code = ConvCode(_parse_gens(args.gens), args.v)
     N, d_tilde = args.n, args.dtilde
-    if N > 16:
-        raise ValueError(f"verify enumerates all 2^N inputs; keep N <= 16 (got {N})")
+    if N > MAX_ORACLE_LEN:
+        raise ValueError(f"verify enumerates all 2^N inputs; keep N <= {MAX_ORACLE_LEN} (got {N})")
 
     db = collect_iees(code, d_tilde, max_len=N)
     tables = build_tables(db, N, d_tilde)
     paths = expand_and_dedup(tables, N)
-    report = oracle_report(code, N)
+    # The one exhaustive pass: every word of weight < d_tilde, by anchor state.
+    oracle_classes = brute_force_partition(code, N, d_tilde, db.ordering)
 
     failures = 0
 
@@ -223,7 +209,11 @@ def cmd_verify(args) -> int:
         if not ok:
             failures += 1
 
-    expect = {w: c for w, c in report.weight_counts.items() if w < d_tilde}
+    expect = Counter(
+        encode_tb(code, tuple((u >> i) & 1 for i in range(N))).weight
+        for words in oracle_classes.values()
+        for u in words
+    )
     got = paths.counts_by_weight()
     check("spectrum-match", got == expect, f"{len(paths)} paths below d_tilde={d_tilde}")
 
@@ -232,13 +222,12 @@ def cmd_verify(args) -> int:
     closed = all(is_cyclic_closed(words, N) for words in ours.values())
     check("cyclic-closure", closed, classes)
 
-    oracle_classes = brute_force_partition(code, N, d_tilde, db.ordering)
     check("partition", {s: set(words) for s, words in ours.items()} == oracle_classes, classes)
 
     irreducible = all(verify_iee(db, e) for e in db.iees())
     check("irreducibility", irreducible, f"{db.num_iees} events")
 
-    if code.v <= MAX_ORACLE_V and N <= MAX_ORACLE_LEN:
+    if code.v <= MAX_ORACLE_V:
         agree = all(
             list(db.per_state[s]) == brute_force_iees(code, s, d_tilde, N)
             for s in db.ordering
@@ -312,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dtilde", type=int, required=True)
-    add_threads(p)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -29,7 +29,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CoverageError, InvalidCrcError
+from .errors import InvalidCrcError
 from .gf2 import GF2Poly
 from .reconstructor import TBPathSet
 
@@ -186,7 +186,8 @@ class DistanceSpectrum:
         """Rebuild a spectrum from CSV; CRC, N and d_tilde come from the filename.
 
         Only the canonical csv_filename() form, spectrum_0x<crc>_N<n>_dt<d>.csv,
-        is accepted; any other name raises ValueError.
+        is accepted; any other name raises ValueError, as do a negative count
+        and a distance given on two rows.
         """
         import os
         import re
@@ -198,7 +199,8 @@ class DistanceSpectrum:
         crc = GF2Poly(int(match.group(1), 16))
         N = int(match.group(2))
         d_tilde = int(match.group(3))
-        rows: list[tuple[int, int]] = []
+        counts = [0] * d_tilde
+        seen: set[int] = set()
         with open(path) as fh:
             header = fh.readline().strip()
             if header != "d,A_d":
@@ -208,12 +210,15 @@ class DistanceSpectrum:
                 if not line:
                     continue
                 d_text, c_text = line.split(",")
-                rows.append((int(d_text), int(c_text)))
-        counts = [0] * d_tilde
-        for d, c in rows:
-            if not (0 <= d < d_tilde):
-                raise ValueError(f"{name}: row distance {d} outside [0, {d_tilde})")
-            counts[d] = c
+                d, c = int(d_text), int(c_text)
+                if not (0 <= d < d_tilde):
+                    raise ValueError(f"{name}: row distance {d} outside [0, {d_tilde})")
+                if d in seen:
+                    raise ValueError(f"{name}: distance {d} appears twice")
+                if c < 0:
+                    raise ValueError(f"{name}: negative count A_{d}={c}")
+                seen.add(d)
+                counts[d] = c
         return cls(crc, N, d_tilde, tuple(counts))
 
 
@@ -263,30 +268,23 @@ class DsoSearchResult:
         return self.winner is None
 
 
-def search_dso(
-    paths: TBPathSet, m: int, d_tilde: int | None = None, threads: int = 1
-) -> DsoSearchResult:
-    """Pick the degree-m CRC with the best undetected spectrum.
+def search_dso(paths: TBPathSet, m: int, threads: int = 1) -> DsoSearchResult:
+    """Pick the degree-m CRC with the best undetected spectrum over the path set.
 
-    Candidates are eliminated distance by distance: at each d < d_tilde
-    the survivors are screened on the weight-d paths alone and the argmin
-    set of A_d is kept, until one survivor is left. Ties at exhaustion are
-    reported as a full survivor set, never broken silently. ``spectra``
-    holds the full spectrum of each final survivor only. ``threads`` is
-    accepted for compatibility and ignored; the search runs on one thread.
+    Candidates are eliminated distance by distance: at each d below the
+    path set's d_tilde the survivors are screened on the weight-d paths
+    alone and the argmin set of A_d is kept, until one survivor is left.
+    Ties at exhaustion are reported as a full survivor set, never broken
+    silently. ``spectra`` holds the full spectrum of each final survivor
+    only. ``threads`` is accepted for compatibility and ignored; the
+    search runs on one thread.
     """
-    if d_tilde is None:
-        d_tilde = paths.d_tilde
-    if d_tilde > paths.d_tilde:
-        raise CoverageError(
-            f"path set covers weights < {paths.d_tilde}, cannot screen at d_tilde={d_tilde}"
-        )
     crcs = candidate_list(m)
     tables = _residue_tables(crcs, (paths.N + 7) // 8)
     bases = _by_rotation_count(paths)
     alive = np.arange(len(crcs))  # survivors, with their tables in `tables`
     rounds: list[EliminationRound] = []
-    for d in range(1, d_tilde):
+    for d in range(1, paths.d_tilde):
         if len(alive) == 1:
             break
         sel = bases.weights == d
@@ -306,7 +304,7 @@ def search_dso(
     }
     winner = crcs[alive[0]] if len(alive) == 1 else None
     return DsoSearchResult(
-        winner, tuple(crcs[i] for i in alive), tuple(rounds), spectra, m, d_tilde
+        winner, tuple(crcs[i] for i in alive), tuple(rounds), spectra, m, paths.d_tilde
     )
 
 

@@ -1,33 +1,7 @@
 import pytest
 
 from crcforge import cli
-from crcforge.cli import RunConfig, _parse_snr_grid, main
-
-
-class TestRunConfig:
-    def test_k_and_m_give_n(self):
-        cfg = RunConfig.resolve(k=64, n=None, m=6, d_tilde=18, v=3)
-        assert cfg.N == 70
-
-    def test_n_passes_through(self):
-        cfg = RunConfig.resolve(k=None, n=70, m=6, d_tilde=18, v=3)
-        assert cfg.N == 70
-
-    def test_exactly_one_of_k_n(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            RunConfig.resolve(k=64, n=70, m=6, d_tilde=18, v=3)
-        with pytest.raises(ValueError, match="exactly one"):
-            RunConfig.resolve(k=None, n=None, m=6, d_tilde=18, v=3)
-
-    def test_bounds(self):
-        with pytest.raises(ValueError):
-            RunConfig.resolve(k=64, n=None, m=0, d_tilde=18, v=3)
-        with pytest.raises(ValueError, match=r"\[1, 31\]"):
-            RunConfig.resolve(k=None, n=70, m=32, d_tilde=18, v=3)
-        with pytest.raises(ValueError):
-            RunConfig.resolve(k=64, n=None, m=6, d_tilde=1, v=3)
-        with pytest.raises(ValueError):
-            RunConfig.resolve(k=None, n=2, m=6, d_tilde=18, v=3)
+from crcforge.cli import _parse_snr_grid, main
 
 
 class TestSnrGrid:
@@ -40,9 +14,29 @@ class TestSnrGrid:
         assert _parse_snr_grid("4:1:4") == [4.0]
 
     def test_bad_grids(self):
-        for text in ("3:0.25", "3:0:7", "7:1:3", "3:0.3:7"):
+        for text in ("3:0.25", "3:0:7", "7:1:3", "3:0.3:7", "3:1:inf", "0:1e-320:1", "nan:1:3"):
             with pytest.raises(ValueError):
                 _parse_snr_grid(text)
+
+
+_EXACTLY_ONE = "give exactly one of --k (message bits) or --n (block bits)"
+
+# design and spectrum arguments the front end refuses, with its message;
+# a degree of 32 is test_crc_degree_above_31_is_1.
+EARLY_REFUSALS = [
+    pytest.param(["design", "--m", "3", "--k", "8", "--n", "14"], _EXACTLY_ONE, id="design-k-and-n"),
+    pytest.param(["spectrum", "--crc", "0xb", "--k", "8", "--n", "14"], _EXACTLY_ONE, id="spectrum-k-and-n"),
+    pytest.param(["design", "--m", "3"], _EXACTLY_ONE, id="design-no-k-n"),
+    pytest.param(["spectrum", "--crc", "0xb"], _EXACTLY_ONE, id="spectrum-no-k-n"),
+    pytest.param(["design", "--m", "0", "--n", "14"], "CRC degree m must be in [1, 31], got 0", id="m0"),
+    pytest.param(
+        ["design", "--m", "3", "--n", "14", "--dtilde", "1"], "d_tilde must be >= 2, got 1", id="design-dtilde1"
+    ),
+    pytest.param(
+        ["spectrum", "--crc", "0xb", "--n", "14", "--dtilde", "1"], "d_tilde must be >= 2, got 1",
+        id="spectrum-dtilde1",
+    ),
+]
 
 
 class TestExitCodes:
@@ -85,6 +79,49 @@ class TestExitCodes:
             out, err = capsys.readouterr()
             assert "expanded" not in out
             assert "error: CRC degree m must be in [1, 31], got 32" in err
+
+    @pytest.mark.parametrize("argv,message", EARLY_REFUSALS)
+    def test_front_end_refuses_before_tables(self, small_db, tmp_path, capsys, monkeypatch, argv, message):
+        # The command line's own checks come first: building tables would fail.
+        monkeypatch.setattr(cli, "build_tables", None)
+        rc = main(argv + ["--iee", str(small_db), "--out-dir", str(tmp_path)])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert "expanded" not in out
+        assert f"error: {message}" in err
+
+    @pytest.mark.parametrize(
+        "command", [["design", "--m", "3"], ["spectrum", "--crc", "0xb"]], ids=["design", "spectrum"]
+    )
+    def test_degenerate_block_length_is_1(self, small_db, tmp_path, capsys, command):
+        # N < v is left to build_tables, whose message names it.
+        rc = main(command + ["--iee", str(small_db), "--n", "2", "--out-dir", str(tmp_path)])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert "expanded" not in out
+        assert "error: N=2 is degenerate for a memory-3 code; need N >= 3" in err
+
+    def test_nonfinite_snr_grid_is_1(self, tmp_path, capsys):
+        spec = tmp_path / "spectrum_0x9_N14_dt9.csv"
+        spec.write_text("d,A_d\n6,2\n")
+        out_csv = tmp_path / "b.csv"
+        rc = main(["bound", "--spectra", str(spec), "--snr", "3:1:inf", "--out", str(out_csv)])
+        assert rc == 1
+        assert "error: SNR grid '3:1:inf' needs a finite" in capsys.readouterr().err
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("rows,message", [
+        pytest.param("6,2\n8,-735\n", "negative count A_8=-735", id="negative"),
+        pytest.param("6,2\n6,3\n", "distance 6 appears twice", id="repeated"),
+    ])
+    def test_bad_spectrum_rows_are_1(self, tmp_path, capsys, rows, message):
+        spec = tmp_path / "spectrum_0x9_N14_dt9.csv"
+        spec.write_text("d,A_d\n" + rows)
+        out_csv = tmp_path / "b.csv"
+        rc = main(["bound", "--spectra", str(spec), "--snr", "3:1:4", "--out", str(out_csv)])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not out_csv.exists()
 
     @pytest.mark.parametrize("d_tilde", ["0", "-3"])
     def test_growth_nonpositive_dtilde_is_1(self, small_db, capsys, d_tilde):
@@ -168,6 +205,17 @@ class TestPipeline:
         else:
             assert "indistinguishable" in out
 
+    def test_k_plus_m_gives_block_length(self, tmp_path, capsys):
+        db = tmp_path / "iee_1317_d9_L70.json"
+        assert main([
+            "collect", "--gens", "13,17", "--v", "3", "--dtilde", "9",
+            "--max-len", "70", "--out", str(db),
+        ]) == 0
+        # At d_tilde=9 the screen may end in a tie; the log is written either way.
+        main(["design", "--iee", str(db), "--k", "64", "--m", "6", "--out-dir", str(tmp_path)])
+        assert "at N=70" in capsys.readouterr().out
+        assert (tmp_path / "elimination_m6_N70_dt9.csv").exists()
+
     def test_bound_from_spectra(self, small_db, tmp_path, capsys):
         for crc in ("0x9", "0xb"):
             assert main([
@@ -204,7 +252,6 @@ class TestPipeline:
     def test_verify_passes(self, capsys):
         rc = main([
             "verify", "--gens", "13,17", "--v", "3", "--n", "12", "--dtilde", "8",
-            "--threads", "1",
         ])
         out = capsys.readouterr().out
         assert rc == 0

@@ -23,7 +23,7 @@ from crcforge.designer import (
     write_bound_csv,
 )
 from crcforge.encoder import ConvCode
-from crcforge.errors import CoverageError, InvalidCrcError
+from crcforge.errors import InvalidCrcError
 from crcforge.gf2 import GF2Poly, parse_hex_crc
 from crcforge.oracle import brute_force_spectrum
 from crcforge.reconstructor import build_tables, expand_and_dedup
@@ -37,9 +37,13 @@ def code():
 
 
 @pytest.fixture(scope="module")
-def paths12(code):
-    db = collect_iees(code, 9, 12)
-    return expand_and_dedup(build_tables(db, 12, 9), 12)
+def db12(code):
+    return collect_iees(code, 9, 12)
+
+
+@pytest.fixture(scope="module")
+def paths12(db12):
+    return expand_and_dedup(build_tables(db12, 12, 9), 12)
 
 
 class TestCandidates:
@@ -166,20 +170,19 @@ def _row_spectrum(paths, rows, weights, crc):
     return DistanceSpectrum(crc, paths.N, paths.d_tilde, tuple(int(c) for c in hist))
 
 
-def _check_against_exhaustive(paths, m, d_tilde=None):
+def _check_against_exhaustive(paths, m):
     """search_dso must match a lexicographic screen of every full spectrum.
 
     The reference folds every candidate over every materialised row
     (_row_spectrum); after round d the survivors are the candidates whose
     (A_1..A_d) is the lexicographic minimum over all of them.
     """
-    d_tilde = paths.d_tilde if d_tilde is None else d_tilde
-    result = search_dso(paths, m, d_tilde)
+    result = search_dso(paths, m)
     rows, weights = _rows(paths)
     spectra = {c.to_hex(): _row_spectrum(paths, rows, weights, c) for c in candidate_list(m)}
     alive = tuple(spectra)
     rounds = []
-    for d in range(1, d_tilde):
+    for d in range(1, paths.d_tilde):
         if len(alive) == 1:
             break
         best = min(s.counts[1 : d + 1] for s in spectra.values())
@@ -211,9 +214,10 @@ class TestSearch:
         assert result.spectra["0x63"].nonzero() == GOLDEN_63
 
     @pytest.mark.parametrize("m,d_tilde", [(4, 7), (5, 9)])
-    def test_partial_tie_keeps_tied_set_and_their_spectra(self, paths12, m, d_tilde):
+    def test_partial_tie_keeps_tied_set_and_their_spectra(self, db12, m, d_tilde):
         # Some candidates drop out, but more than one is left at d_tilde.
-        result = _check_against_exhaustive(paths12, m, d_tilde)
+        paths = expand_and_dedup(build_tables(db12, 12, d_tilde), 12)
+        result = _check_against_exhaustive(paths, m)
         assert result.is_tie
         assert 1 < len(result.survivors) < len(candidate_list(m))
         assert set(result.spectra) == {c.to_hex() for c in result.survivors}
@@ -237,10 +241,6 @@ class TestSearch:
         assert result.is_tie
         assert result.winner is None
         assert len(result.survivors) == 32
-
-    def test_coverage_guard(self, paths12):
-        with pytest.raises(CoverageError):
-            search_dso(paths12, 4, d_tilde=10)
 
     def test_threads_do_not_change_result(self, paths12):
         a = search_dso(paths12, 4, threads=1)
@@ -320,6 +320,18 @@ class TestCsv:
             spec.to_csv(tmp_path / name)
             with pytest.raises(ValueError, match="spectrum_0x<crc>_N<n>_dt<d>"):
                 DistanceSpectrum.from_csv(tmp_path / name)
+
+    @pytest.mark.parametrize("rows,message", [
+        pytest.param("12,-735\n14,2310\n", "negative count A_12=-735", id="negative"),
+        pytest.param("12,735\n14,2310\n12,735\n", "distance 12 appears twice", id="repeated"),
+    ])
+    def test_bad_rows_rejected(self, tmp_path, rows, message):
+        # A negative count would give negative bounds; a repeated row would
+        # silently override the first.
+        out = tmp_path / "spectrum_0x63_N70_dt18.csv"
+        out.write_text("d,A_d\n" + rows)
+        with pytest.raises(ValueError, match=message):
+            DistanceSpectrum.from_csv(out)
 
     def test_unlabeled_file_rejected(self, paths12, tmp_path):
         spec = undetected_spectrum(paths12, GF2Poly(0x9))
