@@ -43,6 +43,9 @@ from .reconstructor import TBPathSet, build_tables, expand_and_dedup, growth_pro
 
 __all__ = ["main"]
 
+# Largest --snr grid accepted; a finite but huge point count would never finish.
+MAX_SNR_POINTS = 1_000_000
+
 
 def _parse_gens(text: str) -> list[str]:
     gens = [g.strip() for g in text.split(",") if g.strip()]
@@ -65,6 +68,8 @@ def _parse_snr_grid(text: str) -> list[float]:
     if not all(map(math.isfinite, (start, step, stop, points))):
         raise ValueError(f"SNR grid {text!r} needs a finite start, step, stop and point count")
     count = int(round(points))
+    if count + 1 > MAX_SNR_POINTS:
+        raise ValueError(f"SNR grid {text!r} has {count + 1:.3g} points, more than {MAX_SNR_POINTS:,}")
     if abs(start + count * step - stop) > 1e-9:
         raise ValueError(f"SNR step does not land on the endpoint: {text!r}")
     return [start + i * step for i in range(count + 1)]

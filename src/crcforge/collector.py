@@ -17,6 +17,11 @@ never change the collected set. The states are searched one after
 another on one thread. Catastrophic encoders are refused: they have
 zero-weight cycles away from state 0, so weight pruning alone would not
 bound the search.
+
+The collector is the one source of truth for a code's events. A saved
+database is JSON with a checksum; loading it re-runs the collection its
+header describes and refuses the file unless the stored records are
+exactly that collection.
 """
 
 from __future__ import annotations
@@ -66,28 +71,6 @@ class IEE(NamedTuple):
     @property
     def inputs(self) -> tuple[int, ...]:
         return tuple((self.input_bits >> i) & 1 for i in range(self.length))
-
-
-def _materialize(
-    code: ConvCode, state: int, bits: int, length: int, blocked: frozenset[int] = frozenset()
-) -> IEE:
-    """Build an IEE record from packed input bits, validating closure.
-
-    ``blocked`` holds the states the interior must avoid: for an
-    irreducible event, its own state and every state before it in the
-    ordering. A walk that closes early or passes through one is refused.
-    """
-    weight = 0
-    s = state
-    for i in range(length):
-        if i and s in blocked:
-            raise ValueError(f"passes through blocked state {s} mid-event")
-        b = (bits >> i) & 1
-        weight += code.branch_weight(s, b)
-        s = code.next_state(s, b)
-    if s != state:
-        raise ValueError("does not close at its start state")
-    return IEE(weight, length, bits, state)
 
 
 def _return_bounds(
@@ -266,6 +249,11 @@ def collect_iees(
     return IEEDatabase(code.generators_octal, code.v, ordering, d_tilde, max_len, per_state)
 
 
+def _record(e: IEE) -> dict:
+    """The JSON record save_database writes for one event."""
+    return {"state": e.start_state, "inputs": f"{e.input_bits:0{e.length}b}"[::-1], "weight": e.weight}
+
+
 def _payload(db: IEEDatabase) -> dict:
     return {
         "format_version": DB_FORMAT_VERSION,
@@ -275,10 +263,7 @@ def _payload(db: IEEDatabase) -> dict:
         "ordering": list(db.ordering),
         "d_tilde": db.d_tilde,
         "max_len": db.max_len,
-        "iees": [
-            {"state": e.start_state, "inputs": f"{e.input_bits:0{e.length}b}"[::-1], "weight": e.weight}
-            for e in db.iees()
-        ],
+        "iees": [_record(e) for e in db.iees()],
     }
 
 
@@ -297,14 +282,14 @@ def save_database(db: IEEDatabase, path) -> None:
 
 
 def load_database(path) -> IEEDatabase:
-    """Read a database file, verifying version, checksum, and contents.
+    """Read a database file and check it against a fresh collection.
 
-    Weights are recomputed from the stored input bits; a stored weight
-    that disagrees with the re-encoded one, a record that is not
-    irreducible under the stored ordering, or a repeated record marks the
-    file as corrupt.
-    Every field is type-checked, so no malformed file escapes as anything
-    but DatabaseFormatError or another CrcforgeError.
+    After the version, checksum and header type checks, the collection
+    the header describes is run again, and the stored records must equal
+    what save_database writes for it, record for record and in order. A
+    changed, missing, extra or reordered event marks the file as corrupt,
+    and so does a header collect_iees refuses. A load costs what the same
+    collect costs, and returns that collection.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -326,58 +311,42 @@ def load_database(path) -> IEEDatabase:
             raise DatabaseFormatError(f"{path}: missing field {key!r}")
         if type(payload[key]) is not kind:
             raise DatabaseFormatError(f"{path}: field {key!r} is not a JSON {kind.__name__}")
-    gens, v, n, ordering, d_tilde, max_len, iees = (payload[key] for key in _FIELD_TYPES)
-    ordering = tuple(ordering)
+    gens, v, n, ordering, d_tilde, max_len, stored = (payload[key] for key in _FIELD_TYPES)
     if not all(type(g) is str for g in gens) or not all(type(s) is int for s in ordering):
         raise DatabaseFormatError(f"{path}: generators must be strings and states ints")
 
     code = ConvCode(list(gens), v)  # raises if v and tap degrees disagree
     if code.n != n:
         raise DatabaseFormatError(f"{path}: n={n} but {code.n} generators given")
-    if sorted(ordering) != list(range(code.num_states)):
-        raise DatabaseFormatError(f"{path}: ordering is not a state permutation")
-
-    per_state: dict[int, list[IEE]] = {s: [] for s in ordering}
-    blocked = {s: frozenset(ordering[: i + 1]) for i, s in enumerate(ordering)}
-    seen: set[tuple[int, str]] = set()
-    for rec in iees:
-        if type(rec) is not dict:
-            raise DatabaseFormatError(f"{path}: malformed IEE record {rec!r}")
-        state, text, weight = rec.get("state"), rec.get("inputs"), rec.get("weight")
-        if (
-            (type(state), type(text), type(weight)) != (int, str, int)
-            or state not in per_state
-            or not text
-            or any(c not in "01" for c in text)
-        ):
-            raise DatabaseFormatError(f"{path}: malformed IEE record {rec!r}")
-        if (state, text) in seen:
-            raise DatabaseFormatError(f"{path}: repeated IEE record {rec!r}")
-        seen.add((state, text))
-        try:
-            event = _materialize(code, state, int(text[::-1], 2), len(text), blocked[state])
-        except ValueError as exc:
-            raise DatabaseFormatError(f"{path}: IEE {rec!r} {exc}") from exc
-        if event.weight != weight:
+    try:
+        db = collect_iees(code, d_tilde, max_len, ordering)
+    except (ValueError, CatastrophicEncoderError) as exc:
+        raise DatabaseFormatError(f"{path}: {exc}") from exc
+    if len(stored) != db.num_iees:
+        raise DatabaseFormatError(f"{path}: {len(stored)} IEE records stored, {db.num_iees} collected")
+    for i, (rec, event) in enumerate(zip(stored, db.iees())):
+        if rec != _record(event):
             raise DatabaseFormatError(
-                f"{path}: stored weight {weight} != recomputed {event.weight} for {rec!r}"
+                f"{path}: IEE record {i} {rec!r} is not the collected {_record(event)!r}"
             )
-        per_state[state].append(event)
-
-    frozen = {s: tuple(sorted(lst)) for s, lst in per_state.items()}
-    return IEEDatabase(code.generators_octal, v, ordering, d_tilde, max_len, frozen)
+    return db
 
 
 def verify_iee(db: IEEDatabase, event: IEE) -> bool:
     """Check the irreducibility predicate of one database entry.
 
-    The walk must close at the start state and every interior state must
-    avoid the start state and all states earlier in the ordering.
+    Re-encoded from its start state, the walk must close there, every
+    interior state must avoid the start state and all states earlier in
+    the ordering, and its weight must equal the stored one, below d_tilde.
     """
     position = db.ordering.index(event.start_state)
     blocked = frozenset(db.ordering[: position + 1])
-    try:
-        _materialize(db.code, event.start_state, event.input_bits, event.length, blocked)
-    except ValueError:
-        return False
-    return event.weight < db.d_tilde
+    code = db.code
+    s, weight = event.start_state, 0
+    for i in range(event.length):
+        if i and s in blocked:
+            return False
+        b = (event.input_bits >> i) & 1
+        weight += code.branch_weight(s, b)
+        s = code.next_state(s, b)
+    return s == event.start_state and weight == event.weight < db.d_tilde

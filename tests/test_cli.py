@@ -14,7 +14,7 @@ class TestSnrGrid:
         assert _parse_snr_grid("4:1:4") == [4.0]
 
     def test_bad_grids(self):
-        for text in ("3:0.25", "3:0:7", "7:1:3", "3:0.3:7", "3:1:inf", "0:1e-320:1", "nan:1:3"):
+        for text in ("3:0.25", "3:0:7", "7:1:3", "3:0.3:7", "3:1:inf", "0:1e-320:1", "nan:1:3", "0:1e-300:1"):
             with pytest.raises(ValueError):
                 _parse_snr_grid(text)
 
@@ -108,6 +108,16 @@ class TestExitCodes:
         rc = main(["bound", "--spectra", str(spec), "--snr", "3:1:inf", "--out", str(out_csv)])
         assert rc == 1
         assert "error: SNR grid '3:1:inf' needs a finite" in capsys.readouterr().err
+        assert not out_csv.exists()
+
+    def test_huge_snr_grid_is_1(self, tmp_path, capsys):
+        # 1e300 points: every other check passes, and listing them never ends.
+        spec = tmp_path / "spectrum_0x9_N14_dt9.csv"
+        spec.write_text("d,A_d\n6,2\n")
+        out_csv = tmp_path / "b.csv"
+        rc = main(["bound", "--spectra", str(spec), "--snr", "0:1e-300:1", "--out", str(out_csv)])
+        assert rc == 1
+        assert "error: SNR grid '0:1e-300:1' has 1e+300 points, more than 1,000,000" in capsys.readouterr().err
         assert not out_csv.exists()
 
     @pytest.mark.parametrize("rows,message", [

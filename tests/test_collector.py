@@ -159,7 +159,7 @@ class TestSaveLoad:
         del payload["checksum"]
         payload["checksum"] = _checksum(payload)
         path.write_text(json.dumps(payload))
-        with pytest.raises(DatabaseFormatError, match="weight"):
+        with pytest.raises(DatabaseFormatError, match="IEE record 1 .* is not the collected"):
             load_database(path)
 
     def test_v_generator_mismatch(self, db7, tmp_path):
@@ -189,42 +189,40 @@ def _flip_high_bit(blob: bytes) -> bytes:
     return blob[:mid] + bytes([blob[mid] | 0x80]) + blob[mid + 1:]
 
 
+def _resign(edit):
+    """Apply edit(payload) to the file's JSON, then re-sign the file."""
+
+    def tamper(blob: bytes) -> bytes:
+        payload = json.loads(blob)
+        del payload["checksum"]
+        edit(payload)
+        payload["checksum"] = _checksum(payload)
+        return json.dumps(payload).encode()
+
+    return tamper
+
+
 def _set_field(key, value, record=None):
     """Change one field (of IEE record `record` if given), then re-sign the file."""
 
-    def tamper(blob: bytes) -> bytes:
-        payload = json.loads(blob)
-        del payload["checksum"]
+    def edit(payload):
         target = payload if record is None else payload["iees"][record]
         target[key] = value
-        payload["checksum"] = _checksum(payload)
-        return json.dumps(payload).encode()
 
-    return tamper
+    return _resign(edit)
 
 
 def _replace_record(value):
-    def tamper(blob: bytes) -> bytes:
-        payload = json.loads(blob)
-        del payload["checksum"]
-        payload["iees"][0] = value
-        payload["checksum"] = _checksum(payload)
-        return json.dumps(payload).encode()
-
-    return tamper
+    return _resign(lambda p: p["iees"].__setitem__(0, value))
 
 
 def _append_record(pick):
     """Append the record pick(stored records) returns, then re-sign the file."""
+    return _resign(lambda p: p["iees"].append(pick(p["iees"])))
 
-    def tamper(blob: bytes) -> bytes:
-        payload = json.loads(blob)
-        del payload["checksum"]
-        payload["iees"].append(pick(payload["iees"]))
-        payload["checksum"] = _checksum(payload)
-        return json.dumps(payload).encode()
 
-    return tamper
+# A (1+x)^2 code: generators 3 and 5 share the factor 1+x.
+_CATASTROPHIC = {"generators_octal": ["3", "5"], "v": 2, "ordering": [0, 1, 2, 3]}
 
 
 CORRUPTIONS = {
@@ -247,6 +245,12 @@ CORRUPTIONS = {
     "record-repeated": _append_record(lambda iees: iees[1]),
     # The zero loop then the weight-6 event: it passes through state 0 mid-event.
     "record-reducible": _append_record(lambda iees: {"state": 0, "inputs": "011000", "weight": 6}),
+    "record-dropped": _resign(lambda p: p["iees"].pop(1)),
+    "d_tilde-zero": _set_field("d_tilde", 0),
+    # Below the stored events' lengths.
+    "max_len-short": _set_field("max_len", 5),
+    "catastrophic-header": _resign(lambda p: p.update(_CATASTROPHIC, iees=p["iees"][:1])),
+    "records-swapped": _resign(lambda p: p["iees"].insert(2, p["iees"].pop(3))),
 }
 
 
