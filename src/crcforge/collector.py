@@ -8,15 +8,22 @@ one state, so collecting every IEE of output weight below a threshold
 d_tilde and length up to max_len once is enough to rebuild the complete
 bounded-weight codeword list for any trellis length N <= max_len.
 
-Collection is an exhaustive depth-first search per start state on the
-reduced state diagram, pruned on accumulated weight >= d_tilde and length
-> max_len. Two admissible lower bounds (cheapest remaining weight and
-shortest remaining length back to the start state, from a Dijkstra /
-BFS pass over the reduced diagram) cut provably dead branches early; they
-never change the collected set. The states are searched one after
-another on one thread. Catastrophic encoders are refused: they have
-zero-weight cycles away from state 0, so weight pruning alone would not
-bound the search.
+Collection is one exhaustive array search over the reduced state
+diagram from all start states at once, pruned on accumulated weight >=
+d_tilde and length > max_len. Two admissible lower bounds (cheapest
+remaining weight and shortest remaining length back to the start state,
+from a Dijkstra / BFS pass over the reduced diagram, held as (start state
+x state) tables) cut provably dead branches early; they never change the
+collected set. Frontier rows are numpy columns (start state, state,
+weight, and the inputs so far as uint64 limbs, as many as the depth
+needs), expanded one depth step at a time in blocks of at most _BLOCK
+rows, deepest block first. The rows waiting at any one depth are then at
+most two blocks, so the search's memory is bounded by max_len times the
+block size, not by the widest level of the search. Closures are sorted per
+start state by (weight, length, input bits) and become IEE tuples one
+state at a time. Catastrophic encoders are refused: they have zero-weight
+cycles away from state 0, so weight pruning alone would not bound the
+search.
 
 The collector is the one source of truth for a code's events. A saved
 database is JSON with a checksum; loading it re-runs the collection its
@@ -26,10 +33,14 @@ exactly that collection.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import heapq
 import json
+from itertools import repeat
 from typing import Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .encoder import ConvCode
 from .errors import CatastrophicEncoderError, DatabaseFormatError
@@ -43,6 +54,11 @@ __all__ = [
 ]
 
 DB_FORMAT_VERSION = 1
+# Frontier rows the collector expands per numpy step; it bounds the
+# search's memory to about max_len * 2 * _BLOCK rows.
+_BLOCK = 1 << 16
+# Array items per piece of the checksummed text.
+_CHECKSUM_SLICE = 1024
 # JSON type of each database field, in the order load_database unpacks them.
 _FIELD_TYPES = {
     "generators_octal": list,
@@ -111,39 +127,143 @@ def _return_bounds(
     return dijkstra(True), dijkstra(False)
 
 
-def _search_state(
-    code: ConvCode, sigma: int, blocked: frozenset[int], d_tilde: int, max_len: int
-) -> list[IEE]:
-    """All IEEs at sigma, sorted by (weight, length, input bits).
+def _bound_tables(
+    code: ConvCode, ordering: tuple[int, ...], d_tilde: int, max_len: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (start state x state) limits on a live frontier row.
 
-    Iterative DFS with an explicit stack; partial paths are carried as
-    packed ints so no undo bookkeeping is needed. An event is recorded
-    only when the walk returns to sigma, so it closes by construction.
+    A row of the search from sigma that has just stepped to state t, with
+    weight w at depth d, stays live iff w < allow_w[sigma * S + t] and
+    d <= allow_len[sigma * S + t]: only then can it still close under
+    d_tilde within max_len. Where _return_bounds gives inf (t is sigma,
+    blocked, or cannot get back) both limits are 0, which no row meets.
     """
-    ret_w, ret_len = _return_bounds(code, sigma, blocked)
-    found: list[IEE] = []
-    # Stack frames: (state, depth, weight, packed input bits so far).
-    stack: list[tuple[int, int, int, int]] = [(sigma, 0, 0, 0)]
-    next_state = code.next_state
-    branch_weight = code.branch_weight
+    inf = float("inf")
+    num = code.num_states
+    allow_w = np.zeros((num, num), dtype=np.int32)
+    allow_len = np.zeros((num, num), dtype=np.int32)
+    for i, sigma in enumerate(ordering):
+        ret_w, ret_len = _return_bounds(code, sigma, frozenset(ordering[:i]))
+        allow_w[sigma] = [0 if w == inf else d_tilde - w for w in ret_w]
+        allow_len[sigma] = [0 if n == inf else max_len - n for n in ret_len]
+    return allow_w.ravel(), allow_len.ravel()
+
+
+def _closures(
+    code: ConvCode, ordering: tuple[int, ...], d_tilde: int, max_len: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Every event of every state: (counts per start state, order, weight, length, limbs).
+
+    One search runs from all start states at once. A frontier block holds
+    rows of one depth as columns [start, state, weight, limb 0, ...]: int32
+    for the first three, and one uint64 limb per 64 input steps taken so
+    far (bit i of limb k = input at step 64k + i), so the limb width grows
+    with depth, not with max_len. Blocks are expanded depth first, at most
+    _BLOCK rows at a time, so no more than two blocks' worth of rows wait
+    at any depth. A row is recorded when it steps back to its start state
+    under d_tilde, and expanded further only while the return bounds leave
+    room for a closure. The zero loop of state 0 always closes, so there is
+    at least one event. The event columns come back unsorted, with the
+    order that sorts them by (start state, weight, length, input bits).
+    """
+    num = code.num_states
+    cap = int(np.iinfo(np.int32).max)  # weights and depths stay far below it
+    d_tilde, max_len = min(d_tilde, cap), min(max_len, cap)
+    allow_w, allow_len = _bound_tables(code, ordering, d_tilde, max_len)
+    steps = [
+        (
+            np.array([code.next_state(s, b) for s in range(num)], dtype=np.int32),
+            np.array([code.branch_weight(s, b) for s in range(num)], dtype=np.int32),
+        )
+        for b in (0, 1)
+    ]
+    roots = np.array(ordering, dtype=np.int32)
+    # Blocks (depth, columns); depth rises from the bottom of the stack to its top.
+    stack = [(0, [roots, roots, np.zeros(num, dtype=np.int32)])]
+    # Closures, one list of blocks per field, held in the narrowest dtypes
+    # that fit; a block's limbs are one list, its length one int.
+    narrow = [np.min_scalar_type(bound) for bound in (num - 1, d_tilde, max_len)]
+    starts: list[np.ndarray] = []
+    weights: list[np.ndarray] = []
+    lengths: list[int] = []
+    bits: list[list[np.ndarray]] = []
     while stack:
-        s, depth, weight, bits = stack.pop()
-        for b in (0, 1):
-            t = next_state(s, b)
-            w2 = weight + branch_weight(s, b)
-            if w2 >= d_tilde:
-                continue
-            d2 = depth + 1
-            if t == sigma:
-                if d2 <= max_len:
-                    found.append(IEE(w2, d2, bits | (b << depth), sigma))
-                continue
-            if t in blocked:
-                continue
-            if w2 + ret_w[t] >= d_tilde or d2 + ret_len[t] > max_len:
-                continue
-            stack.append((t, d2, w2, bits | (b << depth)))
-    return sorted(found)
+        depth, cols = stack.pop()
+        if len(cols[0]) > _BLOCK:
+            stack.append((depth, [col[_BLOCK:] for col in cols]))
+            cols = [col[:_BLOCK] for col in cols]
+        if depth % 64 == 0:
+            cols = cols + [np.zeros(len(cols[0]), dtype=np.uint64)]
+        start, state, weight, *limbs = cols
+        bit = np.uint64(1 << depth % 64)
+        children = []
+        for b, (next_state, branch_weight) in enumerate(steps):
+            t = next_state[state]
+            w = weight + branch_weight[state]
+            key = start * num + t
+            closed = np.flatnonzero((t == start) & (w < d_tilde))
+            live = np.flatnonzero((w < allow_w[key]) & (allow_len[key] > depth))
+            for rows in (closed, live):
+                if not len(rows):
+                    continue
+                taken = [limb[rows] for limb in limbs]
+                if b:
+                    taken[-1] |= bit
+                if rows is live:
+                    children.append([start[rows], t[rows], w[rows], *taken])
+                else:
+                    starts.append(start[rows].astype(narrow[0]))
+                    weights.append(w[rows].astype(narrow[1]))
+                    lengths.append(depth + 1)
+                    bits.append(taken)
+        if children:
+            stack.append((depth + 1, [np.concatenate(parts) for parts in zip(*children)]))
+
+    # Each list of blocks is dropped once joined, so the blocks and the
+    # joined columns are not both held through the sort.
+    sizes = [len(part) for part in starts]
+    start, weight = np.concatenate(starts), np.concatenate(weights)
+    del starts, weights
+    length = np.repeat(np.array(lengths, dtype=narrow[2]), sizes)
+    limbs = [
+        np.concatenate([block[k] if k < len(block) else np.zeros(len(block[0]), np.uint64) for block in bits])
+        for k in range(max(map(len, bits)))
+    ]
+    del bits
+    order = np.lexsort((*limbs, length, weight, start))
+    return np.bincount(start, minlength=num), order, weight, length, limbs
+
+
+def _per_state(
+    ordering: tuple[int, ...],
+    counts: np.ndarray,
+    order: np.ndarray,
+    weight: np.ndarray,
+    length: np.ndarray,
+    limbs: list[np.ndarray],
+) -> dict[int, tuple[IEE, ...]]:
+    """Each state's events as IEE tuples, from _closures' columns.
+
+    State s owns the counts[s] rows of order after those of the
+    lower-numbered states. They are read _BLOCK rows at a time, so no
+    Python list of a whole state's fields is held beside its tuples.
+    """
+    ends = np.cumsum(counts)
+    per_state = {}
+    for sigma in ordering:
+        begin, end = int(ends[sigma] - counts[sigma]), int(ends[sigma])
+        events: list[IEE] = []
+        for lo in range(begin, end, _BLOCK):
+            rows = order[lo : min(lo + _BLOCK, end)]
+            inputs = limbs[0][rows].tolist()
+            for k, limb in enumerate(limbs[1:], 1):
+                high = limb[rows]
+                nonzero = np.flatnonzero(high)
+                for i, h in zip(nonzero.tolist(), high[nonzero].tolist()):
+                    inputs[i] |= h << 64 * k
+            events += map(IEE._make, zip(weight[rows].tolist(), length[rows].tolist(), inputs, repeat(sigma)))
+        per_state[sigma] = tuple(events)
+    return per_state
 
 
 class IEEDatabase:
@@ -223,7 +343,7 @@ def collect_iees(
 
     ``ordering`` defaults to natural state order 0..2^v-1, which keeps the
     zero-weight self-loop (state 0, input 0) as the padding event of the
-    first partition class. The per-state searches run one after another;
+    first partition class. One array search covers every start state;
     ``threads`` is accepted for compatibility and ignored.
     """
     if code.is_catastrophic:
@@ -242,10 +362,17 @@ def collect_iees(
     if sorted(ordering) != list(range(code.num_states)):
         raise ValueError("ordering must be a permutation of all states")
 
-    per_state = {
-        sigma: tuple(_search_state(code, sigma, frozenset(ordering[:i]), d_tilde, max_len))
-        for i, sigma in enumerate(ordering)
-    }
+    columns = _closures(code, ordering, d_tilde, max_len)
+    # The tuples hold no references, yet building them in bulk would set off
+    # full collections that walk every tuple built so far (and, in a load,
+    # the parsed file).
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        per_state = _per_state(ordering, *columns)
+    finally:
+        if was_enabled:
+            gc.enable()
     return IEEDatabase(code.generators_octal, code.v, ordering, d_tilde, max_len, per_state)
 
 
@@ -267,9 +394,35 @@ def _payload(db: IEEDatabase) -> dict:
     }
 
 
+def _canonical_pieces(value) -> Iterator[str]:
+    """json.dumps(value, sort_keys=True, separators=(",", ":")), in pieces.
+
+    Objects are written key by key in sorted order and long arrays
+    _CHECKSUM_SLICE items at a time, so no piece is the whole text of a
+    large database. Object keys must be strings, as in any parsed file.
+    """
+    if isinstance(value, dict):
+        yield "{"
+        for i, key in enumerate(sorted(value)):
+            yield ("," if i else "") + json.dumps(key) + ":"
+            yield from _canonical_pieces(value[key])
+        yield "}"
+    elif isinstance(value, list) and len(value) > _CHECKSUM_SLICE:
+        yield "["
+        for i in range(0, len(value), _CHECKSUM_SLICE):
+            text = json.dumps(value[i : i + _CHECKSUM_SLICE], sort_keys=True, separators=(",", ":"))
+            yield ("," if i else "") + text[1:-1]
+        yield "]"
+    else:
+        yield json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def _checksum(payload: dict) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+    """sha256 of the payload's compact, key-sorted JSON text."""
+    digest = hashlib.sha256()
+    for piece in _canonical_pieces(payload):
+        digest.update(piece.encode())
+    return digest.hexdigest()
 
 
 def save_database(db: IEEDatabase, path) -> None:

@@ -98,11 +98,16 @@ def _skeletons_for_state(
     best_fill: list[float] | None = None
     if zero_index is None:
         inf = float("inf")
+        # The fill only takes minima, so the cheapest event of each length
+        # stands for all events of that length.
+        cheapest: dict[int, int] = {}
+        for _i, el, ew in events:
+            cheapest.setdefault(el, ew)  # events ascend by weight
         fill = [inf] * (l_max + 1)
         fill[0] = 0.0
         for r in range(1, l_max + 1):
             best = inf
-            for _i, el, ew in events:
+            for el, ew in cheapest.items():
                 if el > r:
                     continue
                 c = fill[r - el] + ew

@@ -1,11 +1,19 @@
+import gc
+import hashlib
 import json
+import math
+from unittest import mock
 
 import pytest
 from conftest import path_words
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from crcforge import collector
 from crcforge.cli import main
 from crcforge.collector import (
     IEE,
+    _canonical_pieces,
     _checksum,
     collect_iees,
     load_database,
@@ -18,6 +26,7 @@ from crcforge.errors import (
     CrcforgeError,
     DatabaseFormatError,
 )
+from crcforge.gf2 import GF2Poly
 from crcforge.oracle import brute_force_iees
 from crcforge.reconstructor import build_tables, expand_and_dedup
 
@@ -90,6 +99,62 @@ class TestCollectedSet:
         for s in range(code.num_states):
             ref = brute_force_iees(code, s, d_tilde, max_len)
             assert list(db.per_state[s]) == ref, f"state {s}"
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_random_codes_match_brute_force(self, data):
+        v = data.draw(st.integers(1, 4), label="v")
+        # Two taps of degree <= v, at least one of degree v, sharing no factor but x.
+        taps = data.draw(
+            st.tuples(st.integers(1, (2 << v) - 1), st.integers(1, (2 << v) - 1))
+            .filter(lambda g: max(g).bit_length() == v + 1)
+            .map(lambda g: [GF2Poly(x) for x in g])
+            .filter(lambda g: not ConvCode(g, v).is_catastrophic),
+            label="taps",
+        )
+        code = ConvCode(taps, v)
+        ordering = data.draw(st.permutations(range(code.num_states)), label="ordering")
+        d_tilde = data.draw(st.integers(1, 10), label="d_tilde")
+        max_len = data.draw(st.integers(1, 14), label="max_len")
+        db = collect_iees(code, d_tilde, max_len, ordering)
+        for s in ordering:
+            assert list(db.per_state[s]) == brute_force_iees(code, s, d_tilde, max_len, ordering), s
+
+    def test_events_longer_than_two_limbs(self, tmp_path):
+        # Input bits take a second uint64 limb past 64 steps and a third past 128.
+        db = collect_iees(ConvCode(["3", "2"], 1), 140, 200)
+        lengths = [e.length for e in db.iees()]
+        assert (len(lengths), sum(n > 64 for n in lengths), sum(n > 128 for n in lengths)) == (139, 74, 10)
+        assert all(verify_iee(db, e) for e in db.iees())
+        path = tmp_path / "db.json"
+        save_database(db, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "c5ebd3b6948be7a12761c57f7a5b515b5dca696ca41b5603df385a7186ca5286"
+        )
+
+    @pytest.mark.parametrize(
+        "gens,v,d_tilde,max_len,ordering,events",
+        [
+            (["13", "17"], 3, 16, 70, [0, 1, 6, 2, 7, 5, 3, 4], 4053),
+            (["133", "171"], 6, 14, 74, list(range(16)) + [
+                55, 49, 30, 31, 26, 62, 27, 32, 47, 52, 56, 58, 44, 24, 16, 38, 35, 28, 61, 40, 37, 63, 45, 54,
+                34, 17, 51, 33, 46, 23, 60, 42, 43, 21, 18, 29, 48, 59, 53, 39, 22, 50, 20, 19, 57, 41, 25, 36,
+            ], 6779),
+        ],
+    )
+    def test_small_blocks_change_nothing(self, monkeypatch, gens, v, d_tilde, max_len, ordering, events):
+        # The orderings are the benchmark's seed-7 ones.
+        code = ConvCode(gens, v)
+        default = collect_iees(code, d_tilde, max_len, ordering)
+        monkeypatch.setattr(collector, "_BLOCK", 7)
+        assert collect_iees(code, d_tilde, max_len, ordering) == default
+        assert default.num_iees == events
+
+    def test_huge_max_len(self, code):
+        # Limbs follow the depth reached, not max_len; every event here is short.
+        db = collect_iees(code, 12, 100_000)
+        assert db.num_iees == 357
+        assert db.per_state == collect_iees(code, 12, 22).per_state
 
     def test_threads_do_not_change_result(self, code):
         serial = collect_iees(code, 7, 10, threads=1)
@@ -182,6 +247,45 @@ class TestSaveLoad:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatabaseFormatError):
             load_database(tmp_path / "nope.json")
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_gc_state_kept(self, db7, tmp_path, enabled):
+        good, corrupt = tmp_path / "good.json", tmp_path / "corrupt.json"
+        save_database(db7, good)
+        corrupt.write_bytes(_set_field("d_tilde", 0)(good.read_bytes()))
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert load_database(good) == db7
+            assert gc.isenabled() is enabled
+            with pytest.raises(DatabaseFormatError):
+                load_database(corrupt)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.text(), inner, max_size=6),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_JSON, st.integers(1, 4))
+def test_canonical_pieces_join_to_dumps(value, slice_items):
+    # Slices of 1 to 4 items make most lists longer than one slice.
+    with mock.patch.object(collector, "_CHECKSUM_SLICE", slice_items):
+        joined = "".join(_canonical_pieces(value))
+    assert joined == json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def test_canonical_pieces_at_full_slice():
+    value = {"é": [math.nan, -0.0, {}, []], "iees": [{"w": i, "s": "x" * (i % 3)} for i in range(2500)]}
+    pieces = list(_canonical_pieces(value))
+    assert "".join(pieces) == json.dumps(value, sort_keys=True, separators=(",", ":"))
+    assert max(map(len, pieces)) < len("".join(pieces)) // 2
 
 
 def _flip_high_bit(blob: bytes) -> bytes:
