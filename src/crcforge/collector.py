@@ -426,12 +426,29 @@ def _checksum(payload: dict) -> str:
 
 
 def save_database(db: IEEDatabase, path) -> None:
-    """Write the database as self-describing JSON with an integrity hash."""
+    """Write the database as self-describing JSON with an integrity hash.
+
+    The text is what json.dump(payload, fh, indent=1) writes, plus a
+    newline. Only the header fields go through json, whose indented output
+    uses the pure-Python encoder; each record is one format string, as its
+    inputs are a 0/1 string that needs no escaping.
+    """
     payload = _payload(db)
-    payload["checksum"] = _checksum({k: v for k, v in payload.items()})
+    payload["checksum"] = _checksum(payload)
     with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        for i, (key, value) in enumerate(payload.items()):
+            fh.write(("," if i else "{") + f"\n {json.dumps(key)}: ")
+            if key == "iees" and value:
+                fh.write("[")
+                fh.writelines(
+                    f'{"," if k else ""}\n  {{\n   "state": {r["state"]},\n   "inputs": "{r["inputs"]}",'
+                    f'\n   "weight": {r["weight"]}\n  }}'
+                    for k, r in enumerate(value)
+                )
+                fh.write("\n ]")
+            else:
+                fh.write(json.dumps(value, indent=1).replace("\n", "\n "))
+        fh.write("\n}\n")
 
 
 def load_database(path) -> IEEDatabase:

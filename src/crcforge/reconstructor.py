@@ -13,12 +13,15 @@ gives the normal form used here:
 The (skeleton, gaps, t*) triple is in bijection with the paths of the
 partition class: cutting any length-N word at the event block covering
 time N-1 recovers exactly one triple, periodic words included. Expansion
-therefore emits every path exactly once with no dedup hashing. Python
-builds one base word per (skeleton, gaps) pair, the word with t* = 0, on
-a row of ceil(N/64) uint64 limbs; the path set keeps these base words
-with their rotation counts len_j + g_j and weights, and the rows
-rot^r(base), r < len_j + g_j, stay implied. States other than 0 have no
-zero loop, so their skeletons must fill the length budget exactly.
+therefore emits every path exactly once with no dedup hashing. Each
+(skeleton, gaps) pair gives one base word, the word with t* = 0, on a
+row of ceil(N/64) uint64 limbs. numpy builds them a group at a time: the
+skeletons of one state with j events and gap total G = N - length are
+crossed with the weak compositions of G into j gaps, and each event's
+limbs are shifted to its start and ORed into place. The path set keeps
+the base words with their rotation counts len_j + g_j and weights, and
+the rows rot^r(base), r < len_j + g_j, stay implied. States other than 0
+have no zero loop, so their skeletons must fill the length budget exactly.
 
 The uniqueness guard never emits a row. Each base word sits on the cycle
 of its necklace (its least rotation, of period p dividing N) and its
@@ -33,7 +36,9 @@ gigabytes.
 
 from __future__ import annotations
 
+import itertools
 import math
+from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -212,8 +217,9 @@ def _base_words(table: WeightLengthTable, N: int) -> Iterator[tuple[int, int, in
 
     The base word starts its first event at time 0; the path set of the
     composition is its first `rotation count` = len_j + g_j rotations, one
-    step later in time each. This is the one statement of the bijection in
-    the module docstring, read by both iter_state_paths and expand_and_dedup.
+    step later in time each. This is the bijection of the module docstring
+    one word at a time, read by iter_state_paths, the per-class reference;
+    _state_bases builds the same words in the same order with numpy.
     """
     padded = table.zero_index is not None
     for sk in table.skeletons:
@@ -242,24 +248,22 @@ def iter_state_paths(tables: ReconstructionTables, state: int) -> Iterator[tuple
             word = ((word << 1) | (word >> (N - 1))) & mask
 
 
-def _rotate_limbs(limbs: np.ndarray, N: int) -> np.ndarray:
-    """Every N-bit limb row rotated one step later in time: (w << 1) | (w >> (N-1))."""
-    top = limbs.shape[1] - 1
-    out = limbs << np.uint64(1)
-    out[:, 1:] |= limbs[:, :-1] >> np.uint64(63)
-    out[:, 0] |= (limbs[:, top] >> np.uint64((N - 1) % 64)) & np.uint64(1)
-    out[:, top] &= np.uint64((1 << (N - 64 * top)) - 1)
-    return out
+def _rotate(words: np.ndarray, N: int, spare: np.ndarray) -> None:
+    """Rotate every N-bit word one step later in time, in place.
 
-
-def _compare_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(a < b, a == b) row by row for limb rows, the high limb compared first."""
-    less = np.zeros(len(a), dtype=bool)
-    same = np.ones(len(a), dtype=bool)
-    for i in reversed(range(a.shape[1])):
-        less |= same & (a[:, i] < b[:, i])
-        same &= a[:, i] == b[:, i]
-    return less, same
+    words holds one contiguous row per uint64 limb, low limb first, one
+    column per word; each word becomes (w << 1) | (w >> (N-1)). spare is
+    a scratch row of the same length.
+    """
+    top = len(words) - 1
+    np.right_shift(words[top], (N - 1) % 64, out=spare)  # bit N-1, the wrap
+    for i in range(top, 0, -1):
+        np.left_shift(words[i], 1, out=words[i])
+        words[i] |= words[i - 1] >> np.uint64(63)
+    np.left_shift(words[0], 1, out=words[0])
+    words[0] |= spare
+    if N % 64:
+        words[top] &= np.uint64((1 << (N % 64)) - 1)
 
 
 def _necklaces(bases: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -267,19 +271,34 @@ def _necklaces(bases: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray, np.nd
 
     rot^k(b) is the least of the N rotations of b, the first on ties. The
     period p, the least p > 0 with rot^p(b) == b, divides N, and the least
-    rotation comes round N/p times in N steps; so k < p.
+    rotation comes round N/p times in N steps; so k < p. The least
+    rotations come back one row per limb, low limb first (shape
+    (limbs, bases)); bases itself is left as it is.
     """
-    least = bases.copy()
+    cur = bases.T.copy()
+    least = cur.copy()
+    top = len(cur) - 1
     offset = np.zeros(len(bases), dtype=np.int64)
     repeats = np.ones(len(bases), dtype=np.int64)
-    cur = bases
+    spare = np.empty(len(bases), dtype=np.uint64)
+    less = np.empty(len(bases), dtype=bool)
+    same = np.empty(len(bases), dtype=bool)
+    step = np.empty(len(bases), dtype=bool)
     for r in range(1, N):
-        cur = _rotate_limbs(cur, N)
-        less, same = _compare_rows(cur, least)
-        least[less] = cur[less]
-        offset[less] = r
+        _rotate(cur, N, spare)
+        # less, same: cur < least, cur == least, the high limb deciding first.
+        np.less(cur[top], least[top], out=less)
+        np.equal(cur[top], least[top], out=same)
+        for i in range(top - 1, -1, -1):
+            np.less(cur[i], least[i], out=step)
+            step &= same
+            less |= step
+            np.equal(cur[i], least[i], out=step)
+            same &= step
+        np.copyto(least, cur, where=less)
+        np.copyto(offset, r, where=less)
         repeats += same
-        repeats[less] = 1
+        np.copyto(repeats, 1, where=less)
     return least, offset, N // repeats
 
 
@@ -297,12 +316,12 @@ def _overlapping_arcs(bases: np.ndarray, counts: np.ndarray, N: int) -> int:
         return 0
     least, offset, period = _necklaces(bases, N)
     start = -offset % period
-    order = np.lexsort((start,) + tuple(least.T))
-    least, start, period = least[order], start[order], period[order]
+    order = np.lexsort((start, *least))
+    least, start, period = least[:, order], start[order], period[order]
     end = start + counts[order]
     # new[i]: arc i opens its necklace's run, new[i + 1]: arc i closes it.
     new = np.ones(len(order) + 1, dtype=bool)
-    new[1:-1] = (least[1:] != least[:-1]).any(axis=1)
+    new[1:-1] = (least[:, 1:] != least[:, :-1]).any(axis=0)
     first = np.maximum.accumulate(np.where(new[:-1], np.arange(len(order)), 0))
     nxt = np.empty_like(start)
     nxt[:-1] = start[1:]
@@ -344,26 +363,111 @@ class TBPathSet:
         return f"TBPathSet(N={self.N}, d_tilde={self.d_tilde}, paths={len(self)})"
 
 
+def _composition_table(total: int, parts: int) -> np.ndarray:
+    """The rows of _compositions(total, parts), in its order, as one array."""
+    table = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([total], dtype=np.int64)
+    for _ in range(parts - 1):
+        # Each prefix is followed by every head 0..left in turn.
+        width = left + 1
+        head = np.arange(int(width.sum())) - np.repeat(np.cumsum(width) - width, width)
+        table = np.column_stack((np.repeat(table, width, axis=0), head))
+        left = np.repeat(left, width) - head
+    return np.column_stack((table, left))
+
+
+def _shift_left(words: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """words << shift row by row, on rows of little-endian uint64 limbs.
+
+    Each row has its own shift; bits pushed past the last limb are lost.
+    """
+    limbs = words.shape[1]
+    whole = shift >> 6
+    if whole.any():
+        src = np.arange(limbs) - whole[:, None]
+        words = np.take_along_axis(words, np.maximum(src, 0), axis=1)
+        words[src < 0] = 0
+    bits = (shift & 63).astype(np.uint64)[:, None]
+    out = words << bits
+    # The carry from the limb below is w >> (64 - bits). numpy leaves a
+    # shift by 64 undefined, so it takes two steps, which give 0 at bits = 0.
+    out[:, 1:] |= (words[:, :-1] >> np.uint64(1)) >> (np.uint64(63) - bits)
+    return out
+
+
+def _state_bases(table: WeightLengthTable, N: int, limbs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(bases, rotation counts, weights) of one state, in _base_words order.
+
+    The skeletons are grouped by (event count j, gap total G = N - length).
+    A group crosses its skeletons with the weak compositions of G into j
+    gaps, places each event after the events and gaps before it, and
+    writes its rows where _base_words yields them: skeleton order, then
+    composition order.
+    """
+    padded = table.zero_index is not None
+    skeletons = table.skeletons if padded else [sk for sk in table.skeletons if sk.length == N]
+    if not skeletons:
+        empty = np.zeros(0, dtype=np.int64)
+        return np.zeros((0, limbs), dtype=np.uint64), empty, empty.astype(np.uint32)
+    events, sk_lengths, sk_weights, _last = zip(*skeletons)
+    parts = np.fromiter(map(len, events), dtype=np.int64, count=len(events))
+    # The events of skeleton a are flat[event_first[a] : event_first[a] + parts[a]].
+    flat = np.fromiter(itertools.chain.from_iterable(events), dtype=np.int32, count=int(parts.sum()))
+    event_first = np.cumsum(parts) - parts
+    gap_total = N - np.array(sk_lengths, dtype=np.int64)
+    key = parts * (N + 1) + gap_total
+    by_key = np.argsort(key, kind="stable")
+    groups = np.split(by_key, np.flatnonzero(np.diff(key[by_key])) + 1)
+    comps = [_composition_table(int(gap_total[g[0]]), int(parts[g[0]])) for g in groups]
+    sizes = np.empty(len(skeletons), dtype=np.int64)
+    for members, comp in zip(groups, comps):
+        sizes[members] = len(comp)
+    first = np.cumsum(sizes) - sizes
+    total = int(sizes.sum())
+    bases = np.empty((total, limbs), dtype=np.uint64)
+    counts = np.empty(total, dtype=np.int64)
+    weights = np.repeat(np.array(sk_weights, dtype=np.uint32), sizes)
+
+    iees = table.iees
+    lengths = np.fromiter(map(attrgetter("length"), iees), dtype=np.int32, count=len(iees))
+    packed = np.fromiter(map(attrgetter("input_bits"), iees), dtype=object, count=len(iees))
+    # Events longer than N sit in no skeleton; their high bits are cut off.
+    bits = np.zeros((len(iees), limbs), dtype=np.uint64)
+    for t in range(min(limbs, -(-int(lengths.max()) // 64))):
+        bits[:, t] = ((packed >> (64 * t)) & 0xFFFFFFFFFFFFFFFF).astype(np.uint64)
+
+    for members, comp in zip(groups, comps):
+        sk_events = flat[event_first[members][:, None] + np.arange(comp.shape[1])]
+        lens = lengths[sk_events]
+        gaps = (np.cumsum(comp, axis=1) - comp).astype(np.int32)
+        # Event k starts after the events and gaps before it; event 0 at time 0.
+        start = ((np.cumsum(lens, axis=1) - lens)[:, None, :] + gaps).reshape(-1, comp.shape[1])
+        word = bits[np.repeat(sk_events[:, 0], len(comp))]
+        for k in range(1, comp.shape[1]):
+            word |= _shift_left(bits[np.repeat(sk_events[:, k], len(comp))], start[:, k])
+        rows = (first[members][:, None] + np.arange(len(comp))).ravel()
+        bases[rows] = word
+        counts[rows] = (lens[:, -1][:, None] + comp[:, -1]).ravel()
+    return bases, counts, weights
+
+
 def expand_and_dedup(tables: ReconstructionTables, N: int) -> TBPathSet:
     """Build one base word per gap composition and check the rows are distinct.
 
     The base order is deterministic (state ordering, then skeleton order,
-    then gap compositions). The uniqueness guard checks the rotation arcs
-    of the bases on their necklaces (_overlapping_arcs), without emitting
-    a row.
+    then gap compositions), the order of _base_words. The uniqueness guard
+    checks the rotation arcs of the bases on their necklaces
+    (_overlapping_arcs), without emitting a row.
     """
     if N != tables.N:
         raise ValueError(f"tables were built for N={tables.N}, asked to expand N={N}")
     limbs = (N + 63) // 64
-    comps = [c for sigma in tables.ordering for c in _base_words(tables.per_state[sigma], N)]
-    blob = b"".join(base.to_bytes(8 * limbs, "little") for base, _c, _w in comps)
-    bases = np.frombuffer(blob, dtype="<u8").reshape(len(comps), limbs)
-    counts = np.array([c for _b, c, _w in comps], dtype=np.int64)
-    weights = np.array([w for _b, _c, w in comps], dtype=np.uint32)
+    parts = [_state_bases(tables.per_state[sigma], N, limbs) for sigma in tables.ordering]
+    bases, counts, weights = (np.concatenate(column) for column in zip(*parts))
     overlaps = _overlapping_arcs(bases, counts, N)
     if overlaps:
         raise RuntimeError(
-            f"{len(comps)} base words stand for {int(counts.sum())} words, but {overlaps} "
+            f"{len(bases)} base words stand for {int(counts.sum())} words, but {overlaps} "
             "of their rotation arcs overlap the next on their necklace; "
             "bijection invariant broken"
         )

@@ -1,7 +1,18 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from crcforge import ConvCode, build_tables, collect_iees, expand_and_dedup
+from crcforge.gf2 import GF2Poly
+
+# CI runs with HYPOTHESIS_PROFILE=ci: the same examples on every run, so a
+# failure there reproduces, and no deadline, so a slow shared runner
+# cannot fail a property on timing. Local runs keep the default profile.
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def rotations(bases, counts, N):
@@ -16,6 +27,19 @@ def rotations(bases, counts, N):
         for _ in range(count):
             yield word
             word = ((word << 1) | (word >> (N - 1))) & mask
+
+
+def rate_half_codes(max_v):
+    """Random non-catastrophic rate-1/2 codes of memory 1..max_v.
+
+    Two taps of degree <= v, at least one of degree v, sharing no factor but x.
+    """
+    return st.integers(1, max_v).flatmap(
+        lambda v: st.tuples(st.integers(1, (2 << v) - 1), st.integers(1, (2 << v) - 1))
+        .filter(lambda g: max(g).bit_length() == v + 1)
+        .map(lambda g: ConvCode([GF2Poly(x) for x in g], v))
+        .filter(lambda code: not code.is_catastrophic)
+    )
 
 
 def path_words(paths):

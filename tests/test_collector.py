@@ -5,7 +5,7 @@ import math
 from unittest import mock
 
 import pytest
-from conftest import path_words
+from conftest import path_words, rate_half_codes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +26,6 @@ from crcforge.errors import (
     CrcforgeError,
     DatabaseFormatError,
 )
-from crcforge.gf2 import GF2Poly
 from crcforge.oracle import brute_force_iees
 from crcforge.reconstructor import build_tables, expand_and_dedup
 
@@ -103,16 +102,7 @@ class TestCollectedSet:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_random_codes_match_brute_force(self, data):
-        v = data.draw(st.integers(1, 4), label="v")
-        # Two taps of degree <= v, at least one of degree v, sharing no factor but x.
-        taps = data.draw(
-            st.tuples(st.integers(1, (2 << v) - 1), st.integers(1, (2 << v) - 1))
-            .filter(lambda g: max(g).bit_length() == v + 1)
-            .map(lambda g: [GF2Poly(x) for x in g])
-            .filter(lambda g: not ConvCode(g, v).is_catastrophic),
-            label="taps",
-        )
-        code = ConvCode(taps, v)
+        code = data.draw(rate_half_codes(4), label="code")
         ordering = data.draw(st.permutations(range(code.num_states)), label="ordering")
         d_tilde = data.draw(st.integers(1, 10), label="d_tilde")
         max_len = data.draw(st.integers(1, 14), label="max_len")
@@ -191,6 +181,16 @@ class TestCollectedSet:
 
 
 class TestSaveLoad:
+    @pytest.mark.parametrize("d_tilde,max_len", [(7, 8), (1, 10), (12, 70)])
+    def test_text_is_indented_json(self, code, tmp_path, d_tilde, max_len):
+        # The records are written without the json encoder, byte for byte as it would.
+        db = collect_iees(code, d_tilde, max_len)
+        payload = collector._payload(db)
+        payload["checksum"] = _checksum(payload)
+        path = tmp_path / "db.json"
+        save_database(db, path)
+        assert path.read_bytes() == (json.dumps(payload, indent=1) + "\n").encode()
+
     def test_roundtrip(self, db7, tmp_path):
         path = tmp_path / "db.json"
         save_database(db7, path)

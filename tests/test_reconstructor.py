@@ -2,7 +2,9 @@ import random
 
 import numpy as np
 import pytest
-from conftest import path_words, rotations
+from conftest import path_words, rate_half_codes, rotations
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crcforge import reconstructor
 from crcforge.collector import collect_iees
@@ -15,6 +17,17 @@ from crcforge.reconstructor import (
     growth_profile,
     iter_state_paths,
 )
+
+
+@st.composite
+def _expansions(draw):
+    """(code, N, d_tilde, ordering): a random rate-1/2 code of memory <= 4
+    at a length of one to three limbs, the limb boundaries included."""
+    code = draw(rate_half_codes(4))
+    N = draw(st.sampled_from([n for n in (*range(1, 13), 63, 64, 65, 127, 128, 129) if n >= code.v]))
+    d_tilde = draw(st.integers(1, 9))
+    ordering = draw(st.permutations(range(code.num_states)))
+    return code, N, d_tilde, ordering
 
 
 @pytest.fixture(scope="module")
@@ -122,18 +135,54 @@ class TestExpansion:
 
     def test_rotation_helper_against_int_rotation(self):
         # One step later in time is ((w << 1) | (w >> (N-1))) & mask, with
-        # the carries across limb boundaries and the wrap of bit N-1.
-        for N in (11, 64, 65):
+        # the carries across limb boundaries and the wrap of bit N-1; the
+        # words rotate in place, three steps in a row.
+        for N in (1, 11, 63, 64, 65, 128, 129):
             rng = random.Random(N)
             mask = (1 << N) - 1
             words = [1, 1 << (N - 1), mask, 0] + [rng.getrandbits(N) for _ in range(200)]
-            width = (N + 63) // 64
-            blob = b"".join(w.to_bytes(8 * width, "little") for w in words)
-            limbs = np.frombuffer(blob, dtype="<u8").reshape(len(words), width)
-            rotated = reconstructor._rotate_limbs(limbs, N)
-            for word, row in zip(words, rotated):
-                expect = ((word << 1) | (word >> (N - 1))) & mask
-                assert int.from_bytes(row.tobytes(), "little") == expect, (N, word)
+            limbs = _limb_rows(words, N).T.copy()
+            for step in range(1, 4):
+                reconstructor._rotate(limbs, N, np.empty(len(words), dtype=np.uint64))
+                words = [((w << 1) | (w >> (N - 1))) & mask for w in words]
+                assert _row_words(limbs.T) == words, (N, step)
+
+    @pytest.mark.parametrize("N", [5, 64, 65, 128, 129, 192])
+    def test_shift_left_against_int_shift(self, N):
+        # Per-row shifts, whole-limb shifts included, where numpy leaves a
+        # shift by 64 undefined; the word stays within N bits.
+        rng = random.Random(N)
+        words, shifts = [], []
+        for shift in list(range(0, N, 64)) + list(range(N)) + [rng.randrange(N) for _ in range(100)]:
+            words.append(rng.getrandbits(N - shift) | (1 << (N - shift - 1)))
+            shifts.append(shift)
+        shifted = reconstructor._shift_left(_limb_rows(words, N), np.array(shifts, dtype=np.int32))
+        assert _row_words(shifted) == [w << s for w, s in zip(words, shifts)]
+
+    @pytest.mark.parametrize("total,parts", [(0, 1), (5, 1), (0, 3), (4, 2), (3, 4), (7, 3)])
+    def test_composition_table(self, total, parts):
+        table = reconstructor._composition_table(total, parts)
+        assert [tuple(row) for row in table.tolist()] == list(reconstructor._compositions(total, parts))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_expansions())
+    @example((ConvCode(["3", "2"], 1), 129, 6, [1, 0]))
+    @example((ConvCode(["3", "2"], 1), 129, 9, [0, 1]))
+    @example((ConvCode(["13", "17"], 3), 65, 9, [3, 1, 0, 2, 4, 5, 6, 7]))
+    def test_builder_matches_base_words(self, case):
+        # The numpy build against the per-composition generator, one state
+        # after another: the same bases, rotation counts and weights in the
+        # same order, for words of one to three limbs. A state first in the
+        # ordering other than 0 has no zero loop but long events through
+        # state 0, so it fills lengths past a limb too.
+        code, N, d_tilde, ordering = case
+        tables = build_tables(collect_iees(code, d_tilde, N, ordering), N, d_tilde)
+        paths = expand_and_dedup(tables, N)
+        ref = [c for s in tables.ordering for c in reconstructor._base_words(tables[s], N)]
+        assert _row_words(paths.bases) == [base for base, _c, _w in ref]
+        assert paths.counts.tolist() == [c for _b, c, _w in ref]
+        assert paths.base_weights.tolist() == [w for _b, _c, w in ref]
+        assert paths.bases.shape == (len(ref), (N + 63) // 64) and paths.bases.dtype == np.uint64
 
     @pytest.mark.parametrize(
         "gens,v,d_tilde,max_len,N",
@@ -183,6 +232,18 @@ class TestExpansion:
         assert len(paths70) - len(low) == 539971
 
 
+def _limb_rows(words, N):
+    """Python-int words as rows of ceil(N/64) little-endian uint64 limbs."""
+    width = (N + 63) // 64
+    blob = b"".join(w.to_bytes(8 * width, "little") for w in words)
+    return np.frombuffer(blob, dtype="<u8").reshape(len(words), width).copy()
+
+
+def _row_words(rows):
+    """The limb rows of a (words, limbs) uint64 array as Python ints."""
+    return [int.from_bytes(row.tobytes(), "little") for row in np.ascontiguousarray(rows)]
+
+
 def _rows_distinct(bases, counts, N):
     words = list(rotations(bases, counts, N))
     return len(set(words)) == len(words)
@@ -229,21 +290,50 @@ class TestArcGuard:
             paths = expand_and_dedup(build_tables(db, N, db.d_tilde), N)
             _least, _offset, period = reconstructor._necklaces(paths.bases, N)
             assert (period < N).any(), N
+            _check_necklaces(_row_words(paths.bases), N)
             assert _rows_distinct(paths.bases, paths.counts, N)
             for b in np.flatnonzero(period < N):
                 stretched = paths.counts.copy()
                 stretched[b] = period[b] + 1
                 assert reconstructor._overlapping_arcs(paths.bases, stretched, N) > 0
 
-    def test_raises_through_expansion(self, db7, monkeypatch):
-        def stretched(table, N):
-            for word, count, w in base_words(table, N):
-                yield word, count + 1, w
+    @pytest.mark.parametrize("N", [1, 2, 4, 5, 6, 11, 63, 64, 65, 128, 129])
+    def test_necklaces_against_int_rotations(self, N):
+        # Random words, words of every period dividing N, and the zero and
+        # all-ones words, each against its N rotations as Python ints.
+        rng = random.Random(N)
+        words = [0, (1 << N) - 1] + [rng.getrandbits(N) for _ in range(100)]
+        for p in (p for p in range(1, N) if N % p == 0):
+            words += [rng.getrandbits(p) * ((1 << N) - 1) // ((1 << p) - 1) for _ in range(4)]
+        _check_necklaces(words, N)
 
-        base_words = reconstructor._base_words
-        monkeypatch.setattr(reconstructor, "_base_words", stretched)
+    def test_raises_through_expansion(self, db7, monkeypatch):
+        # Every rotation count stretched by one between the build and the guard.
+        def stretched(table, N, limbs):
+            bases, counts, weights = state_bases(table, N, limbs)
+            return bases, counts + 1, weights
+
+        state_bases = reconstructor._state_bases
+        monkeypatch.setattr(reconstructor, "_state_bases", stretched)
         with pytest.raises(RuntimeError, match="bijection invariant broken"):
             expand_and_dedup(build_tables(db7, 12, 7), 12)
+
+
+def _check_necklaces(words, N):
+    # The one-limb array is already contiguous per limb: rotating it in
+    # place would rewrite the caller's bases, so they must come back as given.
+    mask = (1 << N) - 1
+    bases = _limb_rows(words, N)
+    given_bases = bases.copy()
+    least, offset, period = reconstructor._necklaces(bases, N)
+    assert np.array_equal(bases, given_bases)
+    assert least.shape == bases.T.shape
+    for i, (word, got) in enumerate(zip(words, _row_words(least.T))):
+        rots = [((word << r) | (word >> (N - r))) & mask for r in range(N)]
+        lowest = min(rots)
+        assert got == lowest, (N, word)
+        assert offset[i] == rots.index(lowest), (N, word)
+        assert period[i] == min(p for p in range(1, N + 1) if rots[p % N] == word), (N, word)
 
 
 class TestGrowthProfile:
