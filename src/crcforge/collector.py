@@ -381,19 +381,6 @@ def _record(e: IEE) -> dict:
     return {"state": e.start_state, "inputs": f"{e.input_bits:0{e.length}b}"[::-1], "weight": e.weight}
 
 
-def _payload(db: IEEDatabase) -> dict:
-    return {
-        "format_version": DB_FORMAT_VERSION,
-        "generators_octal": list(db.generators_octal),
-        "v": db.v,
-        "n": db.n,
-        "ordering": list(db.ordering),
-        "d_tilde": db.d_tilde,
-        "max_len": db.max_len,
-        "iees": [_record(e) for e in db.iees()],
-    }
-
-
 def _canonical_pieces(value) -> Iterator[str]:
     """json.dumps(value, sort_keys=True, separators=(",", ":")), in pieces.
 
@@ -429,26 +416,43 @@ def save_database(db: IEEDatabase, path) -> None:
     """Write the database as self-describing JSON with an integrity hash.
 
     The text is what json.dump(payload, fh, indent=1) writes, plus a
-    newline. Only the header fields go through json, whose indented output
-    uses the pure-Python encoder; each record is one format string, as its
-    inputs are a 0/1 string that needs no escaping.
+    newline, for the header fields, the "iees" records and the checksum.
+    Only the header goes through json. Each event's inputs, a 0/1 string
+    that needs no escaping, go into two format strings: the record as
+    written, and as _checksum's compact text has it, between the header's
+    text before and after "iees".
     """
-    payload = _payload(db)
-    payload["checksum"] = _checksum(payload)
+    header = {
+        "format_version": DB_FORMAT_VERSION,
+        "generators_octal": list(db.generators_octal),
+        "v": db.v,
+        "n": db.n,
+        "ordering": list(db.ordering),
+        "d_tilde": db.d_tilde,
+        "max_len": db.max_len,
+    }
+    canonical = json.dumps({**header, "iees": []}, sort_keys=True, separators=(",", ":"))
+    before, after = canonical.split('"iees":[]')
+    digest = hashlib.sha256(f'{before}"iees":['.encode())
+    events = list(db.iees())
     with open(path, "w", newline="\n") as fh:
-        for i, (key, value) in enumerate(payload.items()):
-            fh.write(("," if i else "{") + f"\n {json.dumps(key)}: ")
-            if key == "iees" and value:
-                fh.write("[")
-                fh.writelines(
-                    f'{"," if k else ""}\n  {{\n   "state": {r["state"]},\n   "inputs": "{r["inputs"]}",'
-                    f'\n   "weight": {r["weight"]}\n  }}'
-                    for k, r in enumerate(value)
-                )
-                fh.write("\n ]")
-            else:
-                fh.write(json.dumps(value, indent=1).replace("\n", "\n "))
-        fh.write("\n}\n")
+        for i, (key, value) in enumerate(header.items()):
+            text = json.dumps(value, indent=1).replace("\n", "\n ")
+            fh.write(("," if i else "{") + f"\n {json.dumps(key)}: {text}")
+        fh.write(',\n "iees": [')
+        for lo in range(0, len(events), _CHECKSUM_SLICE):
+            chunk = events[lo : lo + _CHECKSUM_SLICE]
+            rows = [(e.start_state, f"{e.input_bits:0{e.length}b}"[::-1], e.weight) for e in chunk]
+            lines = "".join(
+                f',\n  {{\n   "state": {s},\n   "inputs": "{x}",\n   "weight": {w}\n  }}' for s, x, w in rows
+            )
+            records = "".join(f',{{"inputs":"{x}","state":{s},"weight":{w}}}' for s, x, w in rows)
+            # The first record of the list has no comma before it.
+            fh.write(lines if lo else lines[1:])
+            digest.update((records if lo else records[1:]).encode())
+        digest.update(f"]{after}".encode())
+        fh.write("\n ]" if events else "]")
+        fh.write(f',\n "checksum": {json.dumps(digest.hexdigest())}\n}}\n')
 
 
 def load_database(path) -> IEEDatabase:

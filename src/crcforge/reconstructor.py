@@ -28,15 +28,15 @@ of its necklace (its least rotation, of period p dividing N) and its
 rotations fill an arc of that cycle; the rows are distinct iff no two
 arcs on one cycle overlap and none is longer than p.
 
-Tables are kept as index sequences into the per-state IEE lists; the
+A state's table holds its skeletons as numpy columns: event indices into
+the state's IEE tuple (padded with -1), length, weight and last event
+length, grown one event count at a time by a frontier search. The
 weight/length cells of the classic recurrence are never materialized,
-which keeps the N=70 design workload in tens of megabytes instead of
-gigabytes.
+which keeps N=70 in tens of megabytes instead of gigabytes.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -57,13 +57,6 @@ __all__ = [
 ]
 
 
-class _Skeleton(NamedTuple):
-    events: tuple[int, ...]  # indices into the state's IEE tuple
-    length: int
-    weight: int
-    last_len: int
-
-
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """Weak compositions of total into exactly `parts` ordered parts."""
     if parts == 1:
@@ -76,87 +69,92 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 def _skeletons_for_state(
     iees: Sequence[IEE], d_tilde: int, targets: Sequence[int]
-) -> tuple[int | None, tuple[_Skeleton, ...]]:
-    """Enumerate feasible event skeletons for one state.
+) -> tuple[int | None, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Enumerate feasible event skeletons for one state, as columns.
 
     targets are the trellis lengths the caller wants to reach. For the
     state owning the zero loop any skeleton no longer than max(targets)
     can be padded out; for the others a prefix is kept only if some
     target length is exactly reachable with the remaining weight budget
     (unbounded-knapsack bound, exact, so pruning loses nothing).
+    Returns zero_index and WeightLengthTable's skeleton columns, sorted by
+    (weight, length, event tuple).
     """
     l_max = max(targets)
-    zero_index = None
-    for i, e in enumerate(iees):
-        if e.weight == 0:
-            if zero_index is not None:
-                raise RuntimeError("two zero-weight loops; encoder should have been refused")
-            zero_index = i
-    events = [
-        (i, e.length, e.weight)
-        for i, e in enumerate(iees)
-        if 0 < e.weight < d_tilde and e.length <= l_max
-    ]
-    # Ascending weight makes the budget check below a valid early break.
-    events.sort(key=lambda t: (t[2], t[1], t[0]))
+    weight_of = np.fromiter(map(attrgetter("weight"), iees), dtype=np.int64, count=len(iees))
+    length_of = np.fromiter(map(attrgetter("length"), iees), dtype=np.int64, count=len(iees))
+    zeros = np.flatnonzero(weight_of == 0)
+    if len(zeros) > 1:
+        raise RuntimeError("two zero-weight loops; encoder should have been refused")
+    zero_index = int(zeros[0]) if len(zeros) else None
+    index = np.flatnonzero((weight_of > 0) & (weight_of < d_tilde) & (length_of <= l_max))
+    # Ascending weight makes the children of a row a prefix of the events.
+    index = index[np.lexsort((index, length_of[index], weight_of[index]))]
+    ev_weight, ev_length = weight_of[index], length_of[index]
 
-    best_fill: list[float] | None = None
+    best_fill = None
     if zero_index is None:
         inf = float("inf")
         # The fill only takes minima, so the cheapest event of each length
-        # stands for all events of that length.
-        cheapest: dict[int, int] = {}
-        for _i, el, ew in events:
-            cheapest.setdefault(el, ew)  # events ascend by weight
-        fill = [inf] * (l_max + 1)
-        fill[0] = 0.0
-        for r in range(1, l_max + 1):
-            best = inf
-            for el, ew in cheapest.items():
-                if el > r:
-                    continue
-                c = fill[r - el] + ew
-                if c < best:
-                    best = c
-            fill[r] = best
-        best_fill = [inf] * (l_max + 1)
-        for length in range(l_max + 1):
-            best = inf
-            for t in targets:
-                if t >= length and fill[t - length] < best:
-                    best = fill[t - length]
-            best_fill[length] = best
+        # stands for all events of that length: the first, as weight ascends.
+        fill_lengths, first = np.unique(ev_length, return_index=True)
+        # fill[r]: the least weight of events whose lengths sum to r. Pass k
+        # settles the sums of k events, and none has more than l_max // shortest.
+        back = np.arange(l_max + 1)[:, None] - fill_lengths
+        step = np.where(back >= 0, ev_weight[first], inf)
+        fill = np.where(np.arange(l_max + 1) == 0, 0.0, inf)
+        for _ in range(l_max // int(fill_lengths[0]) if len(fill_lengths) else 0):
+            fill = np.minimum(fill, (fill[np.maximum(back, 0)] + step).min(axis=1, initial=inf))
+        # best_fill[l]: the least weight that takes a length-l prefix to a target.
+        best_fill = np.full(l_max + 1, inf)
+        for t in targets:
+            np.minimum(best_fill[: t + 1], fill[t::-1], out=best_fill[: t + 1])
 
-    skeletons: list[_Skeleton] = []
-    stack: list[tuple[tuple[int, ...], int, int, int]] = [((), 0, 0, 0)]
-    while stack:
-        seq, length, weight, last = stack.pop()
-        if seq:
-            skeletons.append(_Skeleton(seq, length, weight, last))
-        for i, el, ew in events:
-            w2 = weight + ew
-            if w2 >= d_tilde:
-                break
-            l2 = length + el
-            if l2 > l_max:
-                continue
-            if best_fill is not None and w2 + best_fill[l2] >= d_tilde:
-                continue
-            stack.append((seq + (i,), l2, w2, el))
-    skeletons.sort(key=lambda s: (s.weight, s.length, s.events))
-    return zero_index, tuple(skeletons)
+    # One block per event count: positions into the sorted events, then
+    # length, weight and last length, one row per skeleton. The first block,
+    # of no events, is empty, so a state with no skeleton needs no special case.
+    empty = np.zeros(0, dtype=np.int64)
+    blocks = [(np.zeros((0, 0), dtype=np.int64), empty, empty, empty)]
+    pos = np.zeros((1, 0), dtype=np.int64)
+    length = weight = np.zeros(1, dtype=np.int64)
+    while len(pos):
+        fits = np.searchsorted(ev_weight, d_tilde - weight)
+        parent = np.repeat(np.arange(len(pos)), fits)
+        child = np.arange(len(parent)) - np.repeat(np.cumsum(fits) - fits, fits)
+        length = length[parent] + ev_length[child]
+        weight = weight[parent] + ev_weight[child]
+        fit = length <= l_max
+        if best_fill is not None:
+            fit &= weight + best_fill[np.minimum(length, l_max)] < d_tilde
+        keep = np.flatnonzero(fit)
+        pos, length, weight = np.column_stack((pos[parent[keep]], child[keep])), length[keep], weight[keep]
+        if len(pos):
+            blocks.append((pos, length, weight, ev_length[child[keep]]))
+    events = np.full((sum(len(b[0]) for b in blocks), len(blocks) - 1), -1, dtype=np.int32)
+    row = 0
+    for block_pos, *_ in blocks:
+        events[row : row + len(block_pos), : block_pos.shape[1]] = index[block_pos]
+        row += len(block_pos)
+    length, weight, last_len = (np.concatenate(column) for column in list(zip(*blocks))[1:])
+    order = np.lexsort((*events.T[::-1], length, weight))
+    return zero_index, events[order], length[order], weight[order], last_len[order]
 
 
 class WeightLengthTable(NamedTuple):
     """Anchored-path table of one state, stored in skeleton normal form.
 
     Expansion walks the skeletons directly; zero_index is the position of
-    the zero loop in iees, or None for states without one.
+    the zero loop in iees, or None for states without one. Skeleton a is
+    row a of skeletons (indices into iees, padded with -1) with its
+    length, weight and last event length in the columns of the same names.
     """
 
     iees: tuple[IEE, ...]
     zero_index: int | None
-    skeletons: tuple[_Skeleton, ...]
+    skeletons: np.ndarray
+    lengths: np.ndarray
+    weights: np.ndarray
+    last_lens: np.ndarray
 
 
 class ReconstructionTables:
@@ -222,20 +220,21 @@ def _base_words(table: WeightLengthTable, N: int) -> Iterator[tuple[int, int, in
     _state_bases builds the same words in the same order with numpy.
     """
     padded = table.zero_index is not None
-    for sk in table.skeletons:
-        if not padded and sk.length != N:
+    columns = (table.skeletons.tolist(), table.lengths.tolist(), table.weights.tolist())
+    for events, length, weight in zip(*columns):
+        if not padded and length != N:
             continue
-        evs = [table.iees[i] for i in sk.events]
+        evs = [table.iees[i] for i in events if i >= 0]
         bits = [e.input_bits for e in evs]
         lens = [e.length for e in evs]
         j = len(evs)
-        for gaps in _compositions(N - sk.length, j):
+        for gaps in _compositions(N - length, j):
             base = 0
             pos = 0
             for k in range(j):
                 base |= bits[k] << pos
                 pos += lens[k] + gaps[k]
-            yield base, lens[-1] + gaps[-1], sk.weight
+            yield base, lens[-1] + gaps[-1], weight
 
 
 def iter_state_paths(tables: ReconstructionTables, state: int) -> Iterator[tuple[int, int]]:
@@ -404,29 +403,25 @@ def _state_bases(table: WeightLengthTable, N: int, limbs: int) -> tuple[np.ndarr
     writes its rows where _base_words yields them: skeleton order, then
     composition order.
     """
-    padded = table.zero_index is not None
-    skeletons = table.skeletons if padded else [sk for sk in table.skeletons if sk.length == N]
-    if not skeletons:
+    keep = slice(None) if table.zero_index is not None else table.lengths == N
+    events, sk_lengths = table.skeletons[keep], table.lengths[keep]
+    if not len(events):
         empty = np.zeros(0, dtype=np.int64)
         return np.zeros((0, limbs), dtype=np.uint64), empty, empty.astype(np.uint32)
-    events, sk_lengths, sk_weights, _last = zip(*skeletons)
-    parts = np.fromiter(map(len, events), dtype=np.int64, count=len(events))
-    # The events of skeleton a are flat[event_first[a] : event_first[a] + parts[a]].
-    flat = np.fromiter(itertools.chain.from_iterable(events), dtype=np.int32, count=int(parts.sum()))
-    event_first = np.cumsum(parts) - parts
-    gap_total = N - np.array(sk_lengths, dtype=np.int64)
+    parts = np.count_nonzero(events >= 0, axis=1)
+    gap_total = N - sk_lengths
     key = parts * (N + 1) + gap_total
     by_key = np.argsort(key, kind="stable")
     groups = np.split(by_key, np.flatnonzero(np.diff(key[by_key])) + 1)
     comps = [_composition_table(int(gap_total[g[0]]), int(parts[g[0]])) for g in groups]
-    sizes = np.empty(len(skeletons), dtype=np.int64)
+    sizes = np.empty(len(events), dtype=np.int64)
     for members, comp in zip(groups, comps):
         sizes[members] = len(comp)
     first = np.cumsum(sizes) - sizes
     total = int(sizes.sum())
     bases = np.empty((total, limbs), dtype=np.uint64)
     counts = np.empty(total, dtype=np.int64)
-    weights = np.repeat(np.array(sk_weights, dtype=np.uint32), sizes)
+    weights = np.repeat(table.weights[keep].astype(np.uint32), sizes)
 
     iees = table.iees
     lengths = np.fromiter(map(attrgetter("length"), iees), dtype=np.int32, count=len(iees))
@@ -437,7 +432,7 @@ def _state_bases(table: WeightLengthTable, N: int, limbs: int) -> tuple[np.ndarr
         bits[:, t] = ((packed >> (64 * t)) & 0xFFFFFFFFFFFFFFFF).astype(np.uint64)
 
     for members, comp in zip(groups, comps):
-        sk_events = flat[event_first[members][:, None] + np.arange(comp.shape[1])]
+        sk_events = events[members, : comp.shape[1]]
         lens = lengths[sk_events]
         gaps = (np.cumsum(comp, axis=1) - comp).astype(np.int32)
         # Event k starts after the events and gaps before it; event 0 at time 0.
@@ -495,20 +490,21 @@ def growth_profile(
     _check_coverage(db, d_tilde, targets[-1], "l")
     counts = {l: 0 for l in targets}
     for sigma in db.ordering:
-        iees = db.per_state.get(sigma, ())
-        zero_index, skeletons = _skeletons_for_state(iees, d_tilde, targets)
-        if zero_index is not None:
-            for sk in skeletons:
-                j = len(sk.events)
-                for l in targets:
-                    gap = l - sk.length
-                    if gap < 0:
-                        continue
-                    placements = math.comb(gap + j - 1, j - 1)
-                    rotations = sk.last_len * placements + (gap * placements) // j
-                    counts[l] += rotations
-        else:
-            for sk in skeletons:
-                if sk.length in counts:
-                    counts[sk.length] += sk.last_len
+        zero_index, events, lengths, _weights, last_lens = _skeletons_for_state(
+            db.per_state.get(sigma, ()), d_tilde, targets
+        )
+        # Skeletons that agree on (j, L, len_j) count alike; Python ints keep the sums exact.
+        parts = np.count_nonzero(events >= 0, axis=1)
+        groups, sizes = np.unique(np.column_stack((parts, lengths, last_lens)), axis=0, return_counts=True)
+        for (j, length, last), size in zip(groups.tolist(), sizes.tolist()):
+            if zero_index is None:
+                if length in counts:
+                    counts[length] += size * last
+                continue
+            for l in targets:
+                gap = l - length
+                if gap < 0:
+                    continue
+                placements = math.comb(gap + j - 1, j - 1)
+                counts[l] += size * (last * placements + (gap * placements) // j)
     return [(l, counts[l]) for l in targets]

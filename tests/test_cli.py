@@ -270,6 +270,15 @@ class TestPipeline:
         assert "PASS partition" in out
         assert out.strip().endswith("PASS")
 
+    @pytest.mark.parametrize(
+        "gens,n,d_tilde", [("133,171", "16", "10"), ("133,171,165", "14", "14")], ids=["rate-1/2", "rate-1/3"]
+    )
+    def test_verify_passes_at_memory_6(self, capsys, gens, n, d_tilde):
+        # 63 of the 64 states have no zero loop, so their skeletons must fill
+        # N exactly: the knapsack pruning is checked against brute force.
+        assert main(["verify", "--gens", gens, "--v", "6", "--n", n, "--dtilde", d_tilde]) == 0
+        assert capsys.readouterr().out.strip().endswith("PASS")
+
     def test_verify_both_k_n_usage(self, small_db):
         rc = main(["design", "--iee", str(small_db), "--k", "8", "--n", "14", "--m", "3"])
         assert rc == 1

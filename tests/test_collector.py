@@ -181,11 +181,24 @@ class TestCollectedSet:
 
 
 class TestSaveLoad:
-    @pytest.mark.parametrize("d_tilde,max_len", [(7, 8), (1, 10), (12, 70)])
+    @pytest.mark.parametrize("d_tilde,max_len", [(7, 8), (1, 10), (12, 70), (16, 70)])
     def test_text_is_indented_json(self, code, tmp_path, d_tilde, max_len):
-        # The records are written without the json encoder, byte for byte as it would.
+        # The records and their checksum are written without the json
+        # encoder, byte for byte as it would write this reference payload.
         db = collect_iees(code, d_tilde, max_len)
-        payload = collector._payload(db)
+        payload = {
+            "format_version": collector.DB_FORMAT_VERSION,
+            "generators_octal": list(db.generators_octal),
+            "v": db.v,
+            "n": db.n,
+            "ordering": list(db.ordering),
+            "d_tilde": db.d_tilde,
+            "max_len": db.max_len,
+            "iees": [
+                {"state": e.start_state, "inputs": "".join(map(str, e.inputs)), "weight": e.weight}
+                for e in db.iees()
+            ],
+        }
         payload["checksum"] = _checksum(payload)
         path = tmp_path / "db.json"
         save_database(db, path)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -30,6 +31,32 @@ def _expansions(draw):
     return code, N, d_tilde, ordering
 
 
+@st.composite
+def _skeleton_cases(draw):
+    """(code, N, d_tilde, ordering): a random rate-1/2 code of memory <= 3
+    at N <= 12, small enough to list every event sequence."""
+    code = draw(rate_half_codes(3))
+    N = draw(st.integers(code.v, 12))
+    d_tilde = draw(st.integers(1, 9))
+    ordering = draw(st.permutations(range(code.num_states)))
+    return code, N, d_tilde, ordering
+
+
+def _naive_skeletons(iees, d_tilde, N):
+    """(events, length, weight, last length) of every nonzero-event sequence
+    of weight < d_tilde and length <= N, sorted by (weight, length, events)."""
+    events = [(i, e.length, e.weight) for i, e in enumerate(iees) if e.weight > 0]
+    found, level = [], [((), 0, 0, 0)]
+    while level:
+        level = [
+            (seq + (i,), length + el, weight + ew, el)
+            for (seq, length, weight, _last), (i, el, ew) in itertools.product(level, events)
+            if weight + ew < d_tilde and length + el <= N
+        ]
+        found += level
+    return sorted(found, key=lambda sk: (sk[2], sk[1], sk[0]))
+
+
 @pytest.fixture(scope="module")
 def code():
     return ConvCode(["13", "17"], 3)
@@ -47,7 +74,7 @@ class TestBuildTables:
         # is empty and no class emits the zero word.
         tables = build_tables(db7, 8, 7)
         for s in tables:
-            assert all(sk.events for sk in tables[s].skeletons)
+            assert (tables[s].skeletons >= 0).any(axis=1).all()
             assert 0 not in {word for word, _w in iter_state_paths(tables, s)}
 
     def test_zero_weight_cells_are_pure_padding(self, db7):
@@ -58,8 +85,8 @@ class TestBuildTables:
         zero = tables[0].iees[tables[0].zero_index]
         assert (zero.weight, zero.length) == (0, 1)
         for s in tables:
-            for sk in tables[s].skeletons:
-                assert all(tables[s].iees[i].weight > 0 for i in sk.events)
+            events = tables[s].skeletons
+            assert all(tables[s].iees[i].weight > 0 for i in events[events >= 0].tolist())
 
     def test_weight6_length8_cell(self, db7):
         # One weight-6 event of length 5 (inputs 11000) plus three zero
@@ -69,6 +96,31 @@ class TestBuildTables:
         words = {word for word, w in iter_state_paths(tables, 0) if w == 6}
         assert words == {((0b11 << t) | (0b11 >> (8 - t))) & 0xFF for t in range(8)}
         assert {0b11 << t for t in range(4)} <= words
+
+    @settings(max_examples=60, deadline=None)
+    @given(_skeleton_cases())
+    @example((ConvCode(["13", "17"], 3), 12, 9, [0, 1, 2, 3, 4, 5, 6, 7]))
+    @example((ConvCode(["7", "5"], 2), 12, 9, [3, 2, 1, 0]))
+    def test_skeletons_match_naive_enumeration(self, case):
+        # Every sequence of nonzero events under d_tilde and N, built one
+        # event at a time, against the frontier search. The zero-loop state
+        # keeps them all; the others keep exactly those of length N, plus
+        # prefixes that can still reach N.
+        code, N, d_tilde, ordering = case
+        tables = build_tables(collect_iees(code, d_tilde, N, ordering), N, d_tilde)
+        for s in tables:
+            t = tables[s]
+            want = _naive_skeletons(t.iees, d_tilde, N)
+            rows = [tuple(i for i in row if i >= 0) for row in t.skeletons.tolist()]
+            assert t.skeletons.dtype == np.int32
+            assert [list(r) + [-1] * (t.skeletons.shape[1] - len(r)) for r in rows] == t.skeletons.tolist()
+            got = list(zip(rows, t.lengths.tolist(), t.weights.tolist(), t.last_lens.tolist()))
+            assert got == sorted(got, key=lambda sk: (sk[2], sk[1], sk[0]))
+            if t.zero_index is not None:
+                assert got == want, s
+            else:
+                assert set(got) <= set(want), s
+                assert [sk for sk in got if sk[1] == N] == [sk for sk in want if sk[1] == N], s
 
     def test_requested_bounds_must_be_covered(self, db7):
         with pytest.raises(CoverageError, match="re-collect"):
@@ -220,7 +272,12 @@ class TestExpansion:
     def test_repeated_skeleton_breaks_uniqueness(self, db7):
         tables = build_tables(db7, 12, 7)
         t = tables[0]
-        tables.per_state[0] = t._replace(skeletons=t.skeletons + t.skeletons[-1:])
+        # Every column gets its last row once more.
+        again = np.append(np.arange(len(t.skeletons)), len(t.skeletons) - 1)
+        tables.per_state[0] = t._replace(
+            skeletons=t.skeletons[again], lengths=t.lengths[again], weights=t.weights[again],
+            last_lens=t.last_lens[again],
+        )
         with pytest.raises(RuntimeError, match="bijection invariant broken"):
             expand_and_dedup(tables, 12)
 
@@ -230,6 +287,20 @@ class TestExpansion:
         assert len(paths70) == 1940785
         low = {word & ((1 << 64) - 1) for word in rotations(paths70.bases, paths70.counts, 70)}
         assert len(paths70) - len(low) == 539971
+
+    @pytest.mark.extended
+    def test_reconstruction_at_d_tilde_22(self, code):
+        # Pinned from the depth-first skeleton builder that the frontier search replaced.
+        tables = build_tables(collect_iees(code, 22, 70), 70, 22)
+        paths = expand_and_dedup(tables, 70)
+        assert sum(len(tables[s].skeletons) for s in tables) == 297697
+        assert len(paths.bases) == 1734010
+        assert len(paths) == 66882375
+        assert paths.counts_by_weight() == {
+            6: 70, 7: 210, 8: 350, 9: 770, 10: 1750, 11: 3850, 12: 10605, 13: 31360,
+            14: 80395, 15: 194880, 16: 474635, 17: 1141910, 18: 2745015, 19: 6687170,
+            20: 16284205, 21: 39225200,
+        }
 
 
 def _limb_rows(words, N):
