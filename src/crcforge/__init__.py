@@ -30,12 +30,10 @@ from .errors import (
 )
 from .gf2 import GF2Poly, parse_hex_crc, parse_octal
 from .oracle import (
-    OracleReport,
     brute_force_iees,
     brute_force_partition,
     brute_force_spectrum,
     is_cyclic_closed,
-    oracle_report,
 )
 from .reconstructor import (
     TBPathSet,
@@ -77,12 +75,10 @@ __all__ = [
     "db_to_linear",
     "truncated_union_bound",
     "bound_sweep",
-    "OracleReport",
     "brute_force_spectrum",
     "brute_force_iees",
     "brute_force_partition",
     "is_cyclic_closed",
-    "oracle_report",
     "CrcforgeError",
     "PolynomialParseError",
     "InvalidCrcError",

@@ -26,9 +26,10 @@ cycles away from state 0, so weight pruning alone would not bound the
 search.
 
 The collector is the one source of truth for a code's events. A saved
-database is JSON with a checksum; loading it re-runs the collection its
-header describes and refuses the file unless the stored records are
-exactly that collection.
+database is JSON with a checksum, written by one generator of text
+pieces. Loading it parses only the header, re-runs the collection the
+header describes, and refuses the file unless its text is exactly what
+that generator writes for that collection.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import gc
 import hashlib
 import heapq
 import json
+import os
 from itertools import repeat
 from typing import Iterator, NamedTuple, Sequence
 
@@ -57,7 +59,7 @@ DB_FORMAT_VERSION = 1
 # Frontier rows the collector expands per numpy step; it bounds the
 # search's memory to about max_len * 2 * _BLOCK rows.
 _BLOCK = 1 << 16
-# Array items per piece of the checksummed text.
+# Events per record piece of a database's text.
 _CHECKSUM_SLICE = 1024
 # JSON type of each database field, in the order load_database unpacks them.
 _FIELD_TYPES = {
@@ -67,7 +69,6 @@ _FIELD_TYPES = {
     "ordering": list,
     "d_tilde": int,
     "max_len": int,
-    "iees": list,
 }
 
 
@@ -364,8 +365,7 @@ def collect_iees(
 
     columns = _closures(code, ordering, d_tilde, max_len)
     # The tuples hold no references, yet building them in bulk would set off
-    # full collections that walk every tuple built so far (and, in a load,
-    # the parsed file).
+    # full collections that walk every tuple built so far.
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -376,51 +376,17 @@ def collect_iees(
     return IEEDatabase(code.generators_octal, code.v, ordering, d_tilde, max_len, per_state)
 
 
-def _record(e: IEE) -> dict:
-    """The JSON record save_database writes for one event."""
-    return {"state": e.start_state, "inputs": f"{e.input_bits:0{e.length}b}"[::-1], "weight": e.weight}
-
-
-def _canonical_pieces(value) -> Iterator[str]:
-    """json.dumps(value, sort_keys=True, separators=(",", ":")), in pieces.
-
-    Objects are written key by key in sorted order and long arrays
-    _CHECKSUM_SLICE items at a time, so no piece is the whole text of a
-    large database. Object keys must be strings, as in any parsed file.
-    """
-    if isinstance(value, dict):
-        yield "{"
-        for i, key in enumerate(sorted(value)):
-            yield ("," if i else "") + json.dumps(key) + ":"
-            yield from _canonical_pieces(value[key])
-        yield "}"
-    elif isinstance(value, list) and len(value) > _CHECKSUM_SLICE:
-        yield "["
-        for i in range(0, len(value), _CHECKSUM_SLICE):
-            text = json.dumps(value[i : i + _CHECKSUM_SLICE], sort_keys=True, separators=(",", ":"))
-            yield ("," if i else "") + text[1:-1]
-        yield "]"
-    else:
-        yield json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
-def _checksum(payload: dict) -> str:
-    """sha256 of the payload's compact, key-sorted JSON text."""
-    digest = hashlib.sha256()
-    for piece in _canonical_pieces(payload):
-        digest.update(piece.encode())
-    return digest.hexdigest()
-
-
-def save_database(db: IEEDatabase, path) -> None:
-    """Write the database as self-describing JSON with an integrity hash.
+def _pieces(db: IEEDatabase) -> Iterator[str]:
+    """The text save_database writes for db, in pieces.
 
     The text is what json.dump(payload, fh, indent=1) writes, plus a
-    newline, for the header fields, the "iees" records and the checksum.
-    Only the header goes through json. Each event's inputs, a 0/1 string
-    that needs no escaping, go into two format strings: the record as
-    written, and as _checksum's compact text has it, between the header's
-    text before and after "iees".
+    newline, for the header fields, the "iees" records and the checksum:
+    the sha256 of the payload's compact, key-sorted JSON text. The pieces
+    are the header up to '"iees": [', the records _CHECKSUM_SLICE at a
+    time, and the tail with the checksum. Only the header goes through
+    json. Each event's inputs, a 0/1 string that needs no escaping, go
+    into two format strings: the record as written, and as the checksum's
+    text has it, between the header's compact text before and after "iees".
     """
     header = {
         "format_version": DB_FORMAT_VERSION,
@@ -434,76 +400,88 @@ def save_database(db: IEEDatabase, path) -> None:
     canonical = json.dumps({**header, "iees": []}, sort_keys=True, separators=(",", ":"))
     before, after = canonical.split('"iees":[]')
     digest = hashlib.sha256(f'{before}"iees":['.encode())
+    yield "".join(
+        ("," if i else "{") + f"\n {json.dumps(key)}: " + json.dumps(value, indent=1).replace("\n", "\n ")
+        for i, (key, value) in enumerate(header.items())
+    ) + ',\n "iees": ['
     events = list(db.iees())
+    for lo in range(0, len(events), _CHECKSUM_SLICE):
+        chunk = events[lo : lo + _CHECKSUM_SLICE]
+        rows = [(e.start_state, f"{e.input_bits:0{e.length}b}"[::-1], e.weight) for e in chunk]
+        lines = "".join(
+            f',\n  {{\n   "state": {s},\n   "inputs": "{x}",\n   "weight": {w}\n  }}' for s, x, w in rows
+        )
+        records = "".join(f',{{"inputs":"{x}","state":{s},"weight":{w}}}' for s, x, w in rows)
+        # The first record of the list has no comma before it.
+        digest.update((records if lo else records[1:]).encode())
+        yield lines if lo else lines[1:]
+    digest.update(f"]{after}".encode())
+    yield ("\n ]" if events else "]") + f',\n "checksum": {json.dumps(digest.hexdigest())}\n}}\n'
+
+
+def save_database(db: IEEDatabase, path) -> None:
+    """Write the database as self-describing JSON with an integrity hash."""
     with open(path, "w", newline="\n") as fh:
-        for i, (key, value) in enumerate(header.items()):
-            text = json.dumps(value, indent=1).replace("\n", "\n ")
-            fh.write(("," if i else "{") + f"\n {json.dumps(key)}: {text}")
-        fh.write(',\n "iees": [')
-        for lo in range(0, len(events), _CHECKSUM_SLICE):
-            chunk = events[lo : lo + _CHECKSUM_SLICE]
-            rows = [(e.start_state, f"{e.input_bits:0{e.length}b}"[::-1], e.weight) for e in chunk]
-            lines = "".join(
-                f',\n  {{\n   "state": {s},\n   "inputs": "{x}",\n   "weight": {w}\n  }}' for s, x, w in rows
-            )
-            records = "".join(f',{{"inputs":"{x}","state":{s},"weight":{w}}}' for s, x, w in rows)
-            # The first record of the list has no comma before it.
-            fh.write(lines if lo else lines[1:])
-            digest.update((records if lo else records[1:]).encode())
-        digest.update(f"]{after}".encode())
-        fh.write("\n ]" if events else "]")
-        fh.write(f',\n "checksum": {json.dumps(digest.hexdigest())}\n}}\n')
+        fh.writelines(_pieces(db))
 
 
 def load_database(path) -> IEEDatabase:
     """Read a database file and check it against a fresh collection.
 
-    After the version, checksum and header type checks, the collection
-    the header describes is run again, and the stored records must equal
-    what save_database writes for it, record for record and in order. A
-    changed, missing, extra or reordered event marks the file as corrupt,
-    and so does a header collect_iees refuses. A load costs what the same
-    collect costs, and returns that collection.
+    Only the header, the text before '"iees": [', is parsed. After the
+    version and field type checks, the collection the header describes is
+    run again, and the file's text must be exactly what save_database
+    writes for it, piece by piece, up to its last byte (line endings
+    aside). A changed, missing, extra or reordered event, a changed
+    checksum, trailing text, and a file another JSON writer laid out
+    differently are all refused, and so is a header that ConvCode or
+    collect_iees refuses. A load costs what the same collect costs, and
+    returns that collection.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            text = fh.read()
+        # A file without records is all header.
+        end = text.find('"iees": [')
+        header = json.loads(text if end < 0 else text[:end].rstrip().removesuffix(",") + "}")
+    except (OSError, ValueError) as exc:
         raise DatabaseFormatError(f"cannot read database {path}: {exc}") from exc
-    if not isinstance(payload, dict):
+    if not isinstance(header, dict):
         raise DatabaseFormatError(f"{path}: not a database object")
-    version = payload.get("format_version")
+    version = header.get("format_version")
     if version != DB_FORMAT_VERSION:
         raise DatabaseFormatError(
             f"{path}: format version {version!r}, supported {DB_FORMAT_VERSION}"
         )
-    declared = payload.pop("checksum", None)
-    if declared != _checksum(payload):
-        raise DatabaseFormatError(f"{path}: checksum mismatch, file corrupt")
     for key, kind in _FIELD_TYPES.items():
-        if key not in payload:
+        if key not in header:
             raise DatabaseFormatError(f"{path}: missing field {key!r}")
-        if type(payload[key]) is not kind:
+        if type(header[key]) is not kind:
             raise DatabaseFormatError(f"{path}: field {key!r} is not a JSON {kind.__name__}")
-    gens, v, n, ordering, d_tilde, max_len, stored = (payload[key] for key in _FIELD_TYPES)
+    gens, v, n, ordering, d_tilde, max_len = (header[key] for key in _FIELD_TYPES)
     if not all(type(g) is str for g in gens) or not all(type(s) is int for s in ordering):
         raise DatabaseFormatError(f"{path}: generators must be strings and states ints")
-
-    code = ConvCode(list(gens), v)  # raises if v and tap degrees disagree
-    if code.n != n:
-        raise DatabaseFormatError(f"{path}: n={n} but {code.n} generators given")
     try:
+        code = ConvCode(list(gens), v)  # raises if v and tap degrees disagree
+        if code.n != n:
+            raise DatabaseFormatError(f"{path}: n={n} but {code.n} generators given")
         db = collect_iees(code, d_tilde, max_len, ordering)
     except (ValueError, CatastrophicEncoderError) as exc:
         raise DatabaseFormatError(f"{path}: {exc}") from exc
-    if len(stored) != db.num_iees:
-        raise DatabaseFormatError(f"{path}: {len(stored)} IEE records stored, {db.num_iees} collected")
-    for i, (rec, event) in enumerate(zip(stored, db.iees())):
-        if rec != _record(event):
-            raise DatabaseFormatError(
-                f"{path}: IEE record {i} {rec!r} is not the collected {_record(event)!r}"
-            )
-    return db
+
+    pos = 0
+    for piece in _pieces(db):
+        if not text.startswith(piece, pos):
+            break
+        pos += len(piece)
+    else:
+        if pos == len(text):
+            return db
+        piece = ""  # the file goes on past the end of the database
+    at = pos + len(os.path.commonprefix([piece, text[pos : pos + len(piece)]]))
+    start = text.rfind("\n", 0, at) + 1
+    number, line = text.count("\n", 0, start) + 1, text[start : start + 80].split("\n")[0]
+    raise DatabaseFormatError(f"{path}: line {number} {line!r} is not what save_database writes for this header")
 
 
 def verify_iee(db: IEEDatabase, event: IEE) -> bool:

@@ -11,7 +11,6 @@ being a reasonable test fixture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .collector import IEE
@@ -23,12 +22,10 @@ __all__ = [
     "MAX_ORACLE_N",
     "MAX_ORACLE_V",
     "MAX_ORACLE_LEN",
-    "OracleReport",
     "brute_force_spectrum",
     "brute_force_iees",
     "brute_force_partition",
     "is_cyclic_closed",
-    "oracle_report",
 ]
 
 MAX_ORACLE_N = 24
@@ -43,23 +40,29 @@ def _check_n(N: int) -> None:
         )
 
 
-def brute_force_spectrum(code: ConvCode, N: int, crc: GF2Poly | None = None) -> dict[int, int]:
-    """Weight histogram of all nonzero tail-biting paths of length N.
+def brute_force_spectrum(
+    code: ConvCode, N: int, crcs: Sequence[GF2Poly] = ()
+) -> tuple[dict[int, int], list[dict[int, int]]]:
+    """Weight histograms of the nonzero tail-biting paths of length N.
 
-    With a crc, only inputs whose polynomial the crc divides are counted
-    (the undetectable errors). Keys with zero count are omitted.
+    One exhaustive pass encodes each nonzero input once. Returns the
+    histogram of all paths and, for each crc in order, that of the paths
+    whose input polynomial the crc divides (its undetected errors). Keys
+    with zero count are omitted.
     """
     _check_n(N)
     if N < code.v:
         raise ValueError(f"need at least v={code.v} input bits, got {N}")
     counts: dict[int, int] = {}
+    undetected: list[dict[int, int]] = [{} for _ in crcs]
     for u in range(1, 1 << N):
-        if crc is not None and not crc.divides(GF2Poly(u)):
-            continue
-        inputs = tuple((u >> i) & 1 for i in range(N))
-        path = encode_tb(code, inputs)
-        counts[path.weight] = counts.get(path.weight, 0) + 1
-    return counts
+        w = encode_tb(code, tuple((u >> i) & 1 for i in range(N))).weight
+        counts[w] = counts.get(w, 0) + 1
+        poly = GF2Poly(u)
+        for crc, hist in zip(crcs, undetected):
+            if crc.divides(poly):
+                hist[w] = hist.get(w, 0) + 1
+    return counts, undetected
 
 
 def brute_force_iees(
@@ -148,45 +151,3 @@ def is_cyclic_closed(words: Iterable[int], N: int) -> bool:
         return False
     mask = (1 << N) - 1
     return {((w << 1) | (w >> (N - 1))) & mask for w in distinct} == distinct
-
-
-@dataclass
-class OracleReport:
-    """Everything the exhaustive pass learned about one (code, N) pair."""
-
-    code_octal: tuple[str, ...]
-    N: int
-    total_paths: int
-    weight_counts: dict[int, int]
-    crc_counts: dict[str, dict[int, int]] = field(default_factory=dict)
-
-    def counts_below(self, d_tilde: int) -> dict[int, int]:
-        return {w: c for w, c in self.weight_counts.items() if w < d_tilde}
-
-
-def oracle_report(
-    code: ConvCode,
-    N: int,
-    crcs: Sequence[GF2Poly] = (),
-) -> OracleReport:
-    """Single exhaustive pass; one encode per input, residues per crc."""
-    _check_n(N)
-    if N < code.v:
-        raise ValueError(f"need at least v={code.v} input bits, got {N}")
-    weight_counts: dict[int, int] = {}
-    crc_counts: dict[str, dict[int, int]] = {c.to_hex(): {} for c in crcs}
-    crc_pairs = [(c.to_hex(), c) for c in crcs]
-    for u in range(1, 1 << N):
-        inputs = tuple((u >> i) & 1 for i in range(N))
-        w = encode_tb(code, inputs).weight
-        weight_counts[w] = weight_counts.get(w, 0) + 1
-        for name, c in crc_pairs:
-            if c.divides(GF2Poly(u)):
-                crc_counts[name][w] = crc_counts[name].get(w, 0) + 1
-    return OracleReport(
-        code_octal=code.generators_octal,
-        N=N,
-        total_paths=(1 << N) - 1,
-        weight_counts=weight_counts,
-        crc_counts=crc_counts,
-    )

@@ -17,12 +17,12 @@ from crcforge import (
     candidate_list,
     collect_iees,
     brute_force_partition,
+    brute_force_spectrum,
     db_to_linear,
     expand_and_dedup,
     growth_profile,
     is_cyclic_closed,
     iter_state_paths,
-    oracle_report,
     parse_hex_crc,
     search_dso,
     truncated_union_bound,
@@ -84,17 +84,13 @@ def test_criterion_4_oracle_equivalence(capsys):
             code = ConvCode(list(gens), v)
             db = collect_iees(code, 10, 14)
             for N in range(4, 15):
-                report = oracle_report(code, N, crcs=crcs)
+                counts, undetected = brute_force_spectrum(code, N, crcs)
                 for d_tilde in range(3, 11):
                     paths = expand_and_dedup(build_tables(db, N, d_tilde), N)
-                    assert paths.counts_by_weight() == report.counts_below(d_tilde)
-                    for crc in crcs:
+                    assert paths.counts_by_weight() == {w: c for w, c in counts.items() if w < d_tilde}
+                    for crc, hist in zip(crcs, undetected):
                         got = undetected_spectrum(paths, crc).nonzero()
-                        want = {
-                            w: c
-                            for w, c in report.crc_counts[crc.to_hex()].items()
-                            if w < d_tilde
-                        }
+                        want = {w: c for w, c in hist.items() if w < d_tilde}
                         assert got == want, (gens, N, d_tilde, crc.to_hex())
         assert time.monotonic() - started < 60.0
 
@@ -125,9 +121,9 @@ def test_criterion_6_database_reuse(code1317, db70, paths70, capsys):
     label = "one max_len=70 database is exhaustive-exact for all N<=14 and redoes N=70"
     with _criterion(capsys, 6, label):
         for N in range(3, 15):
-            report = oracle_report(code1317, N)
+            counts, _ = brute_force_spectrum(code1317, N)
             paths = expand_and_dedup(build_tables(db70, N, 18), N)
-            assert paths.counts_by_weight() == report.counts_below(18)
+            assert paths.counts_by_weight() == {w: c for w, c in counts.items() if w < 18}
         assert undetected_spectrum(paths70, parse_hex_crc("0x63")).nonzero() == GOLDEN_63
 
 

@@ -1,8 +1,7 @@
 import gc
 import hashlib
 import json
-import math
-from unittest import mock
+import re
 
 import pytest
 from conftest import path_words, rate_half_codes
@@ -13,19 +12,13 @@ from crcforge import collector
 from crcforge.cli import main
 from crcforge.collector import (
     IEE,
-    _canonical_pieces,
-    _checksum,
     collect_iees,
     load_database,
     save_database,
     verify_iee,
 )
 from crcforge.encoder import ConvCode, encode_tb
-from crcforge.errors import (
-    CatastrophicEncoderError,
-    CrcforgeError,
-    DatabaseFormatError,
-)
+from crcforge.errors import CatastrophicEncoderError, DatabaseFormatError
 from crcforge.oracle import brute_force_iees
 from crcforge.reconstructor import build_tables, expand_and_dedup
 
@@ -203,6 +196,21 @@ class TestSaveLoad:
         path = tmp_path / "db.json"
         save_database(db, path)
         assert path.read_bytes() == (json.dumps(payload, indent=1) + "\n").encode()
+        assert load_database(path) == db
+
+    @pytest.mark.parametrize(
+        "gens,v,d_tilde,max_len,digest",
+        [
+            (["13", "17"], 3, 18, 70, "d260160c2b87ab14dddc9d2e2a312a9d0f6be18fcb099c8b7a1d5df66c27a8e8"),
+            (["133", "171"], 6, 16, 74, "c74a7156dcf67d8fc956708a239da21d5a81dd26743079a5590fdd8371cc30ef"),
+        ],
+    )
+    def test_saved_bytes_are_pinned(self, tmp_path, gens, v, d_tilde, max_len, digest):
+        # A load accepts only these bytes, so a file saved by an earlier
+        # version must still be what save_database writes today.
+        path = tmp_path / "db.json"
+        save_database(collect_iees(ConvCode(gens, v), d_tilde, max_len), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_roundtrip(self, db7, tmp_path):
         path = tmp_path / "db.json"
@@ -211,45 +219,44 @@ class TestSaveLoad:
         assert again == db7
         assert again.d_tilde == 7 and again.max_len == 8
 
-    def test_checksum_detects_tampering(self, db7, tmp_path):
+    @pytest.mark.parametrize(
+        "old,new,line",
+        [('"inputs": "0"', '"inputs": "1"', '   "inputs": "1",'), ('"checksum": "', '"checksum": "0', ' "checksum": "0')],
+    )
+    def test_checksum_detects_tampering(self, db7, tmp_path, old, new, line):
+        # A record or the checksum changed in place, the checksum not recomputed.
         path = tmp_path / "db.json"
         save_database(db7, path)
-        payload = json.loads(path.read_text())
-        payload["iees"][0]["inputs"] = "1"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(DatabaseFormatError, match="checksum"):
+        path.write_text(path.read_text().replace(old, new, 1))
+        with pytest.raises(DatabaseFormatError, match=rf"line \d+ '{re.escape(line)}.*' is not what save_database writes"):
             load_database(path)
 
     def test_version_mismatch(self, db7, tmp_path):
         path = tmp_path / "db.json"
         save_database(db7, path)
-        payload = json.loads(path.read_text())
-        payload["format_version"] = 99
-        path.write_text(json.dumps(payload))
+        path.write_bytes(_set_field("format_version", 99)(path.read_bytes()))
         with pytest.raises(DatabaseFormatError, match="version"):
             load_database(path)
 
     def test_wrong_stored_weight(self, db7, tmp_path):
         path = tmp_path / "db.json"
         save_database(db7, path)
-        payload = json.loads(path.read_text())
-        payload["iees"][1]["weight"] = 1
-        del payload["checksum"]
-        payload["checksum"] = _checksum(payload)
-        path.write_text(json.dumps(payload))
-        with pytest.raises(DatabaseFormatError, match="IEE record 1 .* is not the collected"):
+        path.write_bytes(_set_field("weight", 1, record=1)(path.read_bytes()))
+        with pytest.raises(DatabaseFormatError, match="""line 30 '   "weight": 1' is not what"""):
             load_database(path)
 
     def test_v_generator_mismatch(self, db7, tmp_path):
         path = tmp_path / "db.json"
         save_database(db7, path)
-        payload = json.loads(path.read_text())
-        payload["v"] = 5
-        del payload["checksum"]
-        payload["checksum"] = _checksum(payload)
-        path.write_text(json.dumps(payload))
-        with pytest.raises(CrcforgeError):
+        path.write_bytes(_set_field("v", 5)(path.read_bytes()))
+        with pytest.raises(DatabaseFormatError, match=f"^{re.escape(str(path))}: "):
             load_database(path)
+
+    def test_crlf_line_endings_load(self, db7, tmp_path):
+        path = tmp_path / "db.json"
+        save_database(db7, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert load_database(path) == db7
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "junk.json"
@@ -278,43 +285,25 @@ class TestSaveLoad:
             (gc.enable if was else gc.disable)()
 
 
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.text(), inner, max_size=6),
-    max_leaves=40,
-)
-
-
-@settings(max_examples=100, deadline=None)
-@given(_JSON, st.integers(1, 4))
-def test_canonical_pieces_join_to_dumps(value, slice_items):
-    # Slices of 1 to 4 items make most lists longer than one slice.
-    with mock.patch.object(collector, "_CHECKSUM_SLICE", slice_items):
-        joined = "".join(_canonical_pieces(value))
-    assert joined == json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
-def test_canonical_pieces_at_full_slice():
-    value = {"é": [math.nan, -0.0, {}, []], "iees": [{"w": i, "s": "x" * (i % 3)} for i in range(2500)]}
-    pieces = list(_canonical_pieces(value))
-    assert "".join(pieces) == json.dumps(value, sort_keys=True, separators=(",", ":"))
-    assert max(map(len, pieces)) < len("".join(pieces)) // 2
-
-
 def _flip_high_bit(blob: bytes) -> bytes:
     mid = len(blob) // 2
     return blob[:mid] + bytes([blob[mid] | 0x80]) + blob[mid + 1:]
 
 
+def _checksum(payload: dict) -> str:
+    """The checksum's definition: sha256 of the compact, key-sorted JSON text."""
+    return hashlib.sha256(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
 def _resign(edit):
-    """Apply edit(payload) to the file's JSON, then re-sign the file."""
+    """Apply edit(payload) to the file's JSON, then re-sign it in save's layout."""
 
     def tamper(blob: bytes) -> bytes:
         payload = json.loads(blob)
         del payload["checksum"]
         edit(payload)
         payload["checksum"] = _checksum(payload)
-        return json.dumps(payload).encode()
+        return (json.dumps(payload, indent=1) + "\n").encode()
 
     return tamper
 
@@ -344,10 +333,12 @@ _CATASTROPHIC = {"generators_octal": ["3", "5"], "v": 2, "ordering": [0, 1, 2, 3
 
 CORRUPTIONS = {
     "truncated": lambda blob: blob[: len(blob) // 2],
+    "not-an-object": lambda blob: b"[1, 2]\n",
     "high-bit-flipped": _flip_high_bit,
     "wrong-version": lambda blob: blob.replace(b'"format_version": 1', b'"format_version": 2'),
     "gens-not-list": _set_field("generators_octal", "13,17"),
     "gen-not-string": _set_field("generators_octal", [13, 17]),
+    "gen-empty": _set_field("generators_octal", ["13", ""]),
     "v-string": _set_field("v", "3"),
     "n-string": _set_field("n", "2"),
     "ordering-string": _set_field("ordering", "01234567"),
@@ -368,6 +359,9 @@ CORRUPTIONS = {
     "max_len-short": _set_field("max_len", 5),
     "catastrophic-header": _resign(lambda p: p.update(_CATASTROPHIC, iees=p["iees"][:1])),
     "records-swapped": _resign(lambda p: p["iees"].insert(2, p["iees"].pop(3))),
+    "trailing-text": lambda blob: blob + b"{}\n",
+    "re-indented": lambda blob: (json.dumps(json.loads(blob), indent=2) + "\n").encode(),
+    "cut-at-iees": lambda blob: blob[: blob.index(b'"iees": [') + len(b'"iees": [\n')],
 }
 
 

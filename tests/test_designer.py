@@ -75,7 +75,7 @@ class TestUndetectedSpectrum:
     def test_matches_oracle(self, code, paths12, crc_bits):
         crc = GF2Poly(crc_bits)
         spec = undetected_spectrum(paths12, crc)
-        ref = {w: c for w, c in brute_force_spectrum(code, 12, crc).items() if w < 9}
+        ref = {w: c for w, c in brute_force_spectrum(code, 12, [crc])[1][0].items() if w < 9}
         assert spec.nonzero() == ref
 
     def test_rejects_non_crc(self, paths12):

@@ -1,6 +1,6 @@
 import pytest
 
-from crcforge.encoder import ConvCode
+from crcforge.encoder import ConvCode, encode_tb
 from crcforge.errors import EnumerationGuardError
 from crcforge.gf2 import GF2Poly
 from crcforge.oracle import (
@@ -8,7 +8,6 @@ from crcforge.oracle import (
     brute_force_partition,
     brute_force_spectrum,
     is_cyclic_closed,
-    oracle_report,
 )
 
 
@@ -18,14 +17,16 @@ def code():
 
 
 def test_every_nonzero_input_is_one_path(code):
-    counts = brute_force_spectrum(code, 4)
+    counts, undetected = brute_force_spectrum(code, 4)
     assert sum(counts.values()) == 15
+    assert undetected == []
 
 
 def test_parity_crc_keeps_even_weight_inputs(code):
     N = 8
-    counts = brute_force_spectrum(code, N, crc=GF2Poly(0b11))
-    assert sum(counts.values()) == sum(
+    counts, [parity] = brute_force_spectrum(code, N, [GF2Poly(0b11)])
+    assert sum(counts.values()) == (1 << N) - 1
+    assert sum(parity.values()) == sum(
         1 for u in range(1, 1 << N) if bin(u).count("1") % 2 == 0
     )
 
@@ -54,16 +55,18 @@ def test_iee_zero_loop_found():
 
 
 def test_report_bundles_everything(code):
-    crcs = [GF2Poly(0b1011), GF2Poly(0b1101)]
-    report = oracle_report(code, 6, crcs=crcs)
-    assert report.N == 6
-    assert report.total_paths == 63
-    assert sum(report.weight_counts.values()) == 63
-    assert set(report.crc_counts) == {"0xb", "0xd"}
-    for counts in report.crc_counts.values():
-        assert sum(counts.values()) <= 63
-    below = report.counts_below(5)
-    assert all(w < 5 for w in below)
+    # One pass gives every crc's histogram, each that of its multiples alone.
+    N = 6
+    crcs = [GF2Poly(0b1011), GF2Poly(0b1101), GF2Poly(0b11)]
+    counts, undetected = brute_force_spectrum(code, N, crcs)
+    assert sum(counts.values()) == (1 << N) - 1
+    for crc, hist in zip(crcs, undetected):
+        want: dict[int, int] = {}
+        for u in range(1, 1 << N):
+            if crc.divides(GF2Poly(u)):
+                w = encode_tb(code, tuple((u >> i) & 1 for i in range(N))).weight
+                want[w] = want.get(w, 0) + 1
+        assert hist == want, crc.to_hex()
 
 
 def test_cyclic_closure_of_partition_classes(code):
