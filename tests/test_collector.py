@@ -219,17 +219,18 @@ class TestSaveLoad:
         assert again == db7
         assert again.d_tilde == 7 and again.max_len == 8
 
-    @pytest.mark.parametrize(
-        "old,new,line",
-        [('"inputs": "0"', '"inputs": "1"', '   "inputs": "1",'), ('"checksum": "', '"checksum": "0', ' "checksum": "0')],
-    )
-    def test_checksum_detects_tampering(self, db7, tmp_path, old, new, line):
+    def test_checksum_detects_tampering(self, db7, tmp_path):
         # A record or the checksum changed in place, the checksum not recomputed.
+        cases = [
+            ('"inputs": "0"', '"inputs": "1"', '   "inputs": "1",'),
+            ('"checksum": "', '"checksum": "0', ' "checksum": "0'),
+        ]
         path = tmp_path / "db.json"
-        save_database(db7, path)
-        path.write_text(path.read_text().replace(old, new, 1))
-        with pytest.raises(DatabaseFormatError, match=rf"line \d+ '{re.escape(line)}.*' is not what save_database writes"):
-            load_database(path)
+        for old, new, line in cases:
+            save_database(db7, path)
+            path.write_text(path.read_text().replace(old, new, 1))
+            with pytest.raises(DatabaseFormatError, match=rf"line \d+ '{re.escape(line)}.*' is not what save_database writes"):
+                load_database(path)
 
     def test_version_mismatch(self, db7, tmp_path):
         path = tmp_path / "db.json"
