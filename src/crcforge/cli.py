@@ -234,7 +234,7 @@ def cmd_verify(args) -> int:
 
     if code.v <= MAX_ORACLE_V:
         agree = all(
-            list(db.per_state[s]) == brute_force_iees(code, s, d_tilde, N)
+            db.events(s).iees() == brute_force_iees(code, s, d_tilde, N)
             for s in db.ordering
         )
         check("iee-exhaustive", agree, f"{db.num_iees} events vs brute force")

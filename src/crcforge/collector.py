@@ -19,27 +19,27 @@ weight, and the inputs so far as uint64 limbs, as many as the depth
 needs), expanded one depth step at a time in blocks of at most _BLOCK
 rows, deepest block first. The rows waiting at any one depth are then at
 most two blocks, so the search's memory is bounded by max_len times the
-block size, not by the widest level of the search. Closures are sorted per
-start state by (weight, length, input bits) and become IEE tuples one
-state at a time. Catastrophic encoders are refused: they have zero-weight
-cycles away from state 0, so weight pruning alone would not bound the
-search.
+block size, not by the widest level of the search. Closures are sorted
+into file order (start state by its place in the ordering, then weight,
+length and input bits) and kept as the database's columns; an IEE object
+is built only where a caller asks for one. Catastrophic encoders are
+refused: they have zero-weight cycles away from state 0, so weight
+pruning alone would not bound the search.
 
 The collector is the one source of truth for a code's events. A saved
 database is JSON with a checksum, written by one generator of text
-pieces. Loading it parses only the header, re-runs the collection the
-header describes, and refuses the file unless its text is exactly what
-that generator writes for that collection.
+pieces, which renders each slice of events from the columns with numpy.
+Loading it parses only the header, re-runs the collection the header
+describes, and refuses the file unless its text is exactly what that
+generator writes for that collection.
 """
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import heapq
 import json
 import os
-from itertools import repeat
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -49,6 +49,7 @@ from .errors import CatastrophicEncoderError, DatabaseFormatError
 
 __all__ = [
     "IEE",
+    "EventColumns",
     "IEEDatabase",
     "collect_iees",
     "save_database",
@@ -85,9 +86,26 @@ class IEE(NamedTuple):
     input_bits: int
     start_state: int
 
-    @property
-    def inputs(self) -> tuple[int, ...]:
-        return tuple((self.input_bits >> i) & 1 for i in range(self.length))
+
+class EventColumns(NamedTuple):
+    """One state's events: its rows of the database's columns.
+
+    The arrays are views into the database, in file order. Row r has
+    weight weights[r], length lengths[r] and input bits inputs[r], as
+    little-endian uint64 limbs (bit i of limb k = input at step 64k + i).
+    """
+
+    state: int
+    weights: np.ndarray
+    lengths: np.ndarray
+    inputs: np.ndarray
+
+    def iees(self) -> list[IEE]:
+        """The events as IEE objects, built on demand."""
+        width = 8 * self.inputs.shape[1]
+        blob = self.inputs.astype("<u8", copy=False).tobytes()
+        bits = [int.from_bytes(blob[i : i + width], "little") for i in range(0, len(blob), width)]
+        return [IEE(w, n, b, self.state) for w, n, b in zip(self.weights.tolist(), self.lengths.tolist(), bits)]
 
 
 def _return_bounds(
@@ -152,8 +170,8 @@ def _bound_tables(
 
 def _closures(
     code: ConvCode, ordering: tuple[int, ...], d_tilde: int, max_len: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Every event of every state: (counts per start state, order, weight, length, limbs).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every event of every state, in file order: (offsets, weights, lengths, inputs).
 
     One search runs from all start states at once. A frontier block holds
     rows of one depth as columns [start, state, weight, limb 0, ...]: int32
@@ -164,8 +182,10 @@ def _closures(
     at any depth. A row is recorded when it steps back to its start state
     under d_tilde, and expanded further only while the return bounds leave
     room for a closure. The zero loop of state 0 always closes, so there is
-    at least one event. The event columns come back unsorted, with the
-    order that sorts them by (start state, weight, length, input bits).
+    at least one event and one limb. The events come back sorted by (place
+    of the start state in the ordering, weight, length, input bits), those
+    of ordering[i] in rows offsets[i]:offsets[i + 1], with the inputs as an
+    (events, limbs) matrix.
     """
     num = code.num_states
     cap = int(np.iinfo(np.int32).max)  # weights and depths stay far below it
@@ -223,7 +243,9 @@ def _closures(
     # Each list of blocks is dropped once joined, so the blocks and the
     # joined columns are not both held through the sort.
     sizes = [len(part) for part in starts]
-    start, weight = np.concatenate(starts), np.concatenate(weights)
+    rank = np.empty(num, dtype=narrow[0])
+    rank[list(ordering)] = np.arange(num)
+    start, weight = rank[np.concatenate(starts)], np.concatenate(weights)
     del starts, weights
     length = np.repeat(np.array(lengths, dtype=narrow[2]), sizes)
     limbs = [
@@ -232,51 +254,31 @@ def _closures(
     ]
     del bits
     order = np.lexsort((*limbs, length, weight, start))
-    return np.bincount(start, minlength=num), order, weight, length, limbs
-
-
-def _per_state(
-    ordering: tuple[int, ...],
-    counts: np.ndarray,
-    order: np.ndarray,
-    weight: np.ndarray,
-    length: np.ndarray,
-    limbs: list[np.ndarray],
-) -> dict[int, tuple[IEE, ...]]:
-    """Each state's events as IEE tuples, from _closures' columns.
-
-    State s owns the counts[s] rows of order after those of the
-    lower-numbered states. They are read _BLOCK rows at a time, so no
-    Python list of a whole state's fields is held beside its tuples.
-    """
-    ends = np.cumsum(counts)
-    per_state = {}
-    for sigma in ordering:
-        begin, end = int(ends[sigma] - counts[sigma]), int(ends[sigma])
-        events: list[IEE] = []
-        for lo in range(begin, end, _BLOCK):
-            rows = order[lo : min(lo + _BLOCK, end)]
-            inputs = limbs[0][rows].tolist()
-            for k, limb in enumerate(limbs[1:], 1):
-                high = limb[rows]
-                nonzero = np.flatnonzero(high)
-                for i, h in zip(nonzero.tolist(), high[nonzero].tolist()):
-                    inputs[i] |= h << 64 * k
-            events += map(IEE._make, zip(weight[rows].tolist(), length[rows].tolist(), inputs, repeat(sigma)))
-        per_state[sigma] = tuple(events)
-    return per_state
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(start, minlength=num))))
+    inputs = np.empty((len(order), len(limbs)), dtype=np.uint64)
+    for k in range(len(limbs)):
+        inputs[:, k] = limbs[k][order]
+        limbs[k] = None
+    return offsets, weight[order], length[order], inputs
 
 
 class IEEDatabase:
-    """The collected IEEs of one code under one ordering.
+    """The collected IEEs of one code under one ordering, held as columns.
 
-    per_state maps each state to its IEE tuple sorted by
-    (weight, length, input bits); max_len is also the largest trellis
-    length N the database provably covers (no IEE longer than max_len can
-    take part in a length <= max_len tail-biting path).
+    The events are rows in file order: by the place of their start state
+    in the ordering, then by (weight, length, input bits). The events of
+    ordering[i] are rows offsets[i]:offsets[i + 1] of weights and lengths
+    (narrow unsigned dtypes) and of inputs, an (events, limbs) uint64
+    matrix; events(state) slices them out and iees() builds IEE objects
+    from them. max_len is also the largest trellis length N the database
+    provably covers (no IEE longer than max_len can take part in a length
+    <= max_len tail-biting path).
     """
 
-    __slots__ = ("generators_octal", "v", "n", "ordering", "d_tilde", "max_len", "per_state", "_code")
+    __slots__ = (
+        "generators_octal", "v", "n", "ordering", "d_tilde", "max_len",
+        "offsets", "weights", "lengths", "inputs", "_code",
+    )
 
     def __init__(
         self,
@@ -285,14 +287,20 @@ class IEEDatabase:
         ordering: Sequence[int],
         d_tilde: int,
         max_len: int,
-        per_state: dict[int, tuple[IEE, ...]],
+        offsets: np.ndarray,
+        weights: np.ndarray,
+        lengths: np.ndarray,
+        inputs: np.ndarray,
     ):
         self.generators_octal = tuple(generators_octal)
         self.v = v
         self.ordering = tuple(ordering)
         self.d_tilde = d_tilde
         self.max_len = max_len
-        self.per_state = per_state
+        self.offsets = offsets
+        self.weights = weights
+        self.lengths = lengths
+        self.inputs = inputs
         self.n = len(self.generators_octal)
         self._code: ConvCode | None = None
 
@@ -304,14 +312,20 @@ class IEEDatabase:
 
     @property
     def num_iees(self) -> int:
-        return sum(len(lst) for lst in self.per_state.values())
+        return len(self.weights)
+
+    def events(self, state: int) -> EventColumns:
+        """The events of one state, sorted by (weight, length, input bits)."""
+        i = self.ordering.index(state)
+        rows = slice(int(self.offsets[i]), int(self.offsets[i + 1]))
+        return EventColumns(state, self.weights[rows], self.lengths[rows], self.inputs[rows])
 
     def iees(self) -> Iterator[IEE]:
         for sigma in self.ordering:
-            yield from self.per_state.get(sigma, ())
+            yield from self.events(sigma).iees()
 
     def state_counts(self) -> dict[int, int]:
-        return {sigma: len(self.per_state.get(sigma, ())) for sigma in self.ordering}
+        return dict(zip(self.ordering, np.diff(self.offsets).tolist()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IEEDatabase):
@@ -322,7 +336,10 @@ class IEEDatabase:
             and self.ordering == other.ordering
             and self.d_tilde == other.d_tilde
             and self.max_len == other.max_len
-            and self.per_state == other.per_state
+            and all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in ("offsets", "weights", "lengths", "inputs")
+            )
         )
 
     def __repr__(self) -> str:
@@ -364,16 +381,27 @@ def collect_iees(
         raise ValueError("ordering must be a permutation of all states")
 
     columns = _closures(code, ordering, d_tilde, max_len)
-    # The tuples hold no references, yet building them in bulk would set off
-    # full collections that walk every tuple built so far.
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        per_state = _per_state(ordering, *columns)
-    finally:
-        if was_enabled:
-            gc.enable()
-    return IEEDatabase(code.generators_octal, code.v, ordering, d_tilde, max_len, per_state)
+    return IEEDatabase(code.generators_octal, code.v, ordering, d_tilde, max_len, *columns)
+
+
+def _render(fields: Sequence, rows: int) -> bytes:
+    """Text rows, each its fields end to end, as one run of bytes.
+
+    A field is a str, the same in every row, or (chars, widths): a uint8
+    matrix with one row per text row, of which row r uses its first
+    widths[r] bytes. One mask drops the padding of every field at once.
+    """
+    chars, keep = [], []
+    for field in fields:
+        if isinstance(field, str):
+            const = np.frombuffer(field.encode(), dtype=np.uint8)
+            chars.append(np.broadcast_to(const, (rows, len(const))))
+            keep.append(np.ones((rows, len(const)), dtype=bool))
+        else:
+            matrix, widths = field
+            chars.append(matrix)
+            keep.append(np.arange(matrix.shape[1]) < widths[:, None])
+    return np.hstack(chars)[np.hstack(keep)].tobytes()
 
 
 def _pieces(db: IEEDatabase) -> Iterator[str]:
@@ -384,9 +412,11 @@ def _pieces(db: IEEDatabase) -> Iterator[str]:
     the sha256 of the payload's compact, key-sorted JSON text. The pieces
     are the header up to '"iees": [', the records _CHECKSUM_SLICE at a
     time, and the tail with the checksum. Only the header goes through
-    json. Each event's inputs, a 0/1 string that needs no escaping, go
-    into two format strings: the record as written, and as the checksum's
-    text has it, between the header's compact text before and after "iees".
+    json. A slice's records are rendered from the columns as rows of
+    fields, twice: as written, and as the checksum's text has it, between
+    the header's compact text before and after "iees". States and weights
+    come from a table of decimal digits, and each event's inputs, a 0/1
+    string that needs no escaping, from its unpacked limbs.
     """
     header = {
         "format_version": DB_FORMAT_VERSION,
@@ -404,17 +434,26 @@ def _pieces(db: IEEDatabase) -> Iterator[str]:
         ("," if i else "{") + f"\n {json.dumps(key)}: " + json.dumps(value, indent=1).replace("\n", "\n ")
         for i, (key, value) in enumerate(header.items())
     ) + ',\n "iees": ['
-    events = list(db.iees())
-    for lo in range(0, len(events), _CHECKSUM_SLICE):
-        chunk = events[lo : lo + _CHECKSUM_SLICE]
-        rows = [(e.start_state, f"{e.input_bits:0{e.length}b}"[::-1], e.weight) for e in chunk]
-        lines = "".join(
-            f',\n  {{\n   "state": {s},\n   "inputs": "{x}",\n   "weight": {w}\n  }}' for s, x, w in rows
-        )
-        records = "".join(f',{{"inputs":"{x}","state":{s},"weight":{w}}}' for s, x, w in rows)
+    events = db.num_iees
+    # Row i of digits holds str(i), for every state and weight, in its first widths[i] bytes.
+    numbers = np.array([str(i) for i in range(max(len(db.ordering), int(db.weights.max(initial=0)) + 1))], "S")
+    digits, widths = numbers.view(np.uint8).reshape(len(numbers), -1), np.char.str_len(numbers)
+    ordering = np.array(db.ordering)
+    for lo in range(0, events, _CHECKSUM_SLICE):
+        hi = min(lo + _CHECKSUM_SLICE, events)
+        state = ordering[np.searchsorted(db.offsets, np.arange(lo, hi), side="right") - 1]
+        weight, length = db.weights[lo:hi], db.lengths[lo:hi]
+        top = int(length.max())
+        limbs = np.ascontiguousarray(db.inputs[lo:hi, : -(-top // 64)], dtype="<u8")
+        bits = np.unpackbits(limbs.view(np.uint8), axis=1, count=top, bitorder="little")
+        s = (digits[state], widths[state])
+        x = (bits + ord("0"), length)
+        w = (digits[weight], widths[weight])
+        lines = _render([',\n  {\n   "state": ', s, ',\n   "inputs": "', x, '",\n   "weight": ', w, "\n  }"], hi - lo)
+        records = _render([',{"inputs":"', x, '","state":', s, ',"weight":', w, "}"], hi - lo)
         # The first record of the list has no comma before it.
-        digest.update((records if lo else records[1:]).encode())
-        yield lines if lo else lines[1:]
+        digest.update(records[1:] if lo == 0 else records)
+        yield (lines[1:] if lo == 0 else lines).decode()
     digest.update(f"]{after}".encode())
     yield ("\n ]" if events else "]") + f',\n "checksum": {json.dumps(digest.hexdigest())}\n}}\n'
 

@@ -29,7 +29,7 @@ rotations fill an arc of that cycle; the rows are distinct iff no two
 arcs on one cycle overlap and none is longer than p.
 
 A state's table holds its skeletons as numpy columns: event indices into
-the state's IEE tuple (padded with -1), length, weight and last event
+the state's event columns (padded with -1), length, weight and last event
 length, grown one event count at a time by a frontier search. The
 weight/length cells of the classic recurrence are never materialized,
 which keeps N=70 in tens of megabytes instead of gigabytes.
@@ -38,12 +38,11 @@ which keeps N=70 in tens of megabytes instead of gigabytes.
 from __future__ import annotations
 
 import math
-from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .collector import IEE, IEEDatabase
+from .collector import EventColumns, IEEDatabase
 from .errors import CoverageError
 
 __all__ = [
@@ -68,7 +67,7 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 
 def _skeletons_for_state(
-    iees: Sequence[IEE], d_tilde: int, targets: Sequence[int]
+    iees: EventColumns, d_tilde: int, targets: Sequence[int]
 ) -> tuple[int | None, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Enumerate feasible event skeletons for one state, as columns.
 
@@ -81,8 +80,7 @@ def _skeletons_for_state(
     (weight, length, event tuple).
     """
     l_max = max(targets)
-    weight_of = np.fromiter(map(attrgetter("weight"), iees), dtype=np.int64, count=len(iees))
-    length_of = np.fromiter(map(attrgetter("length"), iees), dtype=np.int64, count=len(iees))
+    weight_of, length_of = iees.weights.astype(np.int64), iees.lengths.astype(np.int64)
     zeros = np.flatnonzero(weight_of == 0)
     if len(zeros) > 1:
         raise RuntimeError("two zero-weight loops; encoder should have been refused")
@@ -143,13 +141,14 @@ def _skeletons_for_state(
 class WeightLengthTable(NamedTuple):
     """Anchored-path table of one state, stored in skeleton normal form.
 
-    Expansion walks the skeletons directly; zero_index is the position of
-    the zero loop in iees, or None for states without one. Skeleton a is
-    row a of skeletons (indices into iees, padded with -1) with its
-    length, weight and last event length in the columns of the same names.
+    Expansion walks the skeletons directly; iees are the state's event
+    columns, and zero_index is the row of the zero loop in them, or None
+    for states without one. Skeleton a is row a of skeletons (event rows,
+    padded with -1) with its length, weight and last event length in the
+    columns of the same names.
     """
 
-    iees: tuple[IEE, ...]
+    iees: EventColumns
     zero_index: int | None
     skeletons: np.ndarray
     lengths: np.ndarray
@@ -205,7 +204,7 @@ def build_tables(db: IEEDatabase, N: int, d_tilde: int) -> ReconstructionTables:
         raise ValueError(f"N={N} is degenerate for a memory-{db.v} code; need N >= {db.v}")
     per_state: dict[int, WeightLengthTable] = {}
     for sigma in db.ordering:
-        iees = db.per_state.get(sigma, ())
+        iees = db.events(sigma)
         per_state[sigma] = WeightLengthTable(iees, *_skeletons_for_state(iees, d_tilde, [N]))
     return ReconstructionTables(db, N, d_tilde, per_state)
 
@@ -220,11 +219,12 @@ def _base_words(table: WeightLengthTable, N: int) -> Iterator[tuple[int, int, in
     _state_bases builds the same words in the same order with numpy.
     """
     padded = table.zero_index is not None
+    iees = table.iees.iees()
     columns = (table.skeletons.tolist(), table.lengths.tolist(), table.weights.tolist())
     for events, length, weight in zip(*columns):
         if not padded and length != N:
             continue
-        evs = [table.iees[i] for i in events if i >= 0]
+        evs = [iees[i] for i in events if i >= 0]
         bits = [e.input_bits for e in evs]
         lens = [e.length for e in evs]
         j = len(evs)
@@ -423,13 +423,10 @@ def _state_bases(table: WeightLengthTable, N: int, limbs: int) -> tuple[np.ndarr
     counts = np.empty(total, dtype=np.int64)
     weights = np.repeat(table.weights[keep].astype(np.uint32), sizes)
 
-    iees = table.iees
-    lengths = np.fromiter(map(attrgetter("length"), iees), dtype=np.int32, count=len(iees))
-    packed = np.fromiter(map(attrgetter("input_bits"), iees), dtype=object, count=len(iees))
-    # Events longer than N sit in no skeleton; their high bits are cut off.
-    bits = np.zeros((len(iees), limbs), dtype=np.uint64)
-    for t in range(min(limbs, -(-int(lengths.max()) // 64))):
-        bits[:, t] = ((packed >> (64 * t)) & 0xFFFFFFFFFFFFFFFF).astype(np.uint64)
+    lengths, inputs = table.iees.lengths.astype(np.int32), table.iees.inputs
+    # Events longer than N sit in no skeleton; their high limbs are cut off.
+    bits = np.zeros((len(inputs), limbs), dtype=np.uint64)
+    bits[:, : inputs.shape[1]] = inputs[:, :limbs]
 
     for members, comp in zip(groups, comps):
         sk_events = events[members, : comp.shape[1]]
@@ -491,7 +488,7 @@ def growth_profile(
     counts = {l: 0 for l in targets}
     for sigma in db.ordering:
         zero_index, events, lengths, _weights, last_lens = _skeletons_for_state(
-            db.per_state.get(sigma, ()), d_tilde, targets
+            db.events(sigma), d_tilde, targets
         )
         # Skeletons that agree on (j, L, len_j) count alike; Python ints keep the sums exact.
         parts = np.count_nonzero(events >= 0, axis=1)

@@ -1,8 +1,10 @@
 import gc
 import hashlib
 import json
+import random
 import re
 
+import numpy as np
 import pytest
 from conftest import path_words, rate_half_codes
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from crcforge import collector
 from crcforge.cli import main
 from crcforge.collector import (
     IEE,
+    IEEDatabase,
     collect_iees,
     load_database,
     save_database,
@@ -21,6 +24,11 @@ from crcforge.encoder import ConvCode, encode_tb
 from crcforge.errors import CatastrophicEncoderError, DatabaseFormatError
 from crcforge.oracle import brute_force_iees
 from crcforge.reconstructor import build_tables, expand_and_dedup
+
+
+def _inputs(event):
+    """An event's inputs, one 0/1 per step."""
+    return tuple((event.input_bits >> i) & 1 for i in range(event.length))
 
 
 @pytest.fixture(scope="module")
@@ -35,26 +43,26 @@ def db7(code):
 
 class TestCollectedSet:
     def test_zero_loop_always_stored(self, db7):
-        zero = db7.per_state[0][0]
-        assert zero.inputs == (0,)
+        zero = db7.events(0).iees()[0]
+        assert _inputs(zero) == (0,)
         assert zero.weight == 0
         assert zero.length == 1
 
     def test_minimum_nonzero_event(self, db7):
-        nonzero = [e for e in db7.per_state[0] if e.weight > 0]
+        nonzero = [e for e in db7.events(0).iees() if e.weight > 0]
         first = nonzero[0]
         assert first.weight == 6
         assert first.length == 5
-        assert first.inputs == (1, 1, 0, 0, 0)
+        assert _inputs(first) == (1, 1, 0, 0, 0)
 
     def test_no_short_light_event(self, db7):
         # The zero-terminated detour 1000 weighs 7, so nothing of length 4
         # gets under this d_tilde.
-        assert all(e.length != 4 for e in db7.per_state[0])
+        assert all(e.length != 4 for e in db7.events(0).iees())
 
     def test_sorted_by_weight_length_bits(self, db7):
-        for events in db7.per_state.values():
-            keys = [(e.weight, e.length, e.input_bits) for e in events]
+        for s in db7.ordering:
+            keys = [(e.weight, e.length, e.input_bits) for e in db7.events(s).iees()]
             assert keys == sorted(keys)
 
     def test_memory_six_events_reencode(self):
@@ -66,12 +74,12 @@ class TestCollectedSet:
         db = collect_iees(code, 12, 40)
         assert db.num_iees > 1000
         for i, sigma in enumerate(db.ordering):
-            events = db.per_state[sigma]
-            assert list(events) == sorted(set(events))
+            events = db.events(sigma).iees()
+            assert events == sorted(set(events))
             for e in events:
                 assert e.start_state == sigma and 1 <= e.length <= 40 and e.weight < 12
                 copies = -(-code.v // e.length)
-                path = encode_tb(code, e.inputs * copies)
+                path = encode_tb(code, _inputs(e) * copies)
                 assert path.states[0] == sigma and path.weight == copies * e.weight, e
                 assert set(path.states[1 : e.length]).isdisjoint(db.ordering[: i + 1]), e
                 assert verify_iee(db, e)
@@ -80,7 +88,7 @@ class TestCollectedSet:
         assert all(verify_iee(db7, e) for e in db7.iees())
         # A loop at state 1 that dips through state 0 is not irreducible.
         fake = IEE(weight=3, length=4, input_bits=0b0010, start_state=1)
-        assert fake.inputs == (0, 1, 0, 0)
+        assert _inputs(fake) == (0, 1, 0, 0)
         assert not verify_iee(db7, fake)
 
     @pytest.mark.parametrize("gens,v", [(["5", "7"], 2), (["13", "17"], 3)])
@@ -90,7 +98,7 @@ class TestCollectedSet:
         db = collect_iees(code, d_tilde, max_len)
         for s in range(code.num_states):
             ref = brute_force_iees(code, s, d_tilde, max_len)
-            assert list(db.per_state[s]) == ref, f"state {s}"
+            assert db.events(s).iees() == ref, f"state {s}"
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -101,7 +109,7 @@ class TestCollectedSet:
         max_len = data.draw(st.integers(1, 14), label="max_len")
         db = collect_iees(code, d_tilde, max_len, ordering)
         for s in ordering:
-            assert list(db.per_state[s]) == brute_force_iees(code, s, d_tilde, max_len, ordering), s
+            assert db.events(s).iees() == brute_force_iees(code, s, d_tilde, max_len, ordering), s
 
     def test_events_longer_than_two_limbs(self, tmp_path):
         # Input bits take a second uint64 limb past 64 steps and a third past 128.
@@ -114,6 +122,7 @@ class TestCollectedSet:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "c5ebd3b6948be7a12761c57f7a5b515b5dca696ca41b5603df385a7186ca5286"
         )
+        assert load_database(path) == db
 
     @pytest.mark.parametrize(
         "gens,v,d_tilde,max_len,ordering,events",
@@ -137,7 +146,7 @@ class TestCollectedSet:
         # Limbs follow the depth reached, not max_len; every event here is short.
         db = collect_iees(code, 12, 100_000)
         assert db.num_iees == 357
-        assert db.per_state == collect_iees(code, 12, 22).per_state
+        assert list(db.iees()) == list(collect_iees(code, 12, 22).iees())
 
     def test_threads_do_not_change_result(self, code):
         serial = collect_iees(code, 7, 10, threads=1)
@@ -170,7 +179,7 @@ class TestCollectedSet:
     def test_d_tilde_one_keeps_only_zero_loop(self, code):
         db = collect_iees(code, 1, 10)
         assert db.num_iees == 1
-        assert db.per_state[0][0].weight == 0
+        assert db.events(0).iees()[0].weight == 0
 
 
 class TestSaveLoad:
@@ -188,7 +197,7 @@ class TestSaveLoad:
             "d_tilde": db.d_tilde,
             "max_len": db.max_len,
             "iees": [
-                {"state": e.start_state, "inputs": "".join(map(str, e.inputs)), "weight": e.weight}
+                {"state": e.start_state, "inputs": "".join(map(str, _inputs(e))), "weight": e.weight}
                 for e in db.iees()
             ],
         }
@@ -218,6 +227,25 @@ class TestSaveLoad:
         again = load_database(path)
         assert again == db7
         assert again.d_tilde == 7 and again.max_len == 8
+
+    def test_equality_compares_every_column(self, db7):
+        # Each copy differs from db7 in one place; a truth test of an
+        # array comparison would raise instead of answering.
+        bit = db7.inputs.copy()
+        bit[-1, 0] ^= np.uint64(1 << 3)
+        weight = db7.weights.copy()
+        weight[1] += 1
+        fewer = db7.offsets.copy()
+        fewer[-1] -= 1
+        changed = [
+            _with(db7, inputs=bit),
+            _with(db7, weights=weight),
+            _with(db7, ordering=db7.ordering[::-1]),
+            _with(db7, offsets=fewer, weights=db7.weights[:-1], lengths=db7.lengths[:-1], inputs=db7.inputs[:-1]),
+        ]
+        assert _with(db7) == db7
+        for other in changed:
+            assert (db7 == other, other == db7) == (False, False)
 
     def test_checksum_detects_tampering(self, db7, tmp_path):
         # A record or the checksum changed in place, the checksum not recomputed.
@@ -284,6 +312,75 @@ class TestSaveLoad:
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was else gc.disable)()
+
+
+class TestRenderer:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_reference_writer(self, data):
+        # Memory up to 5 gives two-digit states, d_tilde up to 12 two-digit weights.
+        code = data.draw(rate_half_codes(5), label="code")
+        ordering = data.draw(st.permutations(range(code.num_states)), label="ordering")
+        d_tilde = data.draw(st.integers(1, 12), label="d_tilde")
+        max_len = data.draw(st.integers(1, 30), label="max_len")
+        db = collect_iees(code, d_tilde, max_len, ordering)
+        assert "".join(collector._pieces(db)) == _reference_text(db, list(db.iees()))
+
+    def test_records_cross_a_slice(self):
+        db = collect_iees(ConvCode(["133", "171"], 6), 12, 40, range(63, -1, -1))
+        assert db.num_iees == 1624 > collector._CHECKSUM_SLICE
+        assert "".join(collector._pieces(db)) == _reference_text(db, list(db.iees()))
+
+    def test_events_of_two_and_three_limbs(self):
+        # No collected event in the suite is this long, so the columns are
+        # built by hand: every length is a limb edge, bits at random.
+        rng = random.Random(0)
+        lengths = [1, 63, 64, 65, 128, 129]
+        events = sorted(
+            IEE(rng.randrange(12), n, rng.getrandbits(n) | 1 << (n - 1), state)
+            for state in (0, 3, 7) for n in lengths
+        )
+        events.sort(key=lambda e: e.start_state)
+        state_of = np.array([e.start_state for e in events])
+        db = IEEDatabase(
+            ["13", "17"], 3, range(8), 12, 129,
+            np.searchsorted(state_of, np.arange(9)),
+            np.array([e.weight for e in events], dtype=np.uint8),
+            np.array([e.length for e in events], dtype=np.uint8),
+            np.array([[e.input_bits >> 64 * k & (2**64 - 1) for k in range(3)] for e in events], dtype=np.uint64),
+        )
+        assert list(db.iees()) == events
+        assert "".join(collector._pieces(db)) == _reference_text(db, events)
+
+
+def _reference_text(db, events) -> str:
+    """What save_database writes for db's header and these events, one f-string per record."""
+    header = {
+        "format_version": collector.DB_FORMAT_VERSION,
+        "generators_octal": list(db.generators_octal),
+        "v": db.v,
+        "n": db.n,
+        "ordering": list(db.ordering),
+        "d_tilde": db.d_tilde,
+        "max_len": db.max_len,
+    }
+    canonical = json.dumps({**header, "iees": []}, sort_keys=True, separators=(",", ":"))
+    before, after = canonical.split('"iees":[]')
+    rows = [(e.start_state, f"{e.input_bits:0{e.length}b}"[::-1], e.weight) for e in events]
+    lines = "".join(f',\n  {{\n   "state": {s},\n   "inputs": "{x}",\n   "weight": {w}\n  }}' for s, x, w in rows)
+    records = "".join(f',{{"inputs":"{x}","state":{s},"weight":{w}}}' for s, x, w in rows)
+    digest = hashlib.sha256(f'{before}"iees":[{records[1:]}]{after}'.encode()).hexdigest()
+    text = "".join(
+        ("," if i else "{") + f"\n {json.dumps(key)}: " + json.dumps(value, indent=1).replace("\n", "\n ")
+        for i, (key, value) in enumerate(header.items())
+    )
+    return text + ',\n "iees": [' + lines[1:] + ("\n ]" if rows else "]") + f',\n "checksum": "{digest}"\n}}\n'
+
+
+def _with(db, **changes):
+    """A database with db's fields but those in changes."""
+    names = ["generators_octal", "v", "ordering", "d_tilde", "max_len", "offsets", "weights", "lengths", "inputs"]
+    return IEEDatabase(*(changes.get(name, getattr(db, name)) for name in names))
 
 
 def _flip_high_bit(blob: bytes) -> bytes:

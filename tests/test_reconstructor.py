@@ -82,11 +82,11 @@ class TestBuildTables:
         # zero-weight steps enter a word only as gap padding.
         tables = build_tables(db7, 8, 7)
         assert [tables[s].zero_index is not None for s in tables] == [True] + [False] * 7
-        zero = tables[0].iees[tables[0].zero_index]
+        zero = tables[0].iees.iees()[tables[0].zero_index]
         assert (zero.weight, zero.length) == (0, 1)
         for s in tables:
             events = tables[s].skeletons
-            assert all(tables[s].iees[i].weight > 0 for i in events[events >= 0].tolist())
+            assert (tables[s].iees.weights[events[events >= 0]] > 0).all()
 
     def test_weight6_length8_cell(self, db7):
         # One weight-6 event of length 5 (inputs 11000) plus three zero
@@ -110,7 +110,7 @@ class TestBuildTables:
         tables = build_tables(collect_iees(code, d_tilde, N, ordering), N, d_tilde)
         for s in tables:
             t = tables[s]
-            want = _naive_skeletons(t.iees, d_tilde, N)
+            want = _naive_skeletons(t.iees.iees(), d_tilde, N)
             rows = [tuple(i for i in row if i >= 0) for row in t.skeletons.tolist()]
             assert t.skeletons.dtype == np.int32
             assert [list(r) + [-1] * (t.skeletons.shape[1] - len(r)) for r in rows] == t.skeletons.tolist()
