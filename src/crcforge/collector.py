@@ -11,8 +11,8 @@ bounded-weight codeword list for any trellis length N <= max_len.
 Collection is one exhaustive array search over the reduced state
 diagram from all start states at once, pruned on accumulated weight >=
 d_tilde and length > max_len. Two admissible lower bounds (cheapest
-remaining weight and shortest remaining length back to the start state,
-from a Dijkstra / BFS pass over the reduced diagram, held as (start state
+remaining weight and fewest remaining steps back to the start state,
+from one array relaxation over the reduced diagram, held as (start state
 x state) tables) cut provably dead branches early; they never change the
 collected set. Frontier rows are numpy columns (start state, state,
 weight, and the inputs so far as uint64 limbs, as many as the depth
@@ -37,7 +37,6 @@ generator writes for that collection.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 import os
 from typing import Iterator, NamedTuple, Sequence
@@ -108,64 +107,39 @@ class EventColumns(NamedTuple):
         return [IEE(w, n, b, self.state) for w, n, b in zip(self.weights.tolist(), self.lengths.tolist(), bits)]
 
 
-def _return_bounds(
-    code: ConvCode, sigma: int, blocked: frozenset[int]
-) -> tuple[list[float], list[float]]:
-    """Cheapest weight and shortest length from each state back to sigma.
-
-    Interior states must avoid ``blocked`` and sigma itself. Unreachable
-    states get inf, which prunes them outright.
-    """
-    inf = float("inf")
-    preds: list[list[tuple[int, int]]] = [[] for _ in range(code.num_states)]
-    for s in range(code.num_states):
-        if s in blocked or s == sigma:
-            continue
-        for b in (0, 1):
-            preds[code.next_state(s, b)].append((s, code.branch_weight(s, b)))
-
-    def dijkstra(edge_cost_is_weight: bool) -> list[float]:
-        dist = [inf] * code.num_states
-        heap: list[tuple[float, int]] = []
-        for s, w in preds[sigma]:
-            cost = w if edge_cost_is_weight else 1
-            if cost < dist[s]:
-                dist[s] = cost
-                heapq.heappush(heap, (cost, s))
-        while heap:
-            d, s = heapq.heappop(heap)
-            if d > dist[s]:
-                continue
-            for t, w in preds[s]:
-                cost = d + (w if edge_cost_is_weight else 1)
-                if cost < dist[t]:
-                    dist[t] = cost
-                    heapq.heappush(heap, (cost, t))
-        return dist
-
-    return dijkstra(True), dijkstra(False)
-
-
 def _bound_tables(
-    code: ConvCode, ordering: tuple[int, ...], d_tilde: int, max_len: int
+    next_state: np.ndarray, branch_weight: np.ndarray, ordering: tuple[int, ...], d_tilde: int, max_len: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Flat (start state x state) limits on a live frontier row.
 
     A row of the search from sigma that has just stepped to state t, with
-    weight w at depth d, stays live iff w < allow_w[sigma * S + t] and
+    weight w after d steps, stays live iff w < allow_w[sigma * S + t] and
     d <= allow_len[sigma * S + t]: only then can it still close under
-    d_tilde within max_len. Where _return_bounds gives inf (t is sigma,
-    blocked, or cannot get back) both limits are 0, which no row meets.
+    d_tilde within max_len. The limits are d_tilde and max_len less the
+    least weight and the fewest steps from t back to sigma through states
+    after sigma in the ordering. Both come from one relaxation, dist[sigma,
+    t] = min over b of cost(t, b) + dist[sigma, next(t, b)] with
+    dist[sigma, sigma] = 0, run until nothing changes (at most S rounds).
+    Where t is not after sigma or cannot get back, both limits are 0, which
+    no row meets. The length table is the search's only length check: it
+    carries the max_len cap, so no closure is longer than max_len.
     """
-    inf = float("inf")
-    num = code.num_states
-    allow_w = np.zeros((num, num), dtype=np.int32)
-    allow_len = np.zeros((num, num), dtype=np.int32)
-    for i, sigma in enumerate(ordering):
-        ret_w, ret_len = _return_bounds(code, sigma, frozenset(ordering[:i]))
-        allow_w[sigma] = [0 if w == inf else d_tilde - w for w in ret_w]
-        allow_len[sigma] = [0 if n == inf else max_len - n for n in ret_len]
-    return allow_w.ravel(), allow_len.ravel()
+    num = len(next_state)
+    rank = np.empty(num, dtype=np.int64)
+    rank[list(ordering)] = np.arange(num)
+    # after[sigma, t]: t may be on a path back to sigma.
+    after = rank[None, :] > rank[:, None]
+    start = np.where(np.eye(num, dtype=bool), 0.0, np.inf)
+    cost = np.stack([branch_weight, np.ones_like(branch_weight)])[:, None]
+    dist = np.stack([start, start])
+    for _ in range(num):
+        relaxed = np.where(after, (cost + dist[:, :, next_state]).min(axis=-1), start)
+        if np.array_equal(relaxed, dist):
+            break
+        dist = relaxed
+    bounds = np.array([d_tilde, max_len], dtype=float)[:, None, None]
+    allow_w, allow_len = np.where(after & np.isfinite(dist), bounds - dist, 0).astype(np.int32).reshape(2, -1)
+    return allow_w, allow_len
 
 
 def _closures(
@@ -190,14 +164,12 @@ def _closures(
     num = code.num_states
     cap = int(np.iinfo(np.int32).max)  # weights and depths stay far below it
     d_tilde, max_len = min(d_tilde, cap), min(max_len, cap)
-    allow_w, allow_len = _bound_tables(code, ordering, d_tilde, max_len)
-    steps = [
-        (
-            np.array([code.next_state(s, b) for s in range(num)], dtype=np.int32),
-            np.array([code.branch_weight(s, b) for s in range(num)], dtype=np.int32),
-        )
-        for b in (0, 1)
-    ]
+    next_state, branch_weight = (
+        np.array([[step(s, b) for b in (0, 1)] for s in range(num)], dtype=np.int32)
+        for step in (code.next_state, code.branch_weight)
+    )
+    allow_w, allow_len = _bound_tables(next_state, branch_weight, ordering, d_tilde, max_len)
+    steps = list(zip(next_state.T, branch_weight.T))
     roots = np.array(ordering, dtype=np.int32)
     # Blocks (depth, columns); depth rises from the bottom of the stack to its top.
     stack = [(0, [roots, roots, np.zeros(num, dtype=np.int32)])]
@@ -218,9 +190,9 @@ def _closures(
         start, state, weight, *limbs = cols
         bit = np.uint64(1 << depth % 64)
         children = []
-        for b, (next_state, branch_weight) in enumerate(steps):
-            t = next_state[state]
-            w = weight + branch_weight[state]
+        for b, (next_b, weight_b) in enumerate(steps):
+            t = next_b[state]
+            w = weight + weight_b[state]
             key = start * num + t
             closed = np.flatnonzero((t == start) & (w < d_tilde))
             live = np.flatnonzero((w < allow_w[key]) & (allow_len[key] > depth))

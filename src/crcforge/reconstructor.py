@@ -479,6 +479,9 @@ def growth_profile(
     """
     if d_tilde < 1:
         raise ValueError(f"d_tilde must be >= 1, got {d_tilde}")
+    if isinstance(l_range, range) and l_range:
+        # A range's end is known without listing its lengths, which could be past counting.
+        _check_coverage(db, d_tilde, max(l_range[0], l_range[-1]), "l")
     targets = sorted(set(int(l) for l in l_range))
     if not targets:
         return []

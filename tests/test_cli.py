@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from crcforge import cli
@@ -140,6 +142,17 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert "count=" not in out
         assert f"error: d_tilde must be >= 1, got {d_tilde}" in err
+
+    def test_growth_range_past_max_len_is_1_at_once(self, small_db, capsys):
+        # The range's end is refused before its 10**12 lengths are listed.
+        start = time.perf_counter()
+        rc = main(["growth", "--iee", str(small_db), "--l-range", "1:1000000000000"])
+        elapsed = time.perf_counter() - start
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert "count=" not in out
+        assert "error: database only covers event lengths <= 16, need l=1000000000000; " in err
+        assert elapsed < 1.0
 
     def test_renamed_spectrum_is_1(self, small_db, tmp_path, capsys):
         assert main([

@@ -22,6 +22,7 @@ from crcforge.collector import (
 )
 from crcforge.encoder import ConvCode, encode_tb
 from crcforge.errors import CatastrophicEncoderError, DatabaseFormatError
+from crcforge.gf2 import GF2Poly
 from crcforge.oracle import brute_force_iees
 from crcforge.reconstructor import build_tables, expand_and_dedup
 
@@ -180,6 +181,64 @@ class TestCollectedSet:
         db = collect_iees(code, 1, 10)
         assert db.num_iees == 1
         assert db.events(0).iees()[0].weight == 0
+
+
+def _walked_limits(code, ordering, d_tilde, max_len):
+    """Reference pruning limits, from every simple path walked one by one.
+
+    For each start state sigma and each state t after it in the ordering,
+    every simple path from t that stays on states after sigma until a step
+    lands on sigma is walked; the limits are d_tilde and max_len less the
+    least weight and the fewest steps among them, and 0 with no such path.
+    """
+    num = code.num_states
+    allow_w = [[0] * num for _ in range(num)]
+    allow_len = [[0] * num for _ in range(num)]
+    for i, sigma in enumerate(ordering):
+        later = set(ordering[i + 1 :])
+        for t in later:
+            ends = []
+            todo = [(t, {t}, 0, 0)]
+            while todo:
+                s, seen, weight, steps = todo.pop()
+                for b in (0, 1):
+                    nxt, w = code.next_state(s, b), weight + code.branch_weight(s, b)
+                    if nxt == sigma:
+                        ends.append((w, steps + 1))
+                    elif nxt in later and nxt not in seen:
+                        todo.append((nxt, seen | {nxt}, w, steps + 1))
+            if ends:
+                allow_w[sigma][t] = d_tilde - min(w for w, _ in ends)
+                allow_len[sigma][t] = max_len - min(n for _, n in ends)
+    return allow_w, allow_len
+
+
+class TestBoundTables:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_limits_are_tight(self, data):
+        # Looser limits would still collect the same events, only slower, so
+        # the tables are pinned to the exact distances, not just checked safe.
+        v = data.draw(st.integers(1, 3), label="v")
+        n = data.draw(st.sampled_from([2, 3]), label="n")
+        taps = data.draw(
+            st.lists(st.integers(1, (2 << v) - 1), min_size=n, max_size=n).filter(
+                lambda g: max(g).bit_length() == v + 1
+            ),
+            label="taps",
+        )
+        code = ConvCode([GF2Poly(g) for g in taps], v)
+        ordering = tuple(data.draw(st.permutations(range(code.num_states)), label="ordering"))
+        d_tilde = data.draw(st.integers(1, 30), label="d_tilde")
+        max_len = data.draw(st.integers(1, 30), label="max_len")
+        next_state, branch_weight = (
+            np.array([[step(s, b) for b in (0, 1)] for s in range(code.num_states)], dtype=np.int32)
+            for step in (code.next_state, code.branch_weight)
+        )
+        tables = collector._bound_tables(next_state, branch_weight, ordering, d_tilde, max_len)
+        for got, want in zip(tables, _walked_limits(code, ordering, d_tilde, max_len)):
+            assert got.dtype == np.int32
+            assert got.tolist() == [x for row in want for x in row]
 
 
 class TestSaveLoad:
