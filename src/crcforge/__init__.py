@@ -41,7 +41,6 @@ from .reconstructor import (
     build_tables,
     expand_and_dedup,
     growth_profile,
-    iter_state_paths,
 )
 
 __version__ = "0.1.0"
@@ -64,7 +63,6 @@ __all__ = [
     "TBPathSet",
     "build_tables",
     "expand_and_dedup",
-    "iter_state_paths",
     "growth_profile",
     "DistanceSpectrum",
     "DsoSearchResult",

@@ -29,7 +29,7 @@ from .designer import (
     undetected_spectrum,
     write_bound_csv,
 )
-from .encoder import ConvCode, encode_tb
+from .encoder import ConvCode
 from .errors import CrcforgeError
 from .gf2 import parse_hex_crc, parse_octal
 from .oracle import (
@@ -39,7 +39,7 @@ from .oracle import (
     brute_force_partition,
     is_cyclic_closed,
 )
-from .reconstructor import TBPathSet, build_tables, expand_and_dedup, growth_profile, iter_state_paths
+from .reconstructor import TBPathSet, build_tables, expand_and_dedup, growth_profile
 
 __all__ = ["main"]
 
@@ -201,9 +201,8 @@ def cmd_verify(args) -> int:
         raise ValueError(f"verify enumerates all 2^N inputs; keep N <= {MAX_ORACLE_LEN} (got {N})")
 
     db = collect_iees(code, d_tilde, max_len=N)
-    tables = build_tables(db, N, d_tilde)
-    paths = expand_and_dedup(tables, N)
-    # The one exhaustive pass: every word of weight < d_tilde, by anchor state.
+    paths = expand_and_dedup(build_tables(db, N, d_tilde), N)
+    # The one exhaustive pass: every word of weight < d_tilde and its weight, by anchor state.
     oracle_classes = brute_force_partition(code, N, d_tilde, db.ordering)
 
     failures = 0
@@ -214,20 +213,17 @@ def cmd_verify(args) -> int:
         if not ok:
             failures += 1
 
-    expect = Counter(
-        encode_tb(code, tuple((u >> i) & 1 for i in range(N))).weight
-        for words in oracle_classes.values()
-        for u in words
-    )
+    expect = Counter(w for words in oracle_classes.values() for w in words.values())
     got = paths.counts_by_weight()
     check("spectrum-match", got == expect, f"{len(paths)} paths below d_tilde={d_tilde}")
 
-    ours = {s: [word for word, _w in iter_state_paths(tables, s)] for s in db.ordering}
+    # Each class is read from the path set design screens: the bases of ordering[i].
+    ours = {s: list(paths.words(lo, hi)) for s, lo, hi in zip(db.ordering, paths.offsets, paths.offsets[1:])}
     classes = f"{len(ours)} classes, {sum(map(len, ours.values()))} paths"
-    closed = all(is_cyclic_closed(words, N) for words in ours.values())
+    closed = all(is_cyclic_closed((word for word, _w in pairs), N) for pairs in ours.values())
     check("cyclic-closure", closed, classes)
 
-    check("partition", {s: set(words) for s, words in ours.items()} == oracle_classes, classes)
+    check("partition", {s: dict(pairs) for s, pairs in ours.items()} == oracle_classes, classes)
 
     irreducible = all(verify_iee(db, e) for e in db.iees())
     check("irreducibility", irreducible, f"{db.num_iees} events")

@@ -37,6 +37,7 @@ generator writes for that collection.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 from typing import Iterator, NamedTuple, Sequence
@@ -443,56 +444,65 @@ def load_database(path) -> IEEDatabase:
     version and field type checks, the collection the header describes is
     run again, and the file's text must be exactly what save_database
     writes for it, piece by piece, up to its last byte (line endings
-    aside). A changed, missing, extra or reordered event, a changed
-    checksum, trailing text, and a file another JSON writer laid out
-    differently are all refused, and so is a header that ConvCode or
-    collect_iees refuses. A load costs what the same collect costs, and
-    returns that collection.
+    aside). Each piece is compared with the next stretch of the file, so
+    the file's whole text is never held. A changed, missing, extra or
+    reordered event, a changed checksum, trailing text, and a file another
+    JSON writer laid out differently are all refused, and so is a header
+    that ConvCode or collect_iees refuses. A load costs what the same
+    collect costs, and returns that collection.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        # A file without records is all header.
-        end = text.find('"iees": [')
-        header = json.loads(text if end < 0 else text[:end].rstrip().removesuffix(",") + "}")
-    except (OSError, ValueError) as exc:
-        raise DatabaseFormatError(f"cannot read database {path}: {exc}") from exc
-    if not isinstance(header, dict):
-        raise DatabaseFormatError(f"{path}: not a database object")
-    version = header.get("format_version")
-    if version != DB_FORMAT_VERSION:
-        raise DatabaseFormatError(
-            f"{path}: format version {version!r}, supported {DB_FORMAT_VERSION}"
-        )
-    for key, kind in _FIELD_TYPES.items():
-        if key not in header:
-            raise DatabaseFormatError(f"{path}: missing field {key!r}")
-        if type(header[key]) is not kind:
-            raise DatabaseFormatError(f"{path}: field {key!r} is not a JSON {kind.__name__}")
-    gens, v, n, ordering, d_tilde, max_len = (header[key] for key in _FIELD_TYPES)
-    if not all(type(g) is str for g in gens) or not all(type(s) is int for s in ordering):
-        raise DatabaseFormatError(f"{path}: generators must be strings and states ints")
-    try:
-        code = ConvCode(list(gens), v)  # raises if v and tap degrees disagree
-        if code.n != n:
-            raise DatabaseFormatError(f"{path}: n={n} but {code.n} generators given")
-        db = collect_iees(code, d_tilde, max_len, ordering)
-    except (ValueError, CatastrophicEncoderError) as exc:
-        raise DatabaseFormatError(f"{path}: {exc}") from exc
+            lines = [fh.readline()]
+            while lines[-1] and '"iees": [' not in lines[-1]:
+                lines.append(fh.readline())
+            text = "".join(lines)
+            # A file without records is all header.
+            end = text.find('"iees": [')
+            header = json.loads(text if end < 0 else text[:end].rstrip().removesuffix(",") + "}")
+            if not isinstance(header, dict):
+                raise DatabaseFormatError(f"{path}: not a database object")
+            version = header.get("format_version")
+            if version != DB_FORMAT_VERSION:
+                raise DatabaseFormatError(f"{path}: format version {version!r}, supported {DB_FORMAT_VERSION}")
+            for key, kind in _FIELD_TYPES.items():
+                if key not in header:
+                    raise DatabaseFormatError(f"{path}: missing field {key!r}")
+                if type(header[key]) is not kind:
+                    raise DatabaseFormatError(f"{path}: field {key!r} is not a JSON {kind.__name__}")
+            gens, v, n, ordering, d_tilde, max_len = (header[key] for key in _FIELD_TYPES)
+            if not all(type(g) is str for g in gens) or not all(type(s) is int for s in ordering):
+                raise DatabaseFormatError(f"{path}: generators must be strings and states ints")
+            try:
+                code = ConvCode(list(gens), v)  # raises if v and tap degrees disagree
+                if code.n != n:
+                    raise DatabaseFormatError(f"{path}: n={n} but {code.n} generators given")
+                db = collect_iees(code, d_tilde, max_len, ordering)
+            except (ValueError, CatastrophicEncoderError) as exc:
+                raise DatabaseFormatError(f"{path}: {exc}") from exc
 
-    pos = 0
-    for piece in _pieces(db):
-        if not text.startswith(piece, pos):
-            break
-        pos += len(piece)
-    else:
-        if pos == len(text):
-            return db
-        piece = ""  # the file goes on past the end of the database
-    at = pos + len(os.path.commonprefix([piece, text[pos : pos + len(piece)]]))
-    start = text.rfind("\n", 0, at) + 1
-    number, line = text.count("\n", 0, start) + 1, text[start : start + 80].split("\n")[0]
-    raise DatabaseFormatError(f"{path}: line {number} {line!r} is not what save_database writes for this header")
+            def read(size: int) -> str:
+                nonlocal text  # the header lines, read already, come first
+                got, text = text[:size], text[size:]
+                return got + fh.read(size - len(got))
+
+            line = ""  # the text after the last newline of the pieces that match
+            # The empty piece last: past the end of the database, the file must end too.
+            for matched, piece in enumerate(itertools.chain(_pieces(db), [""])):
+                got = read(len(piece) or 1)
+                if got != piece:
+                    break
+                line = line + piece if (cut := piece.rfind("\n")) < 0 else piece[cut + 1 :]
+            else:
+                return db
+            at = len(os.path.commonprefix([piece, got]))
+            # Counted only for the message, in the matched pieces rendered again.
+            newlines = sum(p.count("\n") for p in itertools.islice(_pieces(db), matched)) + got.count("\n", 0, at)
+            line = (line + got[:at]).rsplit("\n", 1)[-1] + got[at:] + read(80)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DatabaseFormatError(f"cannot read database {path}: {exc}") from exc
+    line = line[:80].split("\n")[0]
+    raise DatabaseFormatError(f"{path}: line {newlines + 1} {line!r} is not what save_database writes for this header")
 
 
 def verify_iee(db: IEEDatabase, event: IEE) -> bool:

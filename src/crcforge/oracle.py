@@ -120,8 +120,8 @@ def _weight_of(code: ConvCode, state: int, inputs: tuple[int, ...]) -> int:
 
 def brute_force_partition(
     code: ConvCode, N: int, d_tilde: int, ordering: Sequence[int]
-) -> dict[int, set[int]]:
-    """Input words of weight < d_tilde, grouped by anchor state.
+) -> dict[int, dict[int, int]]:
+    """{anchor state: {input word: weight}} of the words of weight < d_tilde.
 
     A word's anchor is the state of its tail-biting path that comes first
     in the ordering, so the classes are disjoint and together hold every
@@ -130,11 +130,11 @@ def brute_force_partition(
     """
     _check_n(N)
     position = {s: i for i, s in enumerate(ordering)}
-    classes: dict[int, set[int]] = {s: set() for s in ordering}
+    classes: dict[int, dict[int, int]] = {s: {} for s in ordering}
     for u in range(1, 1 << N):
         path = encode_tb(code, tuple((u >> i) & 1 for i in range(N)))
         if path.weight < d_tilde:
-            classes[min(path.states[:N], key=position.__getitem__)].add(u)
+            classes[min(path.states[:N], key=position.__getitem__)][u] = path.weight
     return classes
 
 

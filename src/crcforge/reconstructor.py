@@ -19,8 +19,9 @@ row of ceil(N/64) uint64 limbs. numpy builds them a group at a time: the
 skeletons of one state with j events and gap total G = N - length are
 crossed with the weak compositions of G into j gaps, and each event's
 limbs are shifted to its start and ORed into place. The path set keeps
-the base words with their rotation counts len_j + g_j and weights, and
-the rows rot^r(base), r < len_j + g_j, stay implied. States other than 0
+the base words with their rotation counts len_j + g_j and weights, class
+by class; the rows rot^r(base), r < len_j + g_j, stay implied, and verify
+reads them from it as Python ints (TBPathSet.words). States other than 0
 have no zero loop, so their skeletons must fill the length budget exactly.
 
 The uniqueness guard never emits a row. Each base word sits on the cycle
@@ -51,19 +52,8 @@ __all__ = [
     "TBPathSet",
     "build_tables",
     "expand_and_dedup",
-    "iter_state_paths",
     "growth_profile",
 ]
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Weak compositions of total into exactly `parts` ordered parts."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
 
 
 def _skeletons_for_state(
@@ -209,44 +199,6 @@ def build_tables(db: IEEDatabase, N: int, d_tilde: int) -> ReconstructionTables:
     return ReconstructionTables(db, N, d_tilde, per_state)
 
 
-def _base_words(table: WeightLengthTable, N: int) -> Iterator[tuple[int, int, int]]:
-    """(base word, rotation count, weight) for every gap composition of a state.
-
-    The base word starts its first event at time 0; the path set of the
-    composition is its first `rotation count` = len_j + g_j rotations, one
-    step later in time each. This is the bijection of the module docstring
-    one word at a time, read by iter_state_paths, the per-class reference;
-    _state_bases builds the same words in the same order with numpy.
-    """
-    padded = table.zero_index is not None
-    iees = table.iees.iees()
-    columns = (table.skeletons.tolist(), table.lengths.tolist(), table.weights.tolist())
-    for events, length, weight in zip(*columns):
-        if not padded and length != N:
-            continue
-        evs = [iees[i] for i in events if i >= 0]
-        bits = [e.input_bits for e in evs]
-        lens = [e.length for e in evs]
-        j = len(evs)
-        for gaps in _compositions(N - length, j):
-            base = 0
-            pos = 0
-            for k in range(j):
-                base |= bits[k] << pos
-                pos += lens[k] + gaps[k]
-            yield base, lens[-1] + gaps[-1], weight
-
-
-def iter_state_paths(tables: ReconstructionTables, state: int) -> Iterator[tuple[int, int]]:
-    """(input word, weight) pairs of one partition class, each word once."""
-    N = tables.N
-    mask = (1 << N) - 1
-    for word, count, w in _base_words(tables[state], N):
-        for _ in range(count):
-            yield word, w
-            word = ((word << 1) | (word >> (N - 1))) & mask
-
-
 def _rotate(words: np.ndarray, N: int, spare: np.ndarray) -> None:
     """Rotate every N-bit word one step later in time, in place.
 
@@ -335,23 +287,36 @@ class TBPathSet:
     Base b is a row of ceil(N/64) little-endian uint64 limbs (bit i of the
     word = input at time i). It stands for its first counts[b] rotations
     rot^r(b), r < counts[b], each one step later in time and all of weight
-    base_weights[b]. Bases follow the state ordering of the tables; the
+    base_weights[b]. The bases of the partition class of ordering[i] are
+    rows offsets[i]:offsets[i+1], as its events are in IEEDatabase. The
     paths of all bases are distinct.
     """
 
-    __slots__ = ("N", "d_tilde", "bases", "counts", "base_weights")
+    __slots__ = ("N", "d_tilde", "offsets", "bases", "counts", "base_weights")
 
     def __init__(
-        self, N: int, d_tilde: int, bases: np.ndarray, counts: np.ndarray, base_weights: np.ndarray
+        self, N: int, d_tilde: int, offsets: np.ndarray, bases: np.ndarray, counts: np.ndarray,
+        base_weights: np.ndarray,
     ):
         self.N = N
         self.d_tilde = d_tilde
+        self.offsets = offsets
         self.bases = bases
         self.counts = counts
         self.base_weights = base_weights
 
     def __len__(self) -> int:
         return int(self.counts.sum())
+
+    def words(self, lo: int = 0, hi: int | None = None) -> Iterator[tuple[int, int]]:
+        """(word, weight) of each path of bases lo..hi-1 as Python ints, base by base, in rotation order."""
+        N, mask = self.N, (1 << self.N) - 1
+        rows = self.bases[lo:hi].astype("<u8", copy=False)
+        for row, count, weight in zip(rows, self.counts[lo:hi].tolist(), self.base_weights[lo:hi].tolist()):
+            word = int.from_bytes(row.tobytes(), "little")
+            for _ in range(count):
+                yield word, weight
+                word = ((word << 1) | (word >> (N - 1))) & mask
 
     def counts_by_weight(self) -> dict[int, int]:
         """{weight: number of paths}, zero weights omitted."""
@@ -363,7 +328,7 @@ class TBPathSet:
 
 
 def _composition_table(total: int, parts: int) -> np.ndarray:
-    """The rows of _compositions(total, parts), in its order, as one array."""
+    """The weak compositions of total into `parts` ordered parts, in lexicographic order, one per row."""
     table = np.zeros((1, 0), dtype=np.int64)
     left = np.array([total], dtype=np.int64)
     for _ in range(parts - 1):
@@ -395,13 +360,13 @@ def _shift_left(words: np.ndarray, shift: np.ndarray) -> np.ndarray:
 
 
 def _state_bases(table: WeightLengthTable, N: int, limbs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(bases, rotation counts, weights) of one state, in _base_words order.
+    """(bases, rotation counts, weights) of one state's partition class.
 
     The skeletons are grouped by (event count j, gap total G = N - length).
     A group crosses its skeletons with the weak compositions of G into j
-    gaps, places each event after the events and gaps before it, and
-    writes its rows where _base_words yields them: skeleton order, then
-    composition order.
+    gaps and places each event after the events and gaps before it. Each
+    base word starts its first event at time 0, and its rotation count is
+    len_j + g_j. Rows come in skeleton order, then composition order.
     """
     keep = slice(None) if table.zero_index is not None else table.lengths == N
     events, sk_lengths = table.skeletons[keep], table.lengths[keep]
@@ -447,14 +412,15 @@ def expand_and_dedup(tables: ReconstructionTables, N: int) -> TBPathSet:
     """Build one base word per gap composition and check the rows are distinct.
 
     The base order is deterministic (state ordering, then skeleton order,
-    then gap compositions), the order of _base_words. The uniqueness guard
-    checks the rotation arcs of the bases on their necklaces
-    (_overlapping_arcs), without emitting a row.
+    then gap compositions), and the path set's offsets mark where each
+    state's bases begin. The uniqueness guard checks the rotation arcs of
+    the bases on their necklaces (_overlapping_arcs), without emitting a row.
     """
     if N != tables.N:
         raise ValueError(f"tables were built for N={tables.N}, asked to expand N={N}")
     limbs = (N + 63) // 64
     parts = [_state_bases(tables.per_state[sigma], N, limbs) for sigma in tables.ordering]
+    offsets = np.cumsum([0] + [len(part[0]) for part in parts])
     bases, counts, weights = (np.concatenate(column) for column in zip(*parts))
     overlaps = _overlapping_arcs(bases, counts, N)
     if overlaps:
@@ -463,7 +429,7 @@ def expand_and_dedup(tables: ReconstructionTables, N: int) -> TBPathSet:
             "of their rotation arcs overlap the next on their necklace; "
             "bijection invariant broken"
         )
-    return TBPathSet(N, tables.d_tilde, bases, counts, weights)
+    return TBPathSet(N, tables.d_tilde, offsets, bases, counts, weights)
 
 
 def growth_profile(

@@ -1,6 +1,5 @@
 import os
 
-import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -44,8 +43,12 @@ def rate_half_codes(max_v):
 
 def path_words(paths):
     """(word, weight) of every path of a TBPathSet, base by base."""
-    weights = np.repeat(paths.base_weights, paths.counts).tolist()
-    return list(zip(rotations(paths.bases, paths.counts, paths.N), weights))
+    return list(paths.words())
+
+
+def state_classes(paths, ordering):
+    """{state: (word, weight) of its partition class}, read from a TBPathSet."""
+    return {s: list(paths.words(lo, hi)) for s, lo, hi in zip(ordering, paths.offsets, paths.offsets[1:])}
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,7 @@ import contextlib
 import time
 
 import pytest
+from conftest import state_classes
 
 from crcforge import (
     ConvCode,
@@ -22,7 +23,6 @@ from crcforge import (
     expand_and_dedup,
     growth_profile,
     is_cyclic_closed,
-    iter_state_paths,
     parse_hex_crc,
     search_dso,
     truncated_union_bound,
@@ -98,20 +98,21 @@ def test_criterion_4_oracle_equivalence(capsys):
 def test_criterion_5_invariants(code1317, db70, capsys):
     label = "cyclic closure, anchor-state partition, and irreducibility all hold"
     with _criterion(capsys, 5, label):
+        # Each class is read from the path set that design screens.
         for N in (4, 9, 12):
             for d_tilde in (5, 8):
-                tables = build_tables(db70, N, d_tilde)
-                for s in tables:
-                    assert is_cyclic_closed((w for w, _ in iter_state_paths(tables, s)), N)
+                paths = expand_and_dedup(build_tables(db70, N, d_tilde), N)
+                for pairs in state_classes(paths, db70.ordering).values():
+                    assert is_cyclic_closed((w for w, _ in pairs), N)
 
         # Partition check needs every weight, so collect past 2N for one N.
         N = 12
         db_full = collect_iees(code1317, 2 * N + 1, N)
-        tables = build_tables(db_full, N, 2 * N + 1)
-        ours = {s: [word for word, _ in iter_state_paths(tables, s)] for s in tables.ordering}
+        paths = expand_and_dedup(build_tables(db_full, N, 2 * N + 1), N)
+        ours = state_classes(paths, db_full.ordering)
         assert sum(map(len, ours.values())) == (1 << N) - 1, "classes overlap or miss paths"
-        oracle = brute_force_partition(code1317, N, 2 * N + 1, tables.ordering)
-        assert {s: set(words) for s, words in ours.items()} == oracle
+        oracle = brute_force_partition(code1317, N, 2 * N + 1, db_full.ordering)
+        assert {s: dict(pairs) for s, pairs in ours.items()} == oracle
 
         for event in db70.iees():
             assert verify_iee(db70, event)

@@ -1,8 +1,9 @@
 import time
 
+import numpy as np
 import pytest
 
-from crcforge import cli
+from crcforge import cli, reconstructor
 from crcforge.cli import _parse_snr_grid, main
 
 
@@ -282,6 +283,24 @@ class TestPipeline:
         assert "PASS cyclic-closure" in out
         assert "PASS partition" in out
         assert out.strip().endswith("PASS")
+
+    def test_verify_fails_on_a_wrong_path_set(self, capsys, monkeypatch):
+        # One bit of one base word flipped after the build, its weight and
+        # rotation count kept: the counts by weight still agree with brute
+        # force, so only the classes read from the path set can catch it.
+        def flipped(table, N, limbs):
+            bases, counts, weights = state_bases(table, N, limbs)
+            if len(bases) > 3:
+                bases[3, 0] ^= np.uint64(1 << 5)
+            return bases, counts, weights
+
+        state_bases = reconstructor._state_bases
+        monkeypatch.setattr(reconstructor, "_state_bases", flipped)
+        assert main(["verify", "--gens", "13,17", "--v", "3", "--n", "12", "--dtilde", "8"]) == 1
+        out = capsys.readouterr().out
+        assert "PASS spectrum-match" in out
+        assert "FAIL partition" in out
+        assert out.strip().endswith("FAIL")
 
     @pytest.mark.parametrize(
         "gens,n,d_tilde", [("133,171", "16", "10"), ("133,171,165", "14", "14")], ids=["rate-1/2", "rate-1/3"]

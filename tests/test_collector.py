@@ -319,6 +319,28 @@ class TestSaveLoad:
             with pytest.raises(DatabaseFormatError, match=rf"line \d+ '{re.escape(line)}.*' is not what save_database writes"):
                 load_database(path)
 
+    def test_errors_past_the_first_piece(self, tmp_path):
+        # 1,624 events, so the records run into a second piece of the text,
+        # and the line that closes record 1,023 spans the two. A record line
+        # in the second piece, that line, and one character appended after
+        # the last line are each named by their line number in the file.
+        db = collect_iees(ConvCode(["133", "171"], 6), 12, 40, range(63, -1, -1))
+        assert db.num_iees == 1624 > collector._CHECKSUM_SLICE
+        path = tmp_path / "db.json"
+        save_database(db, path)
+        lines = path.read_text().split("\n")
+        assert (len(lines), lines[76]) == (8201, ' "iees": [')
+        cases = [
+            (5581, '   "weight": 10', '   "weight": 11'),
+            (5197, "  },", "  }]"),
+            (8201, "", "x"),
+        ]
+        for number, old, new in cases:
+            assert lines[number - 1] == old
+            path.write_text("\n".join(lines[: number - 1] + [new] + lines[number:]))
+            with pytest.raises(DatabaseFormatError, match=f"line {number} '{re.escape(new)}' is not what"):
+                load_database(path)
+
     def test_version_mismatch(self, db7, tmp_path):
         path = tmp_path / "db.json"
         save_database(db7, path)

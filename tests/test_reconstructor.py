@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from conftest import path_words, rate_half_codes, rotations
+from conftest import path_words, rate_half_codes, rotations, state_classes
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -12,12 +12,7 @@ from crcforge.collector import collect_iees
 from crcforge.encoder import ConvCode, encode_tb
 from crcforge.errors import CoverageError
 from crcforge.oracle import brute_force_partition, brute_force_spectrum, is_cyclic_closed
-from crcforge.reconstructor import (
-    build_tables,
-    expand_and_dedup,
-    growth_profile,
-    iter_state_paths,
-)
+from crcforge.reconstructor import build_tables, expand_and_dedup, growth_profile
 
 
 @st.composite
@@ -57,6 +52,54 @@ def _naive_skeletons(iees, d_tilde, N):
     return sorted(found, key=lambda sk: (sk[2], sk[1], sk[0]))
 
 
+def _compositions(total, parts):
+    """Weak compositions of total into exactly `parts` ordered parts."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in _compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def _base_words(table, N):
+    """(base word, rotation count, weight) for every gap composition of a state.
+
+    The per-class reference for the numpy build, one Python-int word at a
+    time: each skeleton, padded or not, crossed with the weak compositions
+    of its gap total, its events placed after the events and gaps before
+    them. The base word starts its first event at time 0 and stands for
+    its first len_j + g_j rotations.
+    """
+    padded = table.zero_index is not None
+    iees = table.iees.iees()
+    columns = (table.skeletons.tolist(), table.lengths.tolist(), table.weights.tolist())
+    for events, length, weight in zip(*columns):
+        if not padded and length != N:
+            continue
+        evs = [iees[i] for i in events if i >= 0]
+        bits = [e.input_bits for e in evs]
+        lens = [e.length for e in evs]
+        j = len(evs)
+        for gaps in _compositions(N - length, j):
+            base = 0
+            pos = 0
+            for k in range(j):
+                base |= bits[k] << pos
+                pos += lens[k] + gaps[k]
+            yield base, lens[-1] + gaps[-1], weight
+
+
+def iter_state_paths(tables, state):
+    """(input word, weight) pairs of one partition class, from _base_words."""
+    N = tables.N
+    mask = (1 << N) - 1
+    for word, count, w in _base_words(tables[state], N):
+        for _ in range(count):
+            yield word, w
+            word = ((word << 1) | (word >> (N - 1))) & mask
+
+
 @pytest.fixture(scope="module")
 def code():
     return ConvCode(["13", "17"], 3)
@@ -75,7 +118,7 @@ class TestBuildTables:
         tables = build_tables(db7, 8, 7)
         for s in tables:
             assert (tables[s].skeletons >= 0).any(axis=1).all()
-            assert 0 not in {word for word, _w in iter_state_paths(tables, s)}
+        assert 0 not in {word for word, _w in expand_and_dedup(tables, 8).words()}
 
     def test_zero_weight_cells_are_pure_padding(self, db7):
         # Only state 0 owns the zero loop, and it appears in no skeleton:
@@ -92,8 +135,8 @@ class TestBuildTables:
         # One weight-6 event of length 5 (inputs 11000) plus three zero
         # loops: the cell's 4 placements start the event at times 0..3,
         # and the rotations that wrap past time 7 add 4 more words.
-        tables = build_tables(db7, 8, 7)
-        words = {word for word, w in iter_state_paths(tables, 0) if w == 6}
+        paths = expand_and_dedup(build_tables(db7, 8, 7), 8)
+        words = {word for word, w in state_classes(paths, db7.ordering)[0] if w == 6}
         assert words == {((0b11 << t) | (0b11 >> (8 - t))) & 0xFF for t in range(8)}
         assert {0b11 << t for t in range(4)} <= words
 
@@ -154,9 +197,9 @@ class TestExpansion:
     def test_partition_classes_disjoint_and_complete(self, code, db7):
         N = 12
         tables = build_tables(db7, N, 7)
-        ours = {s: [word for word, _w in iter_state_paths(tables, s)] for s in tables}
+        ours = state_classes(expand_and_dedup(tables, N), tables.ordering)
         oracle = brute_force_partition(code, N, 7, tables.ordering)
-        assert {s: set(words) for s, words in ours.items()} == oracle
+        assert {s: dict(pairs) for s, pairs in ours.items()} == oracle
         assert sum(map(len, ours.values())) == sum(map(len, oracle.values()))
 
     def test_paths_reencode_to_stored_weights(self, code, db7):
@@ -167,9 +210,9 @@ class TestExpansion:
     def test_cyclic_closure(self, db7):
         # Each partition class is closed on its own, and so is their union.
         tables = build_tables(db7, 11, 7)
-        for s in tables:
-            assert is_cyclic_closed((word for word, _w in iter_state_paths(tables, s)), 11), s
         paths = expand_and_dedup(tables, 11)
+        for s, pairs in state_classes(paths, tables.ordering).items():
+            assert is_cyclic_closed((word for word, _w in pairs), 11), s
         assert is_cyclic_closed((word for word, _w in path_words(paths)), 11)
 
     @pytest.mark.parametrize("N", [11, 64, 65])
@@ -214,7 +257,7 @@ class TestExpansion:
     @pytest.mark.parametrize("total,parts", [(0, 1), (5, 1), (0, 3), (4, 2), (3, 4), (7, 3)])
     def test_composition_table(self, total, parts):
         table = reconstructor._composition_table(total, parts)
-        assert [tuple(row) for row in table.tolist()] == list(reconstructor._compositions(total, parts))
+        assert [tuple(row) for row in table.tolist()] == list(_compositions(total, parts))
 
     @settings(max_examples=60, deadline=None)
     @given(_expansions())
@@ -230,7 +273,9 @@ class TestExpansion:
         code, N, d_tilde, ordering = case
         tables = build_tables(collect_iees(code, d_tilde, N, ordering), N, d_tilde)
         paths = expand_and_dedup(tables, N)
-        ref = [c for s in tables.ordering for c in reconstructor._base_words(tables[s], N)]
+        per_state = [list(_base_words(tables[s], N)) for s in tables.ordering]
+        ref = [c for state in per_state for c in state]
+        assert paths.offsets.tolist() == np.cumsum([0] + list(map(len, per_state))).tolist()
         assert _row_words(paths.bases) == [base for base, _c, _w in ref]
         assert paths.counts.tolist() == [c for _b, c, _w in ref]
         assert paths.base_weights.tolist() == [w for _b, _c, w in ref]
@@ -254,6 +299,7 @@ class TestExpansion:
         ref = [pair for s in tables.ordering for pair in classes[s]]
         assert len(ref) > 0
         assert path_words(paths) == ref
+        assert state_classes(paths, tables.ordering) == classes
         assert paths.bases.shape == (len(paths.counts), (N + 63) // 64)
         for s, pairs in classes.items():
             assert is_cyclic_closed((word for word, _w in pairs), N), s
@@ -264,6 +310,7 @@ class TestExpansion:
             paths = expand_and_dedup(build_tables(db, N, 1), N)
             assert len(paths) == 0
             assert paths.bases.shape == (0, (N + 63) // 64)
+            assert paths.offsets.tolist() == [0] * (len(db.ordering) + 1)
             assert paths.bases.dtype == np.dtype("<u8") and paths.base_weights.shape == (0,)
             assert paths.counts_by_weight() == {}
             assert path_words(paths) == []
