@@ -5,7 +5,7 @@ the low-weight tail-biting codeword list at any block length from them,
 then screen every CRC of a given degree by its undetected-error spectrum.
 """
 
-from .collector import IEE, IEEDatabase, collect_iees, load_database, save_database, verify_iee
+from .collector import IEEDatabase, collect_iees, load_database, save_database, verify_events
 from .designer import (
     DistanceSpectrum,
     DsoSearchResult,
@@ -53,12 +53,11 @@ __all__ = [
     "ConvCode",
     "TBPath",
     "encode_tb",
-    "IEE",
     "IEEDatabase",
     "collect_iees",
     "save_database",
     "load_database",
-    "verify_iee",
+    "verify_events",
     "WeightLengthTable",
     "TBPathSet",
     "build_tables",

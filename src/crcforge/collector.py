@@ -21,10 +21,11 @@ rows, deepest block first. The rows waiting at any one depth are then at
 most two blocks, so the search's memory is bounded by max_len times the
 block size, not by the widest level of the search. Closures are sorted
 into file order (start state by its place in the ordering, then weight,
-length and input bits) and kept as the database's columns; an IEE object
-is built only where a caller asks for one. Catastrophic encoders are
-refused: they have zero-weight cycles away from state 0, so weight
-pruning alone would not bound the search.
+length and input bits) and kept as the database's columns, the only form
+the events take; verify_events checks them as columns too. Catastrophic
+encoders are refused: they have zero-weight cycles away from state 0, so
+weight pruning alone would not bound the search. So are memories above
+MAX_MEMORY, whose pruning tables grow as 4^v.
 
 The collector is the one source of truth for a code's events. A saved
 database is JSON with a checksum, written by one generator of text
@@ -48,15 +49,19 @@ from .encoder import ConvCode
 from .errors import CatastrophicEncoderError, DatabaseFormatError
 
 __all__ = [
-    "IEE",
     "EventColumns",
     "IEEDatabase",
     "collect_iees",
     "save_database",
     "load_database",
+    "verify_events",
 ]
 
 DB_FORMAT_VERSION = 1
+# Largest encoder memory collect_iees accepts. The pruning tables take
+# O(4^v) memory and O(8^v) time: on a 2-core host, collects at v = 9, 10
+# and 11 took 0.5, 3.3 and 17 s at 59, 154 and 398 MiB peak.
+MAX_MEMORY = 11
 # Frontier rows the collector expands per numpy step; it bounds the
 # search's memory to about max_len * 2 * _BLOCK rows.
 _BLOCK = 1 << 16
@@ -73,20 +78,6 @@ _FIELD_TYPES = {
 }
 
 
-class IEE(NamedTuple):
-    """One irreducible error event.
-
-    Inputs are held packed (bit i = input at step i). The field order is
-    the per-state sort key, so plain sorting orders a state's events by
-    (weight, length, input bits).
-    """
-
-    weight: int
-    length: int
-    input_bits: int
-    start_state: int
-
-
 class EventColumns(NamedTuple):
     """One state's events: its rows of the database's columns.
 
@@ -100,12 +91,13 @@ class EventColumns(NamedTuple):
     lengths: np.ndarray
     inputs: np.ndarray
 
-    def iees(self) -> list[IEE]:
-        """The events as IEE objects, built on demand."""
-        width = 8 * self.inputs.shape[1]
-        blob = self.inputs.astype("<u8", copy=False).tobytes()
-        bits = [int.from_bytes(blob[i : i + width], "little") for i in range(0, len(blob), width)]
-        return [IEE(w, n, b, self.state) for w, n, b in zip(self.weights.tolist(), self.lengths.tolist(), bits)]
+
+def _step_tables(code: ConvCode) -> tuple[np.ndarray, np.ndarray]:
+    """(next_state, branch_weight): int32 (states, 2) arrays indexed [state, input bit]."""
+    return tuple(
+        np.array([[step(s, b) for b in (0, 1)] for s in range(code.num_states)], dtype=np.int32)
+        for step in (code.next_state, code.branch_weight)
+    )
 
 
 def _bound_tables(
@@ -165,10 +157,7 @@ def _closures(
     num = code.num_states
     cap = int(np.iinfo(np.int32).max)  # weights and depths stay far below it
     d_tilde, max_len = min(d_tilde, cap), min(max_len, cap)
-    next_state, branch_weight = (
-        np.array([[step(s, b) for b in (0, 1)] for s in range(num)], dtype=np.int32)
-        for step in (code.next_state, code.branch_weight)
-    )
+    next_state, branch_weight = _step_tables(code)
     allow_w, allow_len = _bound_tables(next_state, branch_weight, ordering, d_tilde, max_len)
     steps = list(zip(next_state.T, branch_weight.T))
     roots = np.array(ordering, dtype=np.int32)
@@ -242,15 +231,15 @@ class IEEDatabase:
     in the ordering, then by (weight, length, input bits). The events of
     ordering[i] are rows offsets[i]:offsets[i + 1] of weights and lengths
     (narrow unsigned dtypes) and of inputs, an (events, limbs) uint64
-    matrix; events(state) slices them out and iees() builds IEE objects
-    from them. max_len is also the largest trellis length N the database
-    provably covers (no IEE longer than max_len can take part in a length
-    <= max_len tail-biting path).
+    matrix; events(state) slices them out, and verify_events checks them.
+    max_len is also the largest trellis length N the database provably
+    covers (no IEE longer than max_len can take part in a length <=
+    max_len tail-biting path).
     """
 
     __slots__ = (
         "generators_octal", "v", "n", "ordering", "d_tilde", "max_len",
-        "offsets", "weights", "lengths", "inputs", "_code",
+        "offsets", "weights", "lengths", "inputs",
     )
 
     def __init__(
@@ -275,13 +264,6 @@ class IEEDatabase:
         self.lengths = lengths
         self.inputs = inputs
         self.n = len(self.generators_octal)
-        self._code: ConvCode | None = None
-
-    @property
-    def code(self) -> ConvCode:
-        if self._code is None:
-            self._code = ConvCode(list(self.generators_octal), self.v)
-        return self._code
 
     @property
     def num_iees(self) -> int:
@@ -292,10 +274,6 @@ class IEEDatabase:
         i = self.ordering.index(state)
         rows = slice(int(self.offsets[i]), int(self.offsets[i + 1]))
         return EventColumns(state, self.weights[rows], self.lengths[rows], self.inputs[rows])
-
-    def iees(self) -> Iterator[IEE]:
-        for sigma in self.ordering:
-            yield from self.events(sigma).iees()
 
     def state_counts(self) -> dict[int, int]:
         return dict(zip(self.ordering, np.diff(self.offsets).tolist()))
@@ -335,8 +313,11 @@ def collect_iees(
     ``ordering`` defaults to natural state order 0..2^v-1, which keeps the
     zero-weight self-loop (state 0, input 0) as the padding event of the
     first partition class. One array search covers every start state;
-    ``threads`` is accepted for compatibility and ignored.
+    ``threads`` is accepted for compatibility and ignored. Codes of memory
+    above MAX_MEMORY are refused before anything is allocated.
     """
+    if code.v > MAX_MEMORY:
+        raise ValueError(f"encoder memory v={code.v} is above MAX_MEMORY={MAX_MEMORY}, the largest the collector holds")
     if code.is_catastrophic:
         gens = ",".join(code.generators_octal)
         raise CatastrophicEncoderError(
@@ -505,21 +486,45 @@ def load_database(path) -> IEEDatabase:
     raise DatabaseFormatError(f"{path}: line {newlines + 1} {line!r} is not what save_database writes for this header")
 
 
-def verify_iee(db: IEEDatabase, event: IEE) -> bool:
-    """Check the irreducibility predicate of one database entry.
+def verify_events(db: IEEDatabase) -> np.ndarray:
+    """One bool per event, in file order: True where the row is an IEE of its state.
 
-    Re-encoded from its start state, the walk must close there, every
-    interior state must avoid the start state and all states earlier in
-    the ordering, and its weight must equal the stored one, below d_tilde.
+    An event passes when, re-encoded from its start state, it closes there,
+    no interior state is its start state or an earlier state in the
+    ordering, and its weight equals the stored weight, which is below
+    d_tilde; and its length is in 1..max_len, with no input bit set at or
+    past it. The walk takes one time step for all events at once, on the
+    states' places in the ordering, _BLOCK events at a time, each block
+    longest event first, so the events still walking are a prefix.
     """
-    position = db.ordering.index(event.start_state)
-    blocked = frozenset(db.ordering[: position + 1])
-    code = db.code
-    s, weight = event.start_state, 0
-    for i in range(event.length):
-        if i and s in blocked:
-            return False
-        b = (event.input_bits >> i) & 1
-        weight += code.branch_weight(s, b)
-        s = code.next_state(s, b)
-    return s == event.start_state and weight == event.weight < db.d_tilde
+    next_state, branch_weight = _step_tables(ConvCode(list(db.generators_octal), db.v))
+    ordering = list(db.ordering)
+    rank = np.argsort(ordering).astype(np.int32)
+    # From the state of rank r on input b: rank next_rank[2r + b], weight rank_weight[2r + b].
+    next_rank, rank_weight = rank[next_state[ordering]].ravel(), branch_weight[ordering].ravel()
+    ok = np.empty(db.num_iees, dtype=bool)
+    for lo in range(0, db.num_iees, _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        lengths, stored, inputs = db.lengths[rows].astype(np.int64), db.weights[rows], db.inputs[rows]
+        passed = (lengths >= 1) & (lengths <= db.max_len) & (stored < db.d_tilde)
+        for k in range(inputs.shape[1]):
+            used = np.clip(lengths - 64 * k, 0, 64)  # steps read from limb k
+            passed &= (used == 64) | (inputs[:, k] >> np.minimum(used, 63).astype(np.uint64) == 0)
+        order = np.argsort(lengths, kind="stable")[::-1]
+        # walking[i]: how many events take more than i steps, a prefix of order.
+        walking = len(order) - np.cumsum(np.bincount(lengths, minlength=1))
+        start = (np.searchsorted(db.offsets, lo + order, side="right") - 1).astype(np.int32)
+        state, weight = start.copy(), np.zeros_like(start)
+        lowest = np.full_like(start, len(ordering))  # the lowest rank entered before the last step
+        # bits[i, j]: the input of event order[j] at step i, 0 past its limbs.
+        bits = np.unpackbits(inputs.astype("<u8").view(np.uint8), axis=1, count=len(walking) - 1, bitorder="little")
+        bits = bits.T[:, order]
+        for i, now in enumerate(map(slice, walking[:-1])):
+            if i:
+                lowest[now] = np.minimum(lowest[now], state[now])
+            index = 2 * state[now] + bits[i, now]
+            weight[now] += rank_weight[index]
+            state[now] = next_rank[index]
+        passed[order] &= (state == start) & (lowest > start) & (weight == stored[order])
+        ok[rows] = passed
+    return ok

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .collector import IEE
+import numpy as np
+
+from .collector import EventColumns
 from .encoder import ConvCode, encode_tb
 from .errors import EnumerationGuardError
 from .gf2 import GF2Poly
@@ -71,11 +73,12 @@ def brute_force_iees(
     d_tilde: int,
     max_len: int,
     ordering: Sequence[int] | None = None,
-) -> list[IEE]:
+) -> EventColumns:
     """All IEEs at one state by direct recursive walking.
 
-    Sorted by (weight, length, packed input bits) to be comparable with
-    collector output.
+    Returned as the columns db.events(state) holds, sorted the same way by
+    (weight, length, input bits): weights, lengths, and an (events, 1)
+    uint64 input matrix, one limb being enough under MAX_ORACLE_LEN.
     """
     if code.v > MAX_ORACLE_V:
         raise EnumerationGuardError(
@@ -91,31 +94,21 @@ def brute_force_iees(
     position = ordering.index(state)
     blocked = frozenset(ordering[: position + 1])
 
-    found: list[IEE] = []
+    found: list[tuple[int, int, int]] = []
 
-    def walk(s: int, inputs: tuple[int, ...]) -> None:
+    def walk(s: int, length: int, bits: int, weight: int) -> None:
+        # bits holds the inputs so far, bit i = input at step i.
         for b in (0, 1):
-            t = code.next_state(s, b)
-            longer = inputs + (b,)
+            t, w, longer = code.next_state(s, b), weight + code.branch_weight(s, b), bits | b << length
             if t == state:
-                weight = _weight_of(code, state, longer)
-                if weight < d_tilde:
-                    bits = sum(bit << i for i, bit in enumerate(longer))
-                    found.append(IEE(weight, len(longer), bits, state))
-            elif t not in blocked and len(longer) < max_len:
-                walk(t, longer)
+                if w < d_tilde:
+                    found.append((w, length + 1, longer))
+            elif t not in blocked and length + 1 < max_len:
+                walk(t, length + 1, longer, w)
 
-    walk(state, ())
-    return sorted(found)
-
-
-def _weight_of(code: ConvCode, state: int, inputs: tuple[int, ...]) -> int:
-    w = 0
-    s = state
-    for b in inputs:
-        w += code.branch_weight(s, b)
-        s = code.next_state(s, b)
-    return w
+    walk(state, 0, 0, 0)
+    rows = np.array(sorted(found), dtype=np.int64).reshape(-1, 3)
+    return EventColumns(state, rows[:, 0], rows[:, 1], rows[:, 2:].astype(np.uint64))
 
 
 def brute_force_partition(

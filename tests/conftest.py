@@ -1,10 +1,11 @@
 import os
+from typing import NamedTuple
 
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from crcforge import ConvCode, build_tables, collect_iees, expand_and_dedup
+from crcforge import ConvCode, IEEDatabase, build_tables, collect_iees, expand_and_dedup
 from crcforge.gf2 import GF2Poly
 
 # CI runs with HYPOTHESIS_PROFILE=ci: the same examples on every run, so a
@@ -39,6 +40,25 @@ def rate_half_codes(max_v):
         .map(lambda g: ConvCode([GF2Poly(x) for x in g], v))
         .filter(lambda code: not code.is_catastrophic)
     )
+
+
+class Event(NamedTuple):
+    """One event as plain ints: its row of the columns, and its start state."""
+
+    weight: int
+    length: int
+    input_bits: int
+    start_state: int
+
+
+def event_list(events):
+    """The rows of an EventColumns, or of a whole IEEDatabase in file order, as Events."""
+    if isinstance(events, IEEDatabase):
+        return [e for s in events.ordering for e in event_list(events.events(s))]
+    width = 8 * events.inputs.shape[1]
+    blob = events.inputs.astype("<u8", copy=False).tobytes()
+    bits = [int.from_bytes(blob[i : i + width], "little") for i in range(0, len(blob), width)]
+    return [Event(w, n, b, events.state) for w, n, b in zip(events.weights.tolist(), events.lengths.tolist(), bits)]
 
 
 def path_words(paths):

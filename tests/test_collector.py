@@ -6,19 +6,18 @@ import re
 
 import numpy as np
 import pytest
-from conftest import path_words, rate_half_codes
+from conftest import Event, event_list, path_words, rate_half_codes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crcforge import collector
 from crcforge.cli import main
 from crcforge.collector import (
-    IEE,
     IEEDatabase,
     collect_iees,
     load_database,
     save_database,
-    verify_iee,
+    verify_events,
 )
 from crcforge.encoder import ConvCode, encode_tb
 from crcforge.errors import CatastrophicEncoderError, DatabaseFormatError
@@ -44,13 +43,13 @@ def db7(code):
 
 class TestCollectedSet:
     def test_zero_loop_always_stored(self, db7):
-        zero = db7.events(0).iees()[0]
+        zero = event_list(db7.events(0))[0]
         assert _inputs(zero) == (0,)
         assert zero.weight == 0
         assert zero.length == 1
 
     def test_minimum_nonzero_event(self, db7):
-        nonzero = [e for e in db7.events(0).iees() if e.weight > 0]
+        nonzero = [e for e in event_list(db7.events(0)) if e.weight > 0]
         first = nonzero[0]
         assert first.weight == 6
         assert first.length == 5
@@ -59,23 +58,24 @@ class TestCollectedSet:
     def test_no_short_light_event(self, db7):
         # The zero-terminated detour 1000 weighs 7, so nothing of length 4
         # gets under this d_tilde.
-        assert all(e.length != 4 for e in db7.events(0).iees())
+        assert all(e.length != 4 for e in event_list(db7.events(0)))
 
     def test_sorted_by_weight_length_bits(self, db7):
         for s in db7.ordering:
-            keys = [(e.weight, e.length, e.input_bits) for e in db7.events(s).iees()]
+            keys = [(e.weight, e.length, e.input_bits) for e in event_list(db7.events(s))]
             assert keys == sorted(keys)
 
     def test_memory_six_events_reencode(self):
         # brute_force_iees refuses v > 4, so each (133,171) event is checked
         # on its own: repeated up to v bits, its inputs tail-bite from its
         # state with its weight per copy, touch no earlier state in between,
-        # and verify_iee accepts it.
+        # and verify_events accepts it.
         code = ConvCode(["133", "171"], 6)
         db = collect_iees(code, 12, 40)
         assert db.num_iees > 1000
+        assert verify_events(db).all()
         for i, sigma in enumerate(db.ordering):
-            events = db.events(sigma).iees()
+            events = event_list(db.events(sigma))
             assert events == sorted(set(events))
             for e in events:
                 assert e.start_state == sigma and 1 <= e.length <= 40 and e.weight < 12
@@ -83,14 +83,37 @@ class TestCollectedSet:
                 path = encode_tb(code, _inputs(e) * copies)
                 assert path.states[0] == sigma and path.weight == copies * e.weight, e
                 assert set(path.states[1 : e.length]).isdisjoint(db.ordering[: i + 1]), e
-                assert verify_iee(db, e)
 
-    def test_irreducibility_predicate(self, db7, code):
-        assert all(verify_iee(db7, e) for e in db7.iees())
-        # A loop at state 1 that dips through state 0 is not irreducible.
-        fake = IEE(weight=3, length=4, input_bits=0b0010, start_state=1)
-        assert _inputs(fake) == (0, 1, 0, 0)
-        assert not verify_iee(db7, fake)
+    def test_irreducibility_predicate(self, code):
+        # Each mutation changes one row of a copy of the columns, or adds
+        # one, and the check flags that row alone.
+        db = collect_iees(code, 8, 8)
+        assert verify_events(db).all()
+        zero, six, two = 0, 1, int(db.offsets[2])
+        events = event_list(db)
+        assert events[:2] == [Event(0, 1, 0, 0), Event(6, 5, 0b00011, 0)] and events[two] == Event(1, 2, 0b01, 2)
+        # Its last input flipped, the state-2 event keeps its weight but ends at state 6.
+        flipped = db.inputs.copy()
+        flipped[two, 0] ^= np.uint64(0b10)
+        lighter = db.weights.copy()
+        lighter[six] -= 1
+        # Bit 63 of the length-1 zero loop lies past its length.
+        stray = db.inputs.copy()
+        stray[zero, 0] |= np.uint64(1 << 63)
+        # IEEs of weight d_tilde and of length max_len + 1, from collections one up.
+        heavy = next(e for e in event_list(collect_iees(code, 9, 8)) if e.weight == 8)
+        long = next(e for e in event_list(collect_iees(code, 8, 9)) if e.length == 9)
+        cases = [
+            (_with(db, inputs=flipped), two),
+            (_with(db, weights=lighter), six),
+            (_with(db, inputs=stray), zero),
+            # A loop at state 1 that dips through state 0 is not irreducible.
+            _appended(db, Event(weight=7, length=4, input_bits=0b0010, start_state=1)),
+            _appended(db, heavy),
+            _appended(db, long),
+        ]
+        for mutated, row in cases:
+            assert np.flatnonzero(~verify_events(mutated)).tolist() == [row]
 
     @pytest.mark.parametrize("gens,v", [(["5", "7"], 2), (["13", "17"], 3)])
     @pytest.mark.parametrize("d_tilde,max_len", [(5, 8), (7, 10), (8, 12)])
@@ -99,7 +122,7 @@ class TestCollectedSet:
         db = collect_iees(code, d_tilde, max_len)
         for s in range(code.num_states):
             ref = brute_force_iees(code, s, d_tilde, max_len)
-            assert db.events(s).iees() == ref, f"state {s}"
+            assert all(map(np.array_equal, db.events(s), ref)), f"state {s}"
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -110,14 +133,19 @@ class TestCollectedSet:
         max_len = data.draw(st.integers(1, 14), label="max_len")
         db = collect_iees(code, d_tilde, max_len, ordering)
         for s in ordering:
-            assert db.events(s).iees() == brute_force_iees(code, s, d_tilde, max_len, ordering), s
+            ref = brute_force_iees(code, s, d_tilde, max_len, ordering)
+            assert all(map(np.array_equal, db.events(s), ref)), s
 
     def test_events_longer_than_two_limbs(self, tmp_path):
         # Input bits take a second uint64 limb past 64 steps and a third past 128.
         db = collect_iees(ConvCode(["3", "2"], 1), 140, 200)
-        lengths = [e.length for e in db.iees()]
+        lengths = [e.length for e in event_list(db)]
         assert (len(lengths), sum(n > 64 for n in lengths), sum(n > 128 for n in lengths)) == (139, 74, 10)
-        assert all(verify_iee(db, e) for e in db.iees())
+        assert verify_events(db).all()
+        # A bit in the third limb of the first, short event lies past its length.
+        stray = db.inputs.copy()
+        stray[0, 2] |= np.uint64(1)
+        assert lengths[0] < 128 and np.flatnonzero(~verify_events(_with(db, inputs=stray))).tolist() == [0]
         path = tmp_path / "db.json"
         save_database(db, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
@@ -147,7 +175,7 @@ class TestCollectedSet:
         # Limbs follow the depth reached, not max_len; every event here is short.
         db = collect_iees(code, 12, 100_000)
         assert db.num_iees == 357
-        assert list(db.iees()) == list(collect_iees(code, 12, 22).iees())
+        assert event_list(db) == event_list(collect_iees(code, 12, 22))
 
     def test_threads_do_not_change_result(self, code):
         serial = collect_iees(code, 7, 10, threads=1)
@@ -173,6 +201,31 @@ class TestCollectedSet:
         with pytest.raises(CatastrophicEncoderError):
             collect_iees(ConvCode(["3", "5"], 2), 7, 10)
 
+    def test_memory_above_cap_refused(self, monkeypatch, db7, tmp_path, capsys):
+        # (200001,377777) is a non-catastrophic memory-16 code whose pruning
+        # tables alone would take 4 GiB. The search is stubbed out, so a
+        # collector without the cap fails here instead of allocating.
+        def search(*args):
+            raise AssertionError("searched a code above MAX_MEMORY")
+
+        monkeypatch.setattr(collector, "_closures", search)
+        refusal = f"MAX_MEMORY={collector.MAX_MEMORY}"
+        with pytest.raises(ValueError, match=refusal):
+            collect_iees(ConvCode(["200001", "377777"], 16), 10, 40)
+        path = tmp_path / "db.json"
+        save_database(db7, path)
+        path.write_bytes(_resign(lambda p: p.update(generators_octal=["200001", "377777"], v=16))(path.read_bytes()))
+        with pytest.raises(DatabaseFormatError, match=refusal):
+            load_database(path)
+        out = tmp_path / "big.json"
+        for args in (
+            ["collect", "--gens", "200001,377777", "--v", "16", "--dtilde", "10", "--max-len", "40", "--out", str(out)],
+            ["verify", "--gens", "200001,377777", "--v", "16", "--n", "16", "--dtilde", "10"],
+        ):
+            assert main(args) == 1
+            assert refusal in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_ordering(self, code):
         with pytest.raises(ValueError):
             collect_iees(code, 7, 10, ordering=[0, 1, 2])
@@ -180,7 +233,7 @@ class TestCollectedSet:
     def test_d_tilde_one_keeps_only_zero_loop(self, code):
         db = collect_iees(code, 1, 10)
         assert db.num_iees == 1
-        assert db.events(0).iees()[0].weight == 0
+        assert event_list(db.events(0))[0].weight == 0
 
 
 def _walked_limits(code, ordering, d_tilde, max_len):
@@ -231,11 +284,7 @@ class TestBoundTables:
         ordering = tuple(data.draw(st.permutations(range(code.num_states)), label="ordering"))
         d_tilde = data.draw(st.integers(1, 30), label="d_tilde")
         max_len = data.draw(st.integers(1, 30), label="max_len")
-        next_state, branch_weight = (
-            np.array([[step(s, b) for b in (0, 1)] for s in range(code.num_states)], dtype=np.int32)
-            for step in (code.next_state, code.branch_weight)
-        )
-        tables = collector._bound_tables(next_state, branch_weight, ordering, d_tilde, max_len)
+        tables = collector._bound_tables(*collector._step_tables(code), ordering, d_tilde, max_len)
         for got, want in zip(tables, _walked_limits(code, ordering, d_tilde, max_len)):
             assert got.dtype == np.int32
             assert got.tolist() == [x for row in want for x in row]
@@ -257,7 +306,7 @@ class TestSaveLoad:
             "max_len": db.max_len,
             "iees": [
                 {"state": e.start_state, "inputs": "".join(map(str, _inputs(e))), "weight": e.weight}
-                for e in db.iees()
+                for e in event_list(db)
             ],
         }
         payload["checksum"] = _checksum(payload)
@@ -405,12 +454,12 @@ class TestRenderer:
         d_tilde = data.draw(st.integers(1, 12), label="d_tilde")
         max_len = data.draw(st.integers(1, 30), label="max_len")
         db = collect_iees(code, d_tilde, max_len, ordering)
-        assert "".join(collector._pieces(db)) == _reference_text(db, list(db.iees()))
+        assert "".join(collector._pieces(db)) == _reference_text(db, event_list(db))
 
     def test_records_cross_a_slice(self):
         db = collect_iees(ConvCode(["133", "171"], 6), 12, 40, range(63, -1, -1))
         assert db.num_iees == 1624 > collector._CHECKSUM_SLICE
-        assert "".join(collector._pieces(db)) == _reference_text(db, list(db.iees()))
+        assert "".join(collector._pieces(db)) == _reference_text(db, event_list(db))
 
     def test_events_of_two_and_three_limbs(self):
         # No collected event in the suite is this long, so the columns are
@@ -418,7 +467,7 @@ class TestRenderer:
         rng = random.Random(0)
         lengths = [1, 63, 64, 65, 128, 129]
         events = sorted(
-            IEE(rng.randrange(12), n, rng.getrandbits(n) | 1 << (n - 1), state)
+            Event(rng.randrange(12), n, rng.getrandbits(n) | 1 << (n - 1), state)
             for state in (0, 3, 7) for n in lengths
         )
         events.sort(key=lambda e: e.start_state)
@@ -430,7 +479,7 @@ class TestRenderer:
             np.array([e.length for e in events], dtype=np.uint8),
             np.array([[e.input_bits >> 64 * k & (2**64 - 1) for k in range(3)] for e in events], dtype=np.uint64),
         )
-        assert list(db.iees()) == events
+        assert event_list(db) == events
         assert "".join(collector._pieces(db)) == _reference_text(db, events)
 
 
@@ -462,6 +511,23 @@ def _with(db, **changes):
     """A database with db's fields but those in changes."""
     names = ["generators_octal", "v", "ordering", "d_tilde", "max_len", "offsets", "weights", "lengths", "inputs"]
     return IEEDatabase(*(changes.get(name, getattr(db, name)) for name in names))
+
+
+def _appended(db, event):
+    """A copy of db with event added after its state's events, and the event's row."""
+    i = db.ordering.index(event.start_state)
+    row = int(db.offsets[i + 1])
+    offsets = db.offsets.copy()
+    offsets[i + 1 :] += 1
+    inputs = np.insert(db.inputs, row, 0, axis=0)
+    inputs[row, 0] = event.input_bits
+    columns = {
+        "offsets": offsets,
+        "weights": np.insert(db.weights, row, event.weight),
+        "lengths": np.insert(db.lengths, row, event.length),
+        "inputs": inputs,
+    }
+    return _with(db, **columns), row
 
 
 def _flip_high_bit(blob: bytes) -> bytes:

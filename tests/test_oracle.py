@@ -1,4 +1,5 @@
 import pytest
+from conftest import event_list
 
 from crcforge.encoder import ConvCode, encode_tb
 from crcforge.errors import EnumerationGuardError
@@ -50,7 +51,7 @@ def test_iee_guards():
 
 def test_iee_zero_loop_found():
     code = ConvCode(["5", "7"], 2)
-    events = brute_force_iees(code, 0, 6, 8)
+    events = event_list(brute_force_iees(code, 0, 6, 8))
     assert events[0].weight == 0 and (events[0].length, events[0].input_bits) == (1, 0)
 
 

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from conftest import path_words, rate_half_codes, rotations, state_classes
+from conftest import event_list, path_words, rate_half_codes, rotations, state_classes
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -72,7 +72,7 @@ def _base_words(table, N):
     its first len_j + g_j rotations.
     """
     padded = table.zero_index is not None
-    iees = table.iees.iees()
+    iees = event_list(table.iees)
     columns = (table.skeletons.tolist(), table.lengths.tolist(), table.weights.tolist())
     for events, length, weight in zip(*columns):
         if not padded and length != N:
@@ -125,7 +125,7 @@ class TestBuildTables:
         # zero-weight steps enter a word only as gap padding.
         tables = build_tables(db7, 8, 7)
         assert [tables[s].zero_index is not None for s in tables] == [True] + [False] * 7
-        zero = tables[0].iees.iees()[tables[0].zero_index]
+        zero = event_list(tables[0].iees)[tables[0].zero_index]
         assert (zero.weight, zero.length) == (0, 1)
         for s in tables:
             events = tables[s].skeletons
@@ -153,7 +153,7 @@ class TestBuildTables:
         tables = build_tables(collect_iees(code, d_tilde, N, ordering), N, d_tilde)
         for s in tables:
             t = tables[s]
-            want = _naive_skeletons(t.iees.iees(), d_tilde, N)
+            want = _naive_skeletons(event_list(t.iees), d_tilde, N)
             rows = [tuple(i for i in row if i >= 0) for row in t.skeletons.tolist()]
             assert t.skeletons.dtype == np.int32
             assert [list(r) + [-1] * (t.skeletons.shape[1] - len(r)) for r in rows] == t.skeletons.tolist()
