@@ -107,7 +107,9 @@ def _path_set(args, m: int) -> TBPathSet:
     """The paths of weight < d_tilde at block length N, for design and spectrum.
 
     N is --n, or --k plus the CRC degree m; d_tilde is --dtilde, or the
-    database's. build_tables checks N against the code and the database.
+    database's. No word of N steps weighs more than n*N, so a d_tilde
+    above n*N + 1 is refused. build_tables checks N against the code and
+    the database.
     """
     if (args.k is None) == (args.n is None):
         raise ValueError("give exactly one of --k (message bits) or --n (block bits)")
@@ -118,6 +120,8 @@ def _path_set(args, m: int) -> TBPathSet:
     if d_tilde < 2:
         raise ValueError(f"d_tilde must be >= 2, got {d_tilde}")
     N = args.n if args.n is not None else args.k + m
+    if N >= db.v and d_tilde > db.n * N + 1:  # N < v is left to build_tables
+        raise ValueError(f"d_tilde={d_tilde} is above n*N + 1 = {db.n * N + 1}, the largest bound allowed at N={N}")
     return expand_and_dedup(build_tables(db, N, d_tilde), N)
 
 

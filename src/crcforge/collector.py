@@ -28,16 +28,14 @@ weight pruning alone would not bound the search. So are memories above
 MAX_MEMORY, whose pruning tables grow as 4^v.
 
 The collector is the one source of truth for a code's events. A saved
-database is JSON with a checksum, written by one generator of text
-pieces, which renders each slice of events from the columns with numpy.
-Loading it parses only the header, re-runs the collection the header
-describes, and refuses the file unless its text is exactly what that
-generator writes for that collection.
+database is indented JSON: a header of what the collection needs, then
+the events as records, rendered from the columns with numpy. Loading it
+parses only the header, re-runs the collection it describes, and refuses
+the file unless its text is exactly what save_database writes for that.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import os
@@ -57,21 +55,22 @@ __all__ = [
     "verify_events",
 ]
 
-DB_FORMAT_VERSION = 1
+DB_FORMAT_VERSION = 2
 # Largest encoder memory collect_iees accepts. The pruning tables take
 # O(4^v) memory and O(8^v) time: on a 2-core host, collects at v = 9, 10
-# and 11 took 0.5, 3.3 and 17 s at 59, 154 and 398 MiB peak.
+# and 11 took 0.1, 0.35 and 2.6 s at 40, 71 and 194 MiB peak.
 MAX_MEMORY = 11
 # Frontier rows the collector expands per numpy step; it bounds the
 # search's memory to about max_len * 2 * _BLOCK rows.
 _BLOCK = 1 << 16
+# int32 distance of a state that cannot get back, far above any real one.
+_FAR = 1 << 30
 # Events per record piece of a database's text.
-_CHECKSUM_SLICE = 1024
-# JSON type of each database field, in the order load_database unpacks them.
+_PIECE_EVENTS = 1024
+# JSON type of each header field after the version, in file order.
 _FIELD_TYPES = {
     "generators_octal": list,
     "v": int,
-    "n": int,
     "ordering": list,
     "d_tilde": int,
     "max_len": int,
@@ -110,28 +109,35 @@ def _bound_tables(
     d <= allow_len[sigma * S + t]: only then can it still close under
     d_tilde within max_len. The limits are d_tilde and max_len less the
     least weight and the fewest steps from t back to sigma through states
-    after sigma in the ordering. Both come from one relaxation, dist[sigma,
-    t] = min over b of cost(t, b) + dist[sigma, next(t, b)] with
+    after sigma in the ordering. Both come from one int32 relaxation by
+    whole rows, dist[t] = min over b of cost(t, b) + dist[next(t, b)] with
     dist[sigma, sigma] = 0, run until nothing changes (at most S rounds).
-    Where t is not after sigma or cannot get back, both limits are 0, which
-    no row meets. The length table is the search's only length check: it
-    carries the max_len cap, so no closure is longer than max_len.
+    Where t is not after sigma or cannot get back, dist is _FAR and both
+    limits are 0, which no row meets. The length table is the search's only
+    length check: it carries the max_len cap, so no closure is longer than
+    max_len.
     """
     num = len(next_state)
     rank = np.empty(num, dtype=np.int64)
     rank[list(ordering)] = np.arange(num)
-    # after[sigma, t]: t may be on a path back to sigma.
-    after = rank[None, :] > rank[:, None]
-    start = np.where(np.eye(num, dtype=bool), 0.0, np.inf)
-    cost = np.stack([branch_weight, np.ones_like(branch_weight)])[:, None]
+    # after[t, sigma]: t may be on a path back to sigma.
+    after = rank[:, None] > rank[None, :]
+    start = np.where(np.eye(num, dtype=bool), 0, _FAR).astype(np.int32)
+    # cost[:, t, b]: the weight and the one step of input b from state t.
+    cost = np.stack([branch_weight, np.ones_like(branch_weight)])
     dist = np.stack([start, start])
     for _ in range(num):
-        relaxed = np.where(after, (cost + dist[:, :, next_state]).min(axis=-1), start)
+        relaxed, taken = (dist[:, next_state[:, b]] for b in (0, 1))
+        relaxed += cost[:, :, 0, None]
+        taken += cost[:, :, 1, None]
+        np.minimum(relaxed, np.minimum(taken, _FAR, out=taken), out=relaxed)
+        del taken
+        np.copyto(relaxed, start, where=~after)
         if np.array_equal(relaxed, dist):
             break
         dist = relaxed
-    bounds = np.array([d_tilde, max_len], dtype=float)[:, None, None]
-    allow_w, allow_len = np.where(after & np.isfinite(dist), bounds - dist, 0).astype(np.int32).reshape(2, -1)
+    bounds = np.array([d_tilde, max_len], dtype=np.int32)[:, None, None]
+    allow_w, allow_len = np.where(after & (dist < _FAR), bounds - dist, 0).transpose(0, 2, 1).reshape(2, -1)
     return allow_w, allow_len
 
 
@@ -362,28 +368,15 @@ def _pieces(db: IEEDatabase) -> Iterator[str]:
     """The text save_database writes for db, in pieces.
 
     The text is what json.dump(payload, fh, indent=1) writes, plus a
-    newline, for the header fields, the "iees" records and the checksum:
-    the sha256 of the payload's compact, key-sorted JSON text. The pieces
-    are the header up to '"iees": [', the records _CHECKSUM_SLICE at a
-    time, and the tail with the checksum. Only the header goes through
-    json. A slice's records are rendered from the columns as rows of
-    fields, twice: as written, and as the checksum's text has it, between
-    the header's compact text before and after "iees". States and weights
-    come from a table of decimal digits, and each event's inputs, a 0/1
-    string that needs no escaping, from its unpacked limbs.
+    newline, for the format version, the header fields of _FIELD_TYPES
+    and the "iees" records. The pieces are the header up to '"iees": [',
+    the records _PIECE_EVENTS at a time, and the closing brackets. Only
+    the header goes through json. A slice's records are rendered from the
+    columns as rows of fields: states and weights from a table of decimal
+    digits, and each event's inputs, a 0/1 string that needs no escaping,
+    from its unpacked limbs.
     """
-    header = {
-        "format_version": DB_FORMAT_VERSION,
-        "generators_octal": list(db.generators_octal),
-        "v": db.v,
-        "n": db.n,
-        "ordering": list(db.ordering),
-        "d_tilde": db.d_tilde,
-        "max_len": db.max_len,
-    }
-    canonical = json.dumps({**header, "iees": []}, sort_keys=True, separators=(",", ":"))
-    before, after = canonical.split('"iees":[]')
-    digest = hashlib.sha256(f'{before}"iees":['.encode())
+    header = {"format_version": DB_FORMAT_VERSION, **{key: getattr(db, key) for key in _FIELD_TYPES}}
     yield "".join(
         ("," if i else "{") + f"\n {json.dumps(key)}: " + json.dumps(value, indent=1).replace("\n", "\n ")
         for i, (key, value) in enumerate(header.items())
@@ -393,8 +386,8 @@ def _pieces(db: IEEDatabase) -> Iterator[str]:
     numbers = np.array([str(i) for i in range(max(len(db.ordering), int(db.weights.max(initial=0)) + 1))], "S")
     digits, widths = numbers.view(np.uint8).reshape(len(numbers), -1), np.char.str_len(numbers)
     ordering = np.array(db.ordering)
-    for lo in range(0, events, _CHECKSUM_SLICE):
-        hi = min(lo + _CHECKSUM_SLICE, events)
+    for lo in range(0, events, _PIECE_EVENTS):
+        hi = min(lo + _PIECE_EVENTS, events)
         state = ordering[np.searchsorted(db.offsets, np.arange(lo, hi), side="right") - 1]
         weight, length = db.weights[lo:hi], db.lengths[lo:hi]
         top = int(length.max())
@@ -404,16 +397,13 @@ def _pieces(db: IEEDatabase) -> Iterator[str]:
         x = (bits + ord("0"), length)
         w = (digits[weight], widths[weight])
         lines = _render([',\n  {\n   "state": ', s, ',\n   "inputs": "', x, '",\n   "weight": ', w, "\n  }"], hi - lo)
-        records = _render([',{"inputs":"', x, '","state":', s, ',"weight":', w, "}"], hi - lo)
         # The first record of the list has no comma before it.
-        digest.update(records[1:] if lo == 0 else records)
         yield (lines[1:] if lo == 0 else lines).decode()
-    digest.update(f"]{after}".encode())
-    yield ("\n ]" if events else "]") + f',\n "checksum": {json.dumps(digest.hexdigest())}\n}}\n'
+    yield ("\n ]" if events else "]") + "\n}\n"
 
 
 def save_database(db: IEEDatabase, path) -> None:
-    """Write the database as self-describing JSON with an integrity hash."""
+    """Write the database as indented JSON: the header a load reads, then the events."""
     with open(path, "w", newline="\n") as fh:
         fh.writelines(_pieces(db))
 
@@ -421,16 +411,17 @@ def save_database(db: IEEDatabase, path) -> None:
 def load_database(path) -> IEEDatabase:
     """Read a database file and check it against a fresh collection.
 
-    Only the header, the text before '"iees": [', is parsed. After the
-    version and field type checks, the collection the header describes is
-    run again, and the file's text must be exactly what save_database
-    writes for it, piece by piece, up to its last byte (line endings
-    aside). Each piece is compared with the next stretch of the file, so
-    the file's whole text is never held. A changed, missing, extra or
-    reordered event, a changed checksum, trailing text, and a file another
-    JSON writer laid out differently are all refused, and so is a header
-    that ConvCode or collect_iees refuses. A load costs what the same
-    collect costs, and returns that collection.
+    Only the header, the text before '"iees": [', is parsed. A file of
+    another format version, version 1 included, is refused; re-running
+    collect writes it anew. After the field type checks, the collection
+    the header describes is run again, and the file's text must be exactly
+    what save_database writes for it, piece by piece, up to its last byte
+    (line endings aside). Each piece is compared with the next stretch of
+    the file, so the file's whole text is never held. A changed, missing,
+    extra or reordered event, trailing text, and a file another JSON
+    writer laid out differently are all refused, and so is a header that
+    ConvCode or collect_iees refuses. A load costs what the same collect
+    costs plus one rendering of the records, and returns that collection.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -445,20 +436,19 @@ def load_database(path) -> IEEDatabase:
                 raise DatabaseFormatError(f"{path}: not a database object")
             version = header.get("format_version")
             if version != DB_FORMAT_VERSION:
-                raise DatabaseFormatError(f"{path}: format version {version!r}, supported {DB_FORMAT_VERSION}")
+                found = f"format version {version!r}, supported {DB_FORMAT_VERSION}"
+                raise DatabaseFormatError(f"{path}: {found}; re-run collect")
             for key, kind in _FIELD_TYPES.items():
                 if key not in header:
                     raise DatabaseFormatError(f"{path}: missing field {key!r}")
                 if type(header[key]) is not kind:
                     raise DatabaseFormatError(f"{path}: field {key!r} is not a JSON {kind.__name__}")
-            gens, v, n, ordering, d_tilde, max_len = (header[key] for key in _FIELD_TYPES)
+            gens, v, ordering, d_tilde, max_len = (header[key] for key in _FIELD_TYPES)
             if not all(type(g) is str for g in gens) or not all(type(s) is int for s in ordering):
                 raise DatabaseFormatError(f"{path}: generators must be strings and states ints")
             try:
-                code = ConvCode(list(gens), v)  # raises if v and tap degrees disagree
-                if code.n != n:
-                    raise DatabaseFormatError(f"{path}: n={n} but {code.n} generators given")
-                db = collect_iees(code, d_tilde, max_len, ordering)
+                # ConvCode raises if v and tap degrees disagree.
+                db = collect_iees(ConvCode(list(gens), v), d_tilde, max_len, ordering)
             except (ValueError, CatastrophicEncoderError) as exc:
                 raise DatabaseFormatError(f"{path}: {exc}") from exc
 

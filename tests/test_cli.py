@@ -23,6 +23,7 @@ class TestSnrGrid:
 
 
 _EXACTLY_ONE = "give exactly one of --k (message bits) or --n (block bits)"
+_BOUND_ABOVE_N3 = "d_tilde=9 is above n*N + 1 = 7, the largest bound allowed at N=3"
 
 # design and spectrum arguments the front end refuses, with its message;
 # a degree of 32 is test_crc_degree_above_31_is_1.
@@ -39,6 +40,9 @@ EARLY_REFUSALS = [
         ["spectrum", "--crc", "0xb", "--n", "14", "--dtilde", "1"], "d_tilde must be >= 2, got 1",
         id="spectrum-dtilde1",
     ),
+    # No word of 3 steps of a rate-1/2 code weighs more than 6, so the database's bound of 9 is above 7.
+    pytest.param(["design", "--m", "3", "--n", "3"], _BOUND_ABOVE_N3, id="design-dtilde-above-nN"),
+    pytest.param(["spectrum", "--crc", "0xb", "--n", "3"], _BOUND_ABOVE_N3, id="spectrum-dtilde-above-nN"),
 ]
 
 

@@ -149,7 +149,7 @@ class TestCollectedSet:
         path = tmp_path / "db.json"
         save_database(db, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "c5ebd3b6948be7a12761c57f7a5b515b5dca696ca41b5603df385a7186ca5286"
+            "a80df929c9610427930613cedfe500ad6dbe7053eb79bb39abb23bb77b1750a1"
         )
         assert load_database(path) == db
 
@@ -214,7 +214,7 @@ class TestCollectedSet:
             collect_iees(ConvCode(["200001", "377777"], 16), 10, 40)
         path = tmp_path / "db.json"
         save_database(db7, path)
-        path.write_bytes(_resign(lambda p: p.update(generators_octal=["200001", "377777"], v=16))(path.read_bytes()))
+        path.write_bytes(_redump(lambda p: p.update(generators_octal=["200001", "377777"], v=16))(path.read_bytes()))
         with pytest.raises(DatabaseFormatError, match=refusal):
             load_database(path)
         out = tmp_path / "big.json"
@@ -293,14 +293,13 @@ class TestBoundTables:
 class TestSaveLoad:
     @pytest.mark.parametrize("d_tilde,max_len", [(7, 8), (1, 10), (12, 70), (16, 70)])
     def test_text_is_indented_json(self, code, tmp_path, d_tilde, max_len):
-        # The records and their checksum are written without the json
-        # encoder, byte for byte as it would write this reference payload.
+        # The records are written without the json encoder, byte for byte
+        # as it would write this reference payload.
         db = collect_iees(code, d_tilde, max_len)
         payload = {
             "format_version": collector.DB_FORMAT_VERSION,
             "generators_octal": list(db.generators_octal),
             "v": db.v,
-            "n": db.n,
             "ordering": list(db.ordering),
             "d_tilde": db.d_tilde,
             "max_len": db.max_len,
@@ -309,7 +308,6 @@ class TestSaveLoad:
                 for e in event_list(db)
             ],
         }
-        payload["checksum"] = _checksum(payload)
         path = tmp_path / "db.json"
         save_database(db, path)
         assert path.read_bytes() == (json.dumps(payload, indent=1) + "\n").encode()
@@ -318,8 +316,8 @@ class TestSaveLoad:
     @pytest.mark.parametrize(
         "gens,v,d_tilde,max_len,digest",
         [
-            (["13", "17"], 3, 18, 70, "d260160c2b87ab14dddc9d2e2a312a9d0f6be18fcb099c8b7a1d5df66c27a8e8"),
-            (["133", "171"], 6, 16, 74, "c74a7156dcf67d8fc956708a239da21d5a81dd26743079a5590fdd8371cc30ef"),
+            (["13", "17"], 3, 18, 70, "4b52b173ad8a117923dbde104b46e3118aa68fb3847a8573c83dab3fc60e2f6d"),
+            (["133", "171"], 6, 16, 74, "6a5f181e357b20592ad948d7d0e87acee9a50b1b11f918c0d8fadef8cefcc9b7"),
         ],
     )
     def test_saved_bytes_are_pinned(self, tmp_path, gens, v, d_tilde, max_len, digest):
@@ -356,17 +354,13 @@ class TestSaveLoad:
             assert (db7 == other, other == db7) == (False, False)
 
     def test_checksum_detects_tampering(self, db7, tmp_path):
-        # A record or the checksum changed in place, the checksum not recomputed.
-        cases = [
-            ('"inputs": "0"', '"inputs": "1"', '   "inputs": "1",'),
-            ('"checksum": "', '"checksum": "0', ' "checksum": "0'),
-        ]
+        # A record changed in place, nothing else rewritten.
         path = tmp_path / "db.json"
-        for old, new, line in cases:
-            save_database(db7, path)
-            path.write_text(path.read_text().replace(old, new, 1))
-            with pytest.raises(DatabaseFormatError, match=rf"line \d+ '{re.escape(line)}.*' is not what save_database writes"):
-                load_database(path)
+        save_database(db7, path)
+        path.write_text(path.read_text().replace('"inputs": "0"', '"inputs": "1"', 1))
+        line = '   "inputs": "1",'
+        with pytest.raises(DatabaseFormatError, match=rf"line \d+ '{re.escape(line)}.*' is not what save_database writes"):
+            load_database(path)
 
     def test_errors_past_the_first_piece(self, tmp_path):
         # 1,624 events, so the records run into a second piece of the text,
@@ -374,15 +368,15 @@ class TestSaveLoad:
         # in the second piece, that line, and one character appended after
         # the last line are each named by their line number in the file.
         db = collect_iees(ConvCode(["133", "171"], 6), 12, 40, range(63, -1, -1))
-        assert db.num_iees == 1624 > collector._CHECKSUM_SLICE
+        assert db.num_iees == 1624 > collector._PIECE_EVENTS
         path = tmp_path / "db.json"
         save_database(db, path)
         lines = path.read_text().split("\n")
-        assert (len(lines), lines[76]) == (8201, ' "iees": [')
+        assert (len(lines), lines[75]) == (8199, ' "iees": [')
         cases = [
-            (5581, '   "weight": 10', '   "weight": 11'),
-            (5197, "  },", "  }]"),
-            (8201, "", "x"),
+            (5580, '   "weight": 10', '   "weight": 11'),
+            (5196, "  },", "  }]"),
+            (8199, "", "x"),
         ]
         for number, old, new in cases:
             assert lines[number - 1] == old
@@ -391,17 +385,24 @@ class TestSaveLoad:
                 load_database(path)
 
     def test_version_mismatch(self, db7, tmp_path):
+        # A version-1 file also held n and a checksum; it is refused by its
+        # version, like an unknown one, before anything is collected.
+        cases = [
+            (1, lambda p: p.update(format_version=1, n=2, checksum="0" * 64)),
+            (99, lambda p: p.update(format_version=99)),
+        ]
         path = tmp_path / "db.json"
-        save_database(db7, path)
-        path.write_bytes(_set_field("format_version", 99)(path.read_bytes()))
-        with pytest.raises(DatabaseFormatError, match="version"):
-            load_database(path)
+        for version, edit in cases:
+            save_database(db7, path)
+            path.write_bytes(_redump(edit)(path.read_bytes()))
+            with pytest.raises(DatabaseFormatError, match=f"format version {version}, supported 2; re-run collect"):
+                load_database(path)
 
     def test_wrong_stored_weight(self, db7, tmp_path):
         path = tmp_path / "db.json"
         save_database(db7, path)
         path.write_bytes(_set_field("weight", 1, record=1)(path.read_bytes()))
-        with pytest.raises(DatabaseFormatError, match="""line 30 '   "weight": 1' is not what"""):
+        with pytest.raises(DatabaseFormatError, match="""line 29 '   "weight": 1' is not what"""):
             load_database(path)
 
     def test_v_generator_mismatch(self, db7, tmp_path):
@@ -458,7 +459,7 @@ class TestRenderer:
 
     def test_records_cross_a_slice(self):
         db = collect_iees(ConvCode(["133", "171"], 6), 12, 40, range(63, -1, -1))
-        assert db.num_iees == 1624 > collector._CHECKSUM_SLICE
+        assert db.num_iees == 1624 > collector._PIECE_EVENTS
         assert "".join(collector._pieces(db)) == _reference_text(db, event_list(db))
 
     def test_events_of_two_and_three_limbs(self):
@@ -489,22 +490,17 @@ def _reference_text(db, events) -> str:
         "format_version": collector.DB_FORMAT_VERSION,
         "generators_octal": list(db.generators_octal),
         "v": db.v,
-        "n": db.n,
         "ordering": list(db.ordering),
         "d_tilde": db.d_tilde,
         "max_len": db.max_len,
     }
-    canonical = json.dumps({**header, "iees": []}, sort_keys=True, separators=(",", ":"))
-    before, after = canonical.split('"iees":[]')
     rows = [(e.start_state, f"{e.input_bits:0{e.length}b}"[::-1], e.weight) for e in events]
     lines = "".join(f',\n  {{\n   "state": {s},\n   "inputs": "{x}",\n   "weight": {w}\n  }}' for s, x, w in rows)
-    records = "".join(f',{{"inputs":"{x}","state":{s},"weight":{w}}}' for s, x, w in rows)
-    digest = hashlib.sha256(f'{before}"iees":[{records[1:]}]{after}'.encode()).hexdigest()
     text = "".join(
         ("," if i else "{") + f"\n {json.dumps(key)}: " + json.dumps(value, indent=1).replace("\n", "\n ")
         for i, (key, value) in enumerate(header.items())
     )
-    return text + ',\n "iees": [' + lines[1:] + ("\n ]" if rows else "]") + f',\n "checksum": "{digest}"\n}}\n'
+    return text + ',\n "iees": [' + lines[1:] + ("\n ]" if rows else "]") + "\n}\n"
 
 
 def _with(db, **changes):
@@ -535,41 +531,34 @@ def _flip_high_bit(blob: bytes) -> bytes:
     return blob[:mid] + bytes([blob[mid] | 0x80]) + blob[mid + 1:]
 
 
-def _checksum(payload: dict) -> str:
-    """The checksum's definition: sha256 of the compact, key-sorted JSON text."""
-    return hashlib.sha256(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
-
-
-def _resign(edit):
-    """Apply edit(payload) to the file's JSON, then re-sign it in save's layout."""
+def _redump(edit):
+    """Apply edit(payload) to the file's JSON, then write it again in save's layout."""
 
     def tamper(blob: bytes) -> bytes:
         payload = json.loads(blob)
-        del payload["checksum"]
         edit(payload)
-        payload["checksum"] = _checksum(payload)
         return (json.dumps(payload, indent=1) + "\n").encode()
 
     return tamper
 
 
 def _set_field(key, value, record=None):
-    """Change one field (of IEE record `record` if given), then re-sign the file."""
+    """Change one field (of IEE record `record` if given), then re-dump the file."""
 
     def edit(payload):
         target = payload if record is None else payload["iees"][record]
         target[key] = value
 
-    return _resign(edit)
+    return _redump(edit)
 
 
 def _replace_record(value):
-    return _resign(lambda p: p["iees"].__setitem__(0, value))
+    return _redump(lambda p: p["iees"].__setitem__(0, value))
 
 
 def _append_record(pick):
-    """Append the record pick(stored records) returns, then re-sign the file."""
-    return _resign(lambda p: p["iees"].append(pick(p["iees"])))
+    """Append the record pick(stored records) returns, then re-dump the file."""
+    return _redump(lambda p: p["iees"].append(pick(p["iees"])))
 
 
 # A (1+x)^2 code: generators 3 and 5 share the factor 1+x.
@@ -580,12 +569,11 @@ CORRUPTIONS = {
     "truncated": lambda blob: blob[: len(blob) // 2],
     "not-an-object": lambda blob: b"[1, 2]\n",
     "high-bit-flipped": _flip_high_bit,
-    "wrong-version": lambda blob: blob.replace(b'"format_version": 1', b'"format_version": 2'),
+    "wrong-version": lambda blob: blob.replace(b'"format_version": 2', b'"format_version": 1'),
     "gens-not-list": _set_field("generators_octal", "13,17"),
     "gen-not-string": _set_field("generators_octal", [13, 17]),
     "gen-empty": _set_field("generators_octal", ["13", ""]),
     "v-string": _set_field("v", "3"),
-    "n-string": _set_field("n", "2"),
     "ordering-string": _set_field("ordering", "01234567"),
     "ordering-state-string": _set_field("ordering", [0, 1, 2, 3, 4, 5, 6, "7"]),
     "d_tilde-string": _set_field("d_tilde", "7"),
@@ -598,12 +586,12 @@ CORRUPTIONS = {
     "record-repeated": _append_record(lambda iees: iees[1]),
     # The zero loop then the weight-6 event: it passes through state 0 mid-event.
     "record-reducible": _append_record(lambda iees: {"state": 0, "inputs": "011000", "weight": 6}),
-    "record-dropped": _resign(lambda p: p["iees"].pop(1)),
+    "record-dropped": _redump(lambda p: p["iees"].pop(1)),
     "d_tilde-zero": _set_field("d_tilde", 0),
     # Below the stored events' lengths.
     "max_len-short": _set_field("max_len", 5),
-    "catastrophic-header": _resign(lambda p: p.update(_CATASTROPHIC, iees=p["iees"][:1])),
-    "records-swapped": _resign(lambda p: p["iees"].insert(2, p["iees"].pop(3))),
+    "catastrophic-header": _redump(lambda p: p.update(_CATASTROPHIC, iees=p["iees"][:1])),
+    "records-swapped": _redump(lambda p: p["iees"].insert(2, p["iees"].pop(3))),
     "trailing-text": lambda blob: blob + b"{}\n",
     "re-indented": lambda blob: (json.dumps(json.loads(blob), indent=2) + "\n").encode(),
     "cut-at-iees": lambda blob: blob[: blob.index(b'"iees": [') + len(b'"iees": [\n')],
