@@ -174,11 +174,11 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    grid = _parse_snr_grid(args.snr)
     files = [f.strip() for f in args.spectra.split(",") if f.strip()]
     if not files:
         raise ValueError("--spectra needs at least one CSV file")
     spectra = [DistanceSpectrum.from_csv(f) for f in files]
-    grid = _parse_snr_grid(args.snr)
     rows = bound_sweep(spectra, grid)
     write_bound_csv(args.out, spectra, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
@@ -250,42 +250,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_threads(p):
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="accepted for compatibility and ignored; crcforge runs on one thread",
-        )
+    threads = argparse.ArgumentParser(add_help=False)
+    threads.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="accepted for compatibility and ignored; crcforge runs on one thread",
+    )
+    # The options of _path_set, shared by design and spectrum.
+    path_set = argparse.ArgumentParser(add_help=False, parents=[threads])
+    path_set.add_argument("--iee", required=True, help="IEE database from collect")
+    path_set.add_argument("--k", type=int, default=None, help="message bits (N = k + m)")
+    path_set.add_argument("--n", type=int, default=None, help="block bits")
+    path_set.add_argument("--dtilde", type=int, default=None, help="screening bound (default: database's)")
+    path_set.add_argument("--out-dir", default=".", help="where CSV outputs go")
 
-    p = sub.add_parser("collect", help="collect the IEE database of a code")
+    p = sub.add_parser("collect", help="collect the IEE database of a code", parents=[threads])
     p.add_argument("--gens", required=True, help="octal generators, comma separated (e.g. 13,17)")
     p.add_argument("--v", type=int, required=True, help="encoder memory")
     p.add_argument("--dtilde", type=int, required=True, help="exclusive weight bound")
     p.add_argument("--max-len", type=int, required=True, help="longest event to store")
     p.add_argument("--ordering", default=None, help="state ordering, comma separated")
     p.add_argument("--out", required=True, help="output JSON database")
-    add_threads(p)
     p.set_defaults(func=cmd_collect)
 
-    p = sub.add_parser("design", help="search the DSO CRC over a path set")
-    p.add_argument("--iee", required=True, help="IEE database from collect")
-    p.add_argument("--k", type=int, default=None, help="message bits (N = k + m)")
-    p.add_argument("--n", type=int, default=None, help="block bits")
+    p = sub.add_parser("design", help="search the DSO CRC over a path set", parents=[path_set])
     p.add_argument("--m", type=int, required=True, help="CRC degree")
-    p.add_argument("--dtilde", type=int, default=None, help="screening bound (default: database's)")
-    p.add_argument("--out-dir", default=".", help="where CSV outputs go")
-    add_threads(p)
     p.set_defaults(func=cmd_design)
 
-    p = sub.add_parser("spectrum", help="undetected spectrum of one CRC")
-    p.add_argument("--iee", required=True)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
+    p = sub.add_parser("spectrum", help="undetected spectrum of one CRC", parents=[path_set])
     p.add_argument("--crc", required=True, help="CRC in hex, e.g. 0x63")
-    p.add_argument("--dtilde", type=int, default=None)
-    p.add_argument("--out-dir", default=".")
-    add_threads(p)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("bound", help="truncated union bound sweep")

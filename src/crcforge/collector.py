@@ -447,20 +447,16 @@ def load_database(path) -> IEEDatabase:
             if not all(type(g) is str for g in gens) or not all(type(s) is int for s in ordering):
                 raise DatabaseFormatError(f"{path}: generators must be strings and states ints")
             try:
-                # ConvCode raises if v and tap degrees disagree.
+                # ConvCode raises unless x^v is the generators' highest tap.
                 db = collect_iees(ConvCode(list(gens), v), d_tilde, max_len, ordering)
             except (ValueError, CatastrophicEncoderError) as exc:
                 raise DatabaseFormatError(f"{path}: {exc}") from exc
 
-            def read(size: int) -> str:
-                nonlocal text  # the header lines, read already, come first
-                got, text = text[:size], text[size:]
-                return got + fh.read(size - len(got))
-
+            fh.seek(0)  # the pieces are compared from the file's first byte
             line = ""  # the text after the last newline of the pieces that match
             # The empty piece last: past the end of the database, the file must end too.
             for matched, piece in enumerate(itertools.chain(_pieces(db), [""])):
-                got = read(len(piece) or 1)
+                got = fh.read(len(piece) or 1)
                 if got != piece:
                     break
                 line = line + piece if (cut := piece.rfind("\n")) < 0 else piece[cut + 1 :]
@@ -469,7 +465,7 @@ def load_database(path) -> IEEDatabase:
             at = len(os.path.commonprefix([piece, got]))
             # Counted only for the message, in the matched pieces rendered again.
             newlines = sum(p.count("\n") for p in itertools.islice(_pieces(db), matched)) + got.count("\n", 0, at)
-            line = (line + got[:at]).rsplit("\n", 1)[-1] + got[at:] + read(80)
+            line = (line + got[:at]).rsplit("\n", 1)[-1] + got[at:] + fh.read(80)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DatabaseFormatError(f"cannot read database {path}: {exc}") from exc
     line = line[:80].split("\n")[0]

@@ -71,40 +71,39 @@ def _check_crc(p: GF2Poly) -> None:
 
 
 class _Crcs(NamedTuple):
-    """CRC generators as arrays, one entry per CRC on the last axis."""
+    """CRC generators of one degree as arrays, one entry per CRC on the last axis."""
 
     polys: np.ndarray  # packed coefficient bits
-    degrees: np.ndarray
+    degree: int
     tables: np.ndarray  # (width, 256, crcs): tables[k][b] = (b(x) * x^(8k)) mod p
 
     def pick(self, idx) -> "_Crcs":
-        return _Crcs(self.polys[idx], self.degrees[idx], np.take(self.tables, idx, axis=-1))
+        return _Crcs(self.polys[idx], self.degree, np.take(self.tables, idx, axis=-1))
 
 
-def _times_x(res: np.ndarray, polys: np.ndarray, degrees: np.ndarray) -> None:
+def _times_x(res: np.ndarray, polys: np.ndarray, degree: int) -> None:
     """res = x * res mod p, in place, for residues of degree below p's."""
     res <<= np.uint32(1)
-    res ^= (res >> degrees) * polys
+    res ^= (res >> degree) * polys
 
 
-def _residue_tables(crcs: Sequence[GF2Poly], width: int) -> _Crcs:
-    """The CRCs' residue tables for words of `width` bytes.
+def _residue_tables(bits: Sequence[int], degree: int, width: int) -> _Crcs:
+    """The tables of the degree-`degree` CRCs with coefficients `bits`, for words of `width` bytes.
 
     Reduction is linear, so tables[k][b] is the XOR of x^(8k+j) mod p over
     the set bits j of b: 8 * width shift-reduce steps, taken for all CRCs
     at once, build every table.
     """
-    polys = np.array([c.bits for c in crcs], dtype=np.uint32)
-    degrees = np.array([c.degree for c in crcs], dtype=np.uint32)
-    powers = np.empty((8 * width, len(crcs)), dtype=np.uint32)
-    r = np.ones(len(crcs), dtype=np.uint32)
+    polys = np.array(bits, dtype=np.uint32)
+    powers = np.empty((8 * width, len(polys)), dtype=np.uint32)
+    r = np.ones(len(polys), dtype=np.uint32)
     for i in range(8 * width):
         powers[i] = r
-        _times_x(r, polys, degrees)
-    tables = np.zeros((width, 256, len(crcs)), dtype=np.uint32)
+        _times_x(r, polys, degree)
+    tables = np.zeros((width, 256, len(polys)), dtype=np.uint32)
     for j in range(8):
         tables[:, 1 << j : 2 << j] = tables[:, : 1 << j] ^ powers[j::8, None]
-    return _Crcs(polys, degrees, tables)
+    return _Crcs(polys, degree, tables)
 
 
 def _residues(data: np.ndarray, tables: np.ndarray) -> np.ndarray:
@@ -143,7 +142,7 @@ def _rotation_residues(
     """
     # (x^N + 1) mod p: one step on from x^(N-1) mod p, a table entry.
     wrap = crcs.tables[(N - 1) >> 3, 1 << ((N - 1) & 7)].copy()
-    _times_x(wrap, crcs.polys, crcs.degrees)
+    _times_x(wrap, crcs.polys, crcs.degree)
     wrap ^= np.uint32(1)
     res = _residues(data, crcs.tables)
     live = np.searchsorted(-counts, -np.arange(int(counts.max(initial=0))))
@@ -153,7 +152,7 @@ def _rotation_residues(
             break
         nxt = res[: live[r + 1]]
         top = (data[: len(nxt), (N - 1 - r) >> 3] >> ((N - 1 - r) & 7)) & 1
-        _times_x(nxt, crcs.polys, crcs.degrees)
+        _times_x(nxt, crcs.polys, crcs.degree)
         nxt ^= top[:, None] * wrap
 
 
@@ -183,11 +182,13 @@ class DistanceSpectrum:
 
     @classmethod
     def from_csv(cls, path) -> "DistanceSpectrum":
-        """Rebuild a spectrum from CSV; CRC, N and d_tilde come from the filename.
+        """Rebuild a spectrum from what to_csv writes; CRC, N and d_tilde come from the filename.
 
         Only the canonical csv_filename() form, spectrum_0x<crc>_N<n>_dt<d>.csv,
-        is accepted; any other name raises ValueError, as do a negative count
-        and a distance given on two rows.
+        is accepted; any other name raises ValueError. So do a negative
+        count, a distance outside 1..d_tilde-1 or given on two rows, and a
+        file without a row for every distance in 1..d_tilde-1, refused
+        before the dense counts are built.
         """
         import os
         import re
@@ -199,8 +200,7 @@ class DistanceSpectrum:
         crc = GF2Poly(int(match.group(1), 16))
         N = int(match.group(2))
         d_tilde = int(match.group(3))
-        counts = [0] * d_tilde
-        seen: set[int] = set()
+        rows: dict[int, int] = {}
         with open(path) as fh:
             header = fh.readline().strip()
             if header != "d,A_d":
@@ -211,15 +211,16 @@ class DistanceSpectrum:
                     continue
                 d_text, c_text = line.split(",")
                 d, c = int(d_text), int(c_text)
-                if not (0 <= d < d_tilde):
-                    raise ValueError(f"{name}: row distance {d} outside [0, {d_tilde})")
-                if d in seen:
+                if not (1 <= d < d_tilde):
+                    raise ValueError(f"{name}: row distance {d} outside [1, {d_tilde})")
+                if d in rows:
                     raise ValueError(f"{name}: distance {d} appears twice")
                 if c < 0:
                     raise ValueError(f"{name}: negative count A_{d}={c}")
-                seen.add(d)
-                counts[d] = c
-        return cls(crc, N, d_tilde, tuple(counts))
+                rows[d] = c
+        if len(rows) < d_tilde - 1:
+            raise ValueError(f"{name}: needs one row for each d in 1..{d_tilde - 1}, has {len(rows)}")
+        return cls(crc, N, d_tilde, tuple(rows.get(d, 0) for d in range(d_tilde)))
 
 
 def _spectrum(paths: TBPathSet, bases: _Bases, crc: GF2Poly, tables: _Crcs) -> DistanceSpectrum:
@@ -234,7 +235,7 @@ def _spectrum(paths: TBPathSet, bases: _Bases, crc: GF2Poly, tables: _Crcs) -> D
 def undetected_spectrum(paths: TBPathSet, crc: GF2Poly) -> DistanceSpectrum:
     """Histogram the paths whose input polynomial the CRC divides."""
     _check_crc(crc)
-    tables = _residue_tables([crc], (paths.N + 7) // 8)
+    tables = _residue_tables([crc.bits], crc.degree, (paths.N + 7) // 8)
     return _spectrum(paths, _by_rotation_count(paths), crc, tables)
 
 
@@ -260,8 +261,6 @@ class DsoSearchResult:
     survivors: tuple[GF2Poly, ...]
     rounds: tuple[EliminationRound, ...]
     spectra: dict[str, DistanceSpectrum]
-    m: int
-    d_tilde: int
 
     @property
     def is_tie(self) -> bool:
@@ -280,7 +279,7 @@ def search_dso(paths: TBPathSet, m: int, threads: int = 1) -> DsoSearchResult:
     search runs on one thread.
     """
     crcs = candidate_list(m)
-    tables = _residue_tables(crcs, (paths.N + 7) // 8)
+    tables = _residue_tables([c.bits for c in crcs], m, (paths.N + 7) // 8)
     bases = _by_rotation_count(paths)
     alive = np.arange(len(crcs))  # survivors, with their tables in `tables`
     rounds: list[EliminationRound] = []
@@ -303,9 +302,7 @@ def search_dso(paths: TBPathSet, m: int, threads: int = 1) -> DsoSearchResult:
         for k, i in enumerate(alive)
     }
     winner = crcs[alive[0]] if len(alive) == 1 else None
-    return DsoSearchResult(
-        winner, tuple(crcs[i] for i in alive), tuple(rounds), spectra, m, paths.d_tilde
-    )
+    return DsoSearchResult(winner, tuple(crcs[i] for i in alive), tuple(rounds), spectra)
 
 
 def q_function(x: float) -> float:

@@ -76,10 +76,10 @@ class ConvCode:
         )
         if any(p.is_zero for p in polys):
             raise CodeConstructionError("zero generator polynomial")
-        degrees = [p.degree for p in polys]
-        if max(degrees) != v:
+        tops = [p.degree for p in polys]
+        if max(tops) != v:
             raise CodeConstructionError(
-                f"no generator has degree {v}; tap degrees are {degrees}"
+                f"no generator has degree {v}; their highest taps are {', '.join(f'x^{t}' for t in tops)}"
             )
         self.generators = polys
         self.generators_octal = tuple(p.to_octal() for p in polys)

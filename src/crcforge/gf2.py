@@ -14,8 +14,8 @@ Conventions baked in here and relied on everywhere else:
   of octal 13 (1011) left to right therefore gives the coefficients of
   x^0, x^1, x^2, x^3, so ``parse_octal("13")`` is x^3 + x^2 + 1.
 * Hex CRC strings ("0x63", ...) list the m+1 coefficient bits MSB-first,
-  MSB being the coefficient of x^m: ``parse_hex_crc("0x63", 6)`` is
-  x^6 + x^5 + x + 1.
+  MSB being the coefficient of x^m: ``parse_hex_crc("0x63")`` is
+  x^6 + x^5 + x + 1, of degree 6.
 * A bit sequence u_0, u_1, ..., u_{N-1} in transmission order maps to the
   polynomial sum of u_i * x^i (first bit = constant term), so a word
   packed with u_i at bit i is its own polynomial: ``GF2Poly(word)``.
@@ -167,28 +167,21 @@ def parse_octal(text: str) -> GF2Poly:
     return GF2Poly(int(f"{value:0{width}b}"[::-1], 2))
 
 
-def parse_hex_crc(text: str, m: int | None = None) -> GF2Poly:
-    """Parse a degree-m CRC generator written as hex, e.g. "0x63".
+def parse_hex_crc(text: str) -> GF2Poly:
+    """Parse a CRC generator written as hex, e.g. "0x63".
 
-    The hex value lists the m+1 coefficient bits MSB-first with the MSB the
-    coefficient of x^m. A valid CRC generator must have both the x^m and
-    the constant coefficient set, so the value must occupy exactly m+1 bits
-    and be odd. With m omitted the degree is taken from the value itself.
+    The hex value lists the coefficient bits MSB-first, the MSB being the
+    coefficient of x^m for a degree-m CRC. A valid CRC generator has
+    degree m >= 1 and its constant coefficient set, so the value must be
+    odd and at least 0x3.
     """
     body = text[2:] if text[:2].lower() == "0x" else text
     try:
         value = int(body, 16)
     except ValueError:
         raise PolynomialParseError(f"not a hex string: {text!r}") from None
-    if m is None:
-        m = value.bit_length() - 1
-    if m < 1:
-        raise InvalidCrcError(f"CRC degree must be >= 1, got {m}")
-    if value.bit_length() != m + 1:
-        raise InvalidCrcError(
-            f"{text} occupies {value.bit_length()} bits, expected {m + 1} "
-            f"for a degree-{m} CRC"
-        )
+    if value.bit_length() < 2:
+        raise InvalidCrcError(f"CRC degree must be >= 1, got {value.bit_length() - 1}")
     if not value & 1:
         raise InvalidCrcError(f"{text} has no constant term; not a CRC generator")
     return GF2Poly(value)

@@ -30,16 +30,16 @@ rotations fill an arc of that cycle; the rows are distinct iff no two
 arcs on one cycle overlap and none is longer than p.
 
 A state's table holds its skeletons as numpy columns: event indices into
-the state's event columns (padded with -1), length, weight and last event
-length, grown one event count at a time by a frontier search. The
-weight/length cells of the classic recurrence are never materialized,
-which keeps N=70 in tens of megabytes instead of gigabytes.
+the state's event columns (padded with -1), length and weight, grown one
+event count at a time by a frontier search. The weight/length cells of
+the classic recurrence are never materialized, which keeps N=70 in tens
+of megabytes instead of gigabytes.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,7 +58,7 @@ __all__ = [
 
 def _skeletons_for_state(
     iees: EventColumns, d_tilde: int, targets: Sequence[int]
-) -> tuple[int | None, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[int | None, np.ndarray, np.ndarray, np.ndarray]:
     """Enumerate feasible event skeletons for one state, as columns.
 
     targets are the trellis lengths the caller wants to reach. For the
@@ -99,10 +99,10 @@ def _skeletons_for_state(
             np.minimum(best_fill[: t + 1], fill[t::-1], out=best_fill[: t + 1])
 
     # One block per event count: positions into the sorted events, then
-    # length, weight and last length, one row per skeleton. The first block,
-    # of no events, is empty, so a state with no skeleton needs no special case.
+    # length and weight, one row per skeleton. The first block, of no
+    # events, is empty, so a state with no skeleton needs no special case.
     empty = np.zeros(0, dtype=np.int64)
-    blocks = [(np.zeros((0, 0), dtype=np.int64), empty, empty, empty)]
+    blocks = [(np.zeros((0, 0), dtype=np.int64), empty, empty)]
     pos = np.zeros((1, 0), dtype=np.int64)
     length = weight = np.zeros(1, dtype=np.int64)
     while len(pos):
@@ -117,15 +117,15 @@ def _skeletons_for_state(
         keep = np.flatnonzero(fit)
         pos, length, weight = np.column_stack((pos[parent[keep]], child[keep])), length[keep], weight[keep]
         if len(pos):
-            blocks.append((pos, length, weight, ev_length[child[keep]]))
+            blocks.append((pos, length, weight))
     events = np.full((sum(len(b[0]) for b in blocks), len(blocks) - 1), -1, dtype=np.int32)
     row = 0
     for block_pos, *_ in blocks:
         events[row : row + len(block_pos), : block_pos.shape[1]] = index[block_pos]
         row += len(block_pos)
-    length, weight, last_len = (np.concatenate(column) for column in list(zip(*blocks))[1:])
+    length, weight = (np.concatenate(column) for column in list(zip(*blocks))[1:])
     order = np.lexsort((*events.T[::-1], length, weight))
-    return zero_index, events[order], length[order], weight[order], last_len[order]
+    return zero_index, events[order], length[order], weight[order]
 
 
 class WeightLengthTable(NamedTuple):
@@ -134,8 +134,8 @@ class WeightLengthTable(NamedTuple):
     Expansion walks the skeletons directly; iees are the state's event
     columns, and zero_index is the row of the zero loop in them, or None
     for states without one. Skeleton a is row a of skeletons (event rows,
-    padded with -1) with its length, weight and last event length in the
-    columns of the same names.
+    padded with -1) with its length and weight in the columns of the same
+    names.
     """
 
     iees: EventColumns
@@ -143,29 +143,24 @@ class WeightLengthTable(NamedTuple):
     skeletons: np.ndarray
     lengths: np.ndarray
     weights: np.ndarray
-    last_lens: np.ndarray
 
 
 class ReconstructionTables:
-    """Per-state tables for one (db, N, d_tilde) reconstruction run."""
+    """Per-state tables for one (N, d_tilde) reconstruction run, in the database's state ordering."""
 
-    __slots__ = ("db", "N", "d_tilde", "per_state")
+    __slots__ = ("ordering", "N", "d_tilde", "per_state")
 
-    def __init__(self, db: IEEDatabase, N: int, d_tilde: int, per_state: dict[int, WeightLengthTable]):
-        self.db = db
+    def __init__(self, ordering: tuple[int, ...], N: int, d_tilde: int, per_state: dict[int, WeightLengthTable]):
+        self.ordering = ordering
         self.N = N
         self.d_tilde = d_tilde
         self.per_state = per_state
-
-    @property
-    def ordering(self) -> tuple[int, ...]:
-        return self.db.ordering
 
     def __getitem__(self, state: int) -> WeightLengthTable:
         return self.per_state[state]
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.db.ordering)
+        return iter(self.ordering)
 
     def __repr__(self) -> str:
         return f"ReconstructionTables(N={self.N}, d_tilde={self.d_tilde}, states={len(self.per_state)})"
@@ -196,7 +191,7 @@ def build_tables(db: IEEDatabase, N: int, d_tilde: int) -> ReconstructionTables:
     for sigma in db.ordering:
         iees = db.events(sigma)
         per_state[sigma] = WeightLengthTable(iees, *_skeletons_for_state(iees, d_tilde, [N]))
-    return ReconstructionTables(db, N, d_tilde, per_state)
+    return ReconstructionTables(db.ordering, N, d_tilde, per_state)
 
 
 def _rotate(words: np.ndarray, N: int, spare: np.ndarray) -> None:
@@ -432,36 +427,35 @@ def expand_and_dedup(tables: ReconstructionTables, N: int) -> TBPathSet:
     return TBPathSet(N, tables.d_tilde, offsets, bases, counts, weights)
 
 
-def growth_profile(
-    db: IEEDatabase, d_tilde: int, l_range: Iterable[int]
-) -> list[tuple[int, int]]:
-    """Number of weight < d_tilde tail-biting words at each length l.
+def growth_profile(db: IEEDatabase, d_tilde: int, l_range: range) -> list[tuple[int, int]]:
+    """Number of weight < d_tilde tail-biting words at each length l of l_range.
 
+    Lengths below 1, and lengths or a d_tilde the database does not cover,
+    are refused from the range's two ends, before its lengths are listed.
     Counts come straight from the skeletons in closed form: a skeleton of
-    j events, length L and last event length len_j, padded to length l
-    with G = l - L zero loops, owns C(G+j-1, j-1) gap placements whose
-    rotation counts sum to len_j*C(G+j-1, j-1) + G*C(G+j-1, j-1)/j.
-    States without the zero loop contribute len_j once when L == l.
+    j events, length L and last event length len_j (read from the event
+    columns), padded to length l with G = l - L zero loops, owns
+    C(G+j-1, j-1) gap placements whose rotation counts sum to
+    len_j*C(G+j-1, j-1) + G*C(G+j-1, j-1)/j. States without the zero
+    loop contribute len_j once when L == l.
     """
     if d_tilde < 1:
         raise ValueError(f"d_tilde must be >= 1, got {d_tilde}")
-    if isinstance(l_range, range) and l_range:
-        # A range's end is known without listing its lengths, which could be past counting.
-        _check_coverage(db, d_tilde, max(l_range[0], l_range[-1]), "l")
-    targets = sorted(set(int(l) for l in l_range))
-    if not targets:
+    if not l_range:
         return []
-    if targets[0] < 1:
-        raise ValueError(f"lengths must be >= 1, got {targets[0]}")
-    _check_coverage(db, d_tilde, targets[-1], "l")
+    lo, hi = min(l_range[0], l_range[-1]), max(l_range[0], l_range[-1])
+    if lo < 1:
+        raise ValueError(f"lengths must be >= 1, got {lo}")
+    _check_coverage(db, d_tilde, hi, "l")
+    targets = sorted(l_range)
     counts = {l: 0 for l in targets}
     for sigma in db.ordering:
-        zero_index, events, lengths, _weights, last_lens = _skeletons_for_state(
-            db.events(sigma), d_tilde, targets
-        )
+        iees = db.events(sigma)
+        zero_index, events, lengths, _weights = _skeletons_for_state(iees, d_tilde, targets)
         # Skeletons that agree on (j, L, len_j) count alike; Python ints keep the sums exact.
         parts = np.count_nonzero(events >= 0, axis=1)
-        groups, sizes = np.unique(np.column_stack((parts, lengths, last_lens)), axis=0, return_counts=True)
+        last_len = iees.lengths[events[np.arange(len(events)), parts - 1]]
+        groups, sizes = np.unique(np.column_stack((parts, lengths, last_len)), axis=0, return_counts=True)
         for (j, length, last), size in zip(groups.tolist(), sizes.tolist()):
             if zero_index is None:
                 if length in counts:

@@ -86,7 +86,7 @@ class TestUndetectedSpectrum:
     def test_divisible_rows_match_polynomial_division(self, crc_bits):
         # Degrees 1, 8, 16 and 31; 31 is the widest residue a uint32 holds.
         crc = GF2Poly(crc_bits)
-        tables = _residue_tables([crc], 9).tables
+        tables = _residue_tables([crc.bits], crc.degree, 9).tables
         for k in range(9):
             expect = [(GF2Poly(b << (8 * k)) % crc).bits for b in range(256)]
             assert tables[k, :, 0].tolist() == expect, k
@@ -113,7 +113,7 @@ class TestUndetectedSpectrum:
 
 
 class TestRotationResidues:
-    # Degrees 1, 8, 16 and 31 side by side, so each CRC also gets its own reduction.
+    # Degrees 1, 8, 16 and 31, one table each.
     CRCS = [GF2Poly(b) for b in (0x3, 0x107, 0x11021, 0xB4C11DB7)]
 
     @pytest.mark.parametrize("N", [11, 64, 65, 70, 129])
@@ -126,17 +126,17 @@ class TestRotationResidues:
         counts = [N] * 4 + sorted((rng.randint(1, N) for _ in range(20)), reverse=True)
         width = (N + 7) // 8
         data = np.array([list(w.to_bytes(width, "little")) for w in words], dtype=np.uint8)
-        steps = _rotation_residues(
-            data, np.array(counts), N, _residue_tables(self.CRCS, width)
-        )
-        for r, res in enumerate(steps):
-            live = sum(c > r for c in counts)
-            assert res.shape == (live, len(self.CRCS))
-            for b, word in enumerate(words[:live]):
-                rotated = ((word << r) | (word >> (N - r))) & mask
-                expect = [(GF2Poly(rotated) % crc).bits for crc in self.CRCS]
-                assert res[b].tolist() == expect, (N, r, b)
-        assert r == N - 1
+        for crc in self.CRCS:
+            steps = _rotation_residues(
+                data, np.array(counts), N, _residue_tables([crc.bits], crc.degree, width)
+            )
+            for r, res in enumerate(steps):
+                live = sum(c > r for c in counts)
+                assert res.shape == (live, 1)
+                for b, word in enumerate(words[:live]):
+                    rotated = ((word << r) | (word >> (N - r))) & mask
+                    assert res[b].tolist() == [(GF2Poly(rotated) % crc).bits], (N, crc, r, b)
+            assert r == N - 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -331,6 +331,21 @@ class TestCsv:
         out = tmp_path / "spectrum_0x63_N70_dt18.csv"
         out.write_text("d,A_d\n" + rows)
         with pytest.raises(ValueError, match=message):
+            DistanceSpectrum.from_csv(out)
+
+    @pytest.mark.parametrize("name,rows,message", [
+        # The counts are dense over d, so a huge d_tilde would be a huge list.
+        pytest.param("spectrum_0x63_N70_dt100000000000.csv", "1,0\n", "d in 1..99999999999, has 1", id="huge-dt"),
+        pytest.param(
+            "spectrum_0x63_N70_dt18.csv", "".join(f"{d},0\n" for d in range(1, 17)), "d in 1..17, has 16",
+            id="row-missing",
+        ),
+    ])
+    def test_incomplete_rows_rejected(self, tmp_path, name, rows, message):
+        # to_csv writes a row for each d in 1..d_tilde-1, and only that is read back.
+        out = tmp_path / name
+        out.write_text("d,A_d\n" + rows)
+        with pytest.raises(ValueError, match=f"needs one row for each {message}"):
             DistanceSpectrum.from_csv(out)
 
     def test_unlabeled_file_rejected(self, paths12, tmp_path):

@@ -1,7 +1,10 @@
-"""Every exported name resolves, so a pruned helper cannot stay listed."""
+"""Every exported name resolves, so a pruned helper cannot stay listed, and
+the README's library example runs as written."""
 
 import importlib
+import pathlib
 import pkgutil
+import re
 
 import pytest
 
@@ -17,3 +20,10 @@ def test_star_import_gives_every_listed_name(module):
     namespace: dict = {}
     exec(f"from {module} import *", namespace)
     assert [name for name in names if name not in namespace] == []
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"^```python\n(.*?)^```", readme, re.DOTALL | re.MULTILINE)
+    exec(example, {})
+    assert capsys.readouterr().out.splitlines() == ["0x63", "{12: 735, 14: 2310, 16: 13965}"]

@@ -35,26 +35,20 @@ class TestParseOctal:
 
 class TestParseHexCrc:
     def test_values(self):
-        assert parse_hex_crc("0x63", 6).bits == 0x63
-        assert parse_hex_crc("0x43", 6).bits == 0x43
-        assert parse_hex_crc("0x3", 1).bits == 0x3
+        assert parse_hex_crc("0x63").bits == 0x63
+        assert parse_hex_crc("0x43").bits == 0x43
+        assert parse_hex_crc("0x3").bits == 0x3
 
     def test_degree_inferred_when_omitted(self):
         assert parse_hex_crc("0x63").degree == 6
 
     def test_even_value_rejected(self):
         with pytest.raises(InvalidCrcError):
-            parse_hex_crc("0x62", 6)
-
-    def test_wrong_width_rejected(self):
-        with pytest.raises(InvalidCrcError):
-            parse_hex_crc("0x63", 5)
-        with pytest.raises(InvalidCrcError):
-            parse_hex_crc("0x23", 6)
+            parse_hex_crc("0x62")
 
     def test_not_hex(self):
         with pytest.raises(PolynomialParseError):
-            parse_hex_crc("0xzz", 6)
+            parse_hex_crc("0xzz")
 
 
 class TestArithmetic:

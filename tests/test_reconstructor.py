@@ -38,14 +38,14 @@ def _skeleton_cases(draw):
 
 
 def _naive_skeletons(iees, d_tilde, N):
-    """(events, length, weight, last length) of every nonzero-event sequence
-    of weight < d_tilde and length <= N, sorted by (weight, length, events)."""
+    """(events, length, weight) of every nonzero-event sequence of weight
+    < d_tilde and length <= N, sorted by (weight, length, events)."""
     events = [(i, e.length, e.weight) for i, e in enumerate(iees) if e.weight > 0]
-    found, level = [], [((), 0, 0, 0)]
+    found, level = [], [((), 0, 0)]
     while level:
         level = [
-            (seq + (i,), length + el, weight + ew, el)
-            for (seq, length, weight, _last), (i, el, ew) in itertools.product(level, events)
+            (seq + (i,), length + el, weight + ew)
+            for (seq, length, weight), (i, el, ew) in itertools.product(level, events)
             if weight + ew < d_tilde and length + el <= N
         ]
         found += level
@@ -157,7 +157,7 @@ class TestBuildTables:
             rows = [tuple(i for i in row if i >= 0) for row in t.skeletons.tolist()]
             assert t.skeletons.dtype == np.int32
             assert [list(r) + [-1] * (t.skeletons.shape[1] - len(r)) for r in rows] == t.skeletons.tolist()
-            got = list(zip(rows, t.lengths.tolist(), t.weights.tolist(), t.last_lens.tolist()))
+            got = list(zip(rows, t.lengths.tolist(), t.weights.tolist()))
             assert got == sorted(got, key=lambda sk: (sk[2], sk[1], sk[0]))
             if t.zero_index is not None:
                 assert got == want, s
@@ -322,8 +322,7 @@ class TestExpansion:
         # Every column gets its last row once more.
         again = np.append(np.arange(len(t.skeletons)), len(t.skeletons) - 1)
         tables.per_state[0] = t._replace(
-            skeletons=t.skeletons[again], lengths=t.lengths[again], weights=t.weights[again],
-            last_lens=t.last_lens[again],
+            skeletons=t.skeletons[again], lengths=t.lengths[again], weights=t.weights[again]
         )
         with pytest.raises(RuntimeError, match="bijection invariant broken"):
             expand_and_dedup(tables, 12)
@@ -457,7 +456,7 @@ def _check_necklaces(words, N):
 class TestGrowthProfile:
     def test_single_step_paths(self, db7):
         # Only the all-ones-state self-loop closes in one step.
-        assert growth_profile(db7, 7, [1]) == [(1, 1)]
+        assert growth_profile(db7, 7, range(1, 2)) == [(1, 1)]
 
     @pytest.mark.parametrize("gens,v", [(["5", "7"], 2), (["13", "17"], 3)])
     def test_agrees_with_expansion(self, gens, v):
@@ -475,7 +474,7 @@ class TestGrowthProfile:
             growth_profile(db7, 7, range(1, 14))
 
     def test_empty_range(self, db7):
-        assert growth_profile(db7, 7, []) == []
+        assert growth_profile(db7, 7, range(1, 1)) == []
 
     @pytest.mark.parametrize("d_tilde", [0, -3])
     def test_nonpositive_d_tilde_rejected(self, db7, d_tilde):
