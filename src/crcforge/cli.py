@@ -131,7 +131,7 @@ def cmd_design(args) -> int:
     result = search_dso(paths, args.m)
     for row in result.rounds:
         survivors = ",".join(row.survivors_hex)
-        print(f"d={row.d} C*={row.c_star} survivors={row.survivors_remaining} [{survivors}]")
+        print(f"d={row.d} C*={row.c_star} survivors={len(row.survivors_hex)} [{survivors}]")
 
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -140,22 +140,21 @@ def cmd_design(args) -> int:
         fh.write("d,c_star,survivors_remaining,survivor_list_hex\n")
         for row in result.rounds:
             fh.write(
-                f"{row.d},{row.c_star},{row.survivors_remaining},"
+                f"{row.d},{row.c_star},{len(row.survivors_hex)},"
                 + ";".join(row.survivors_hex)
                 + "\n"
             )
     print(f"wrote {log_path}")
 
-    if result.is_tie:
+    if result.winner is None:
         tied = ",".join(c.to_hex() for c in result.survivors)
         print(
             f"candidates indistinguishable below d_tilde={paths.d_tilde}: {tied}; "
             "re-collect with a larger d_tilde to separate them"
         )
         return 1
-    spectrum = result.spectra[result.winner.to_hex()]
-    spec_path = os.path.join(out_dir, spectrum.csv_filename())
-    spectrum.to_csv(spec_path)
+    spec_path = os.path.join(out_dir, result.spectrum.csv_filename())
+    result.spectrum.to_csv(spec_path)
     print(f"wrote {spec_path}")
     print(f"DSO CRC: {result.winner.to_hex()}")
     return 0

@@ -17,8 +17,10 @@ matrix of (bases, candidates) residues advances all candidates together.
 The design search is the distance-ordered elimination of Lou, Daneshrad
 and Wesel: at d = 1, 2, ... it screens the surviving candidates on the
 weight-d bases only and keeps those with the fewest undetected paths,
-stopping once one survivor is left or d reaches d_tilde. Full spectra
-are computed for the final survivors only. Everything runs on one thread.
+stopping once one survivor is left or d reaches d_tilde. Only a unique
+winner's full spectrum is computed: a tie lasts through every d below
+d_tilde, so each tied survivor's A_d is round d's C*. Everything runs on
+one thread.
 """
 
 from __future__ import annotations
@@ -241,30 +243,25 @@ def undetected_spectrum(paths: TBPathSet, crc: GF2Poly) -> DistanceSpectrum:
 
 @dataclass(frozen=True)
 class EliminationRound:
-    """One distance step of the search: who had the minimum and who is left."""
+    """One distance step of the search: the minimum A_d and who had it."""
 
     d: int
     c_star: int
-    survivors_remaining: int
     survivors_hex: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class DsoSearchResult:
-    """Search outcome; winner is None when candidates stay tied at d_tilde.
+    """Search outcome: the winner and its spectrum, both None when candidates stay tied at d_tilde.
 
-    spectra maps each final survivor (the winner or the tied set) to its
-    full spectrum; eliminated candidates have none.
+    A tie lasts through a round at every d below d_tilde, so each tied
+    survivor's A_d is rounds[d - 1].c_star.
     """
 
     winner: GF2Poly | None
     survivors: tuple[GF2Poly, ...]
     rounds: tuple[EliminationRound, ...]
-    spectra: dict[str, DistanceSpectrum]
-
-    @property
-    def is_tie(self) -> bool:
-        return self.winner is None
+    spectrum: DistanceSpectrum | None
 
 
 def search_dso(paths: TBPathSet, m: int, threads: int = 1) -> DsoSearchResult:
@@ -274,9 +271,9 @@ def search_dso(paths: TBPathSet, m: int, threads: int = 1) -> DsoSearchResult:
     path set's d_tilde the survivors are screened on the weight-d paths
     alone and the argmin set of A_d is kept, until one survivor is left.
     Ties at exhaustion are reported as a full survivor set, never broken
-    silently. ``spectra`` holds the full spectrum of each final survivor
-    only. ``threads`` is accepted for compatibility and ignored; the
-    search runs on one thread.
+    silently; each tied survivor's A_d is round d's c_star. Only a unique
+    winner's spectrum is counted in full. ``threads`` is accepted for
+    compatibility and ignored; the search runs on one thread.
     """
     crcs = candidate_list(m)
     tables = _residue_tables([c.bits for c in crcs], m, (paths.N + 7) // 8)
@@ -294,15 +291,10 @@ def search_dso(paths: TBPathSet, m: int, threads: int = 1) -> DsoSearchResult:
         if (values > c_star).any():
             keep = np.flatnonzero(values == c_star)
             alive, tables = alive[keep], tables.pick(keep)
-        rounds.append(
-            EliminationRound(d, c_star, len(alive), tuple(crcs[i].to_hex() for i in alive))
-        )
-    spectra = {
-        crcs[i].to_hex(): _spectrum(paths, bases, crcs[i], tables.pick([k]))
-        for k, i in enumerate(alive)
-    }
+        rounds.append(EliminationRound(d, c_star, tuple(crcs[i].to_hex() for i in alive)))
     winner = crcs[alive[0]] if len(alive) == 1 else None
-    return DsoSearchResult(winner, tuple(crcs[i] for i in alive), tuple(rounds), spectra)
+    spectrum = None if winner is None else _spectrum(paths, bases, winner, tables)
+    return DsoSearchResult(winner, tuple(crcs[i] for i in alive), tuple(rounds), spectrum)
 
 
 def q_function(x: float) -> float:

@@ -55,7 +55,6 @@ class ConvCode:
     """
 
     __slots__ = (
-        "generators",
         "generators_octal",
         "n",
         "v",
@@ -81,7 +80,6 @@ class ConvCode:
             raise CodeConstructionError(
                 f"no generator has degree {v}; their highest taps are {', '.join(f'x^{t}' for t in tops)}"
             )
-        self.generators = polys
         self.generators_octal = tuple(p.to_octal() for p in polys)
         self.n = len(polys)
         self.v = v

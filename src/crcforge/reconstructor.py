@@ -70,6 +70,7 @@ def _skeletons_for_state(
     (weight, length, event tuple).
     """
     l_max = max(targets)
+    d_tilde = min(d_tilde, int(np.iinfo(np.int32).max))  # weights stay far below it; 2^63 overflows int64
     weight_of, length_of = iees.weights.astype(np.int64), iees.lengths.astype(np.int64)
     zeros = np.flatnonzero(weight_of == 0)
     if len(zeros) > 1:

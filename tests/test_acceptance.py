@@ -57,8 +57,8 @@ def test_criterion_1_golden_spectra(paths70, capsys):
 def test_criterion_2_dso_identification(paths70, capsys):
     with _criterion(capsys, 2, "degree-6 screening at N=70 keeps 0x63 as the unique survivor"):
         result = search_dso(paths70, 6)
-        assert not result.is_tie
         assert result.winner.to_hex() == "0x63"
+        assert result.spectrum.nonzero() == GOLDEN_63
         assert tuple(c.to_hex() for c in result.survivors) == ("0x63",)
 
 

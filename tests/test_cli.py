@@ -315,6 +315,20 @@ class TestPipeline:
         assert main(["verify", "--gens", gens, "--v", "6", "--n", n, "--dtilde", d_tilde]) == 0
         assert capsys.readouterr().out.strip().endswith("PASS")
 
+    def test_verify_bound_past_int64(self, capsys):
+        # A bound of 2^63 or more does not fit the int64 weight columns;
+        # it is as good as no bound at all, and verify still passes.
+        assert main(["verify", "--gens", "13,17", "--v", "3", "--n", "8", "--dtilde", str(2**63)]) == 0
+        assert capsys.readouterr().out.strip().endswith("PASS")
+
+    def test_growth_bound_past_int64(self, tmp_path, capsys):
+        db = tmp_path / "iee_1317_huge.json"
+        args = ["--gens", "13,17", "--v", "3", "--dtilde", str(10**30), "--max-len", "12", "--out", str(db)]
+        assert main(["collect", *args]) == 0
+        capsys.readouterr()
+        assert main(["growth", "--iee", str(db), "--l-range", "5:6"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["l=5 count=31", "l=6 count=63"]
+
     def test_verify_both_k_n_usage(self, small_db):
         rc = main(["design", "--iee", str(small_db), "--k", "8", "--n", "14", "--m", "3"])
         assert rc == 1

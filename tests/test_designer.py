@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 import random
 
@@ -187,13 +188,16 @@ def _check_against_exhaustive(paths, m):
             break
         best = min(s.counts[1 : d + 1] for s in spectra.values())
         alive = tuple(h for h, s in spectra.items() if s.counts[1 : d + 1] == best)
-        rounds.append(EliminationRound(d, best[-1], len(alive), alive))
+        rounds.append(EliminationRound(d, best[-1], alive))
     assert result.rounds == tuple(rounds)
     assert tuple(c.to_hex() for c in result.survivors) == alive
-    assert result.spectra == {h: spectra[h] for h in alive}
-    assert result.is_tie == (len(alive) > 1)
-    if not result.is_tie:
+    if len(alive) == 1:
         assert result.winner.to_hex() == alive[0]
+        assert result.spectrum == spectra[alive[0]]
+    else:
+        # A tie had a round at every d, so the rounds are the tied spectrum.
+        assert result.winner is None and result.spectrum is None
+        assert all(spectra[h].counts == (0, *(r.c_star for r in result.rounds)) for h in alive)
     return result
 
 
@@ -211,22 +215,22 @@ class TestSearch:
     def test_early_exit_equals_exhaustive_screen_at_n70(self, paths70):
         result = _check_against_exhaustive(paths70, 6)
         assert result.winner == GF2Poly(0x63)
-        assert result.spectra["0x63"].nonzero() == GOLDEN_63
+        assert result.spectrum.nonzero() == GOLDEN_63
 
     @pytest.mark.parametrize("m,d_tilde", [(4, 7), (5, 9)])
     def test_partial_tie_keeps_tied_set_and_their_spectra(self, db12, m, d_tilde):
         # Some candidates drop out, but more than one is left at d_tilde.
         paths = expand_and_dedup(build_tables(db12, 12, d_tilde), 12)
         result = _check_against_exhaustive(paths, m)
-        assert result.is_tie
+        assert result.winner is None
         assert 1 < len(result.survivors) < len(candidate_list(m))
-        assert set(result.spectra) == {c.to_hex() for c in result.survivors}
+        assert [r.d for r in result.rounds] == list(range(1, d_tilde))
 
     def test_rounds_shrink_monotonically(self, paths12):
         result = search_dso(paths12, 4)
-        sizes = [r.survivors_remaining for r in result.rounds]
+        sizes = [len(r.survivors_hex) for r in result.rounds]
         assert sizes == sorted(sizes, reverse=True)
-        assert all(r.survivors_remaining >= 1 for r in result.rounds)
+        assert all(size >= 1 for size in sizes)
 
     def test_single_candidate_returns_immediately(self, paths12):
         result = search_dso(paths12, 1)
@@ -238,8 +242,8 @@ class TestSearch:
         db = collect_iees(code, 2, 10)
         empty = expand_and_dedup(build_tables(db, 10, 2), 10)
         result = search_dso(empty, 6)
-        assert result.is_tie
         assert result.winner is None
+        assert result.spectrum is None
         assert len(result.survivors) == 32
 
     def test_threads_do_not_change_result(self, paths12):
@@ -247,6 +251,42 @@ class TestSearch:
         b = search_dso(paths12, 4, threads=3)
         assert a.winner == b.winner
         assert a.rounds == b.rounds
+
+
+def _round_pins(result):
+    """(d, C*, survivor count) per round, and a sha256 over every round's survivor list."""
+    text = "\n".join(";".join(r.survivors_hex) for r in result.rounds)
+    return [(r.d, r.c_star, len(r.survivors_hex)) for r in result.rounds], hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestHighDegreePins:
+    """Degree-12 and degree-14 searches at (13,17) N=70 d_tilde=18, pinned from the
+    code before any change to the screen, so a faster screen must give the same rounds."""
+
+    def test_degree_12_winner_and_rounds(self, paths70):
+        result = search_dso(paths70, 12)
+        sizes, digest = _round_pins(result)
+        counts = [2048] * 5 + [2046, 2045, 2033, 2024, 1949, 1894, 1264, 902, 48, 12, 1]
+        assert sizes == [(d, 118 if d == 16 else 0, n) for d, n in enumerate(counts, 1)]
+        assert digest == "2678cd880d2b8f968124a581217398aba507fe1164d5718d7d0a824bbd8b01ba"
+        assert result.rounds[-2].survivors_hex == (
+            "0x1385", "0x1433", "0x144d", "0x1589", "0x15cd", "0x17bb",
+            "0x1871", "0x18cf", "0x192f", "0x1bf9", "0x1ea3", "0x1eed",
+        )
+        assert result.winner == GF2Poly(0x1EED)
+        assert result.spectrum.nonzero() == {16: 118}
+
+    @pytest.mark.extended
+    def test_degree_14_tie_and_rounds(self, paths70):
+        # About 20 s on a 2-core machine.
+        result = search_dso(paths70, 14)
+        sizes, digest = _round_pins(result)
+        counts = [8192] * 5 + [8190, 8190, 8183, 8175, 8098, 8042, 7267, 6736, 3494, 1879, 23, 2]
+        assert sizes == [(d, 0, n) for d, n in enumerate(counts, 1)]
+        assert digest == "99fa3c494d7b8b2f1e5990a02d9ed2a9179c0ccf1087b6ec21d6287edc9261e3"
+        assert result.winner is None
+        assert [c.to_hex() for c in result.survivors] == ["0x52cd", "0x66f9"]
+        assert result.spectrum is None
 
 
 Q_REFERENCE = {
