@@ -312,6 +312,10 @@ def main(argv=None) -> int:
     except (CrcforgeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}; try a lower --m, --dtilde or --max-len", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -5,14 +5,17 @@ the word's polynomial, so the undetected-error spectrum of a candidate
 counts, by weight, the paths whose residue mod the CRC is zero. The path
 set holds base words, each standing for its first few rotations, so
 residues are taken in the rotation domain: precomputed tables
-T_k[b] = (b(x) * x^(8k)) mod p give each base word's residue in one XOR
-fold per byte column, and the linear rule
+T_k[b] = (b(x) * x^(4k)) mod p, for the 16 nibbles b, give each base
+word's residue in two XOR folds per byte column, and the linear rule
 
     res(rot w) = (x * res(w) mod p) ^ w_{N-1} * ((x^N + 1) mod p)
 
 steps every base to its next rotation at once. With the bases sorted by
 rotation count, the ones still rotating at any step are a prefix, and a
 matrix of (bases, candidates) residues advances all candidates together.
+The search feeds that matrix one slice of bases at a time, of at most
+_CELLS residues (one row when more candidates survive), so beyond the
+tables its memory grows neither with 2^m nor with the path set.
 
 The design search is the distance-ordered elimination of Lou, Daneshrad
 and Wesel: at d = 1, 2, ... it screens the surviving candidates on the
@@ -51,6 +54,8 @@ __all__ = [
 
 # Residues are held in uint32 table entries.
 _MAX_DEGREE = 31
+# The most residues a search round holds at once: 4 MiB of uint32.
+_CELLS = 1 << 20
 
 
 def candidate_list(m: int) -> list[GF2Poly]:
@@ -77,7 +82,7 @@ class _Crcs(NamedTuple):
 
     polys: np.ndarray  # packed coefficient bits
     degree: int
-    tables: np.ndarray  # (width, 256, crcs): tables[k][b] = (b(x) * x^(8k)) mod p
+    tables: np.ndarray  # (2 * width, 16, crcs): tables[k][b] = (b(x) * x^(4k)) mod p
 
     def pick(self, idx) -> "_Crcs":
         return _Crcs(self.polys[idx], self.degree, np.take(self.tables, idx, axis=-1))
@@ -90,11 +95,11 @@ def _times_x(res: np.ndarray, polys: np.ndarray, degree: int) -> None:
 
 
 def _residue_tables(bits: Sequence[int], degree: int, width: int) -> _Crcs:
-    """The tables of the degree-`degree` CRCs with coefficients `bits`, for words of `width` bytes.
+    """The nibble tables of the degree-`degree` CRCs with coefficients `bits`, for words of `width` bytes.
 
-    Reduction is linear, so tables[k][b] is the XOR of x^(8k+j) mod p over
-    the set bits j of b: 8 * width shift-reduce steps, taken for all CRCs
-    at once, build every table.
+    Reduction is linear, so tables[k][b] is the XOR of x^(4k+j) mod p over
+    the set bits j of the nibble b: 8 * width shift-reduce steps, taken for
+    all CRCs at once, and 4 doubling steps build every table.
     """
     polys = np.array(bits, dtype=np.uint32)
     powers = np.empty((8 * width, len(polys)), dtype=np.uint32)
@@ -102,9 +107,9 @@ def _residue_tables(bits: Sequence[int], degree: int, width: int) -> _Crcs:
     for i in range(8 * width):
         powers[i] = r
         _times_x(r, polys, degree)
-    tables = np.zeros((width, 256, len(polys)), dtype=np.uint32)
-    for j in range(8):
-        tables[:, 1 << j : 2 << j] = tables[:, : 1 << j] ^ powers[j::8, None]
+    tables = np.zeros((2 * width, 16, len(polys)), dtype=np.uint32)
+    for j in range(4):
+        tables[:, 1 << j : 2 << j] = tables[:, : 1 << j] ^ powers[j::4, None]
     return _Crcs(polys, degree, tables)
 
 
@@ -112,7 +117,8 @@ def _residues(data: np.ndarray, tables: np.ndarray) -> np.ndarray:
     """res[row, i] = (word of the row) mod crc i, for little-endian byte rows."""
     out = np.zeros((len(data), tables.shape[2]), dtype=np.uint32)
     for k in range(data.shape[1]):
-        out ^= tables[k][data[:, k]]
+        out ^= tables[2 * k][data[:, k] & 15]
+        out ^= tables[2 * k + 1][data[:, k] >> 4]
     return out
 
 
@@ -143,7 +149,7 @@ def _rotation_residues(
     and bit N-1 of rot^r(b) is bit N-1-r of b.
     """
     # (x^N + 1) mod p: one step on from x^(N-1) mod p, a table entry.
-    wrap = crcs.tables[(N - 1) >> 3, 1 << ((N - 1) & 7)].copy()
+    wrap = crcs.tables[(N - 1) >> 2, 1 << ((N - 1) & 3)].copy()
     _times_x(wrap, crcs.polys, crcs.degree)
     wrap ^= np.uint32(1)
     res = _residues(data, crcs.tables)
@@ -284,9 +290,13 @@ def search_dso(paths: TBPathSet, m: int, threads: int = 1) -> DsoSearchResult:
         if len(alive) == 1:
             break
         sel = bases.weights == d
+        data, counts = bases.data[sel], bases.counts[sel]
+        # Slices of the descending counts are descending too.
+        step = max(1, _CELLS // len(alive))
         values = np.zeros(len(alive), dtype=np.int64)
-        for res in _rotation_residues(bases.data[sel], bases.counts[sel], paths.N, tables):
-            values += np.count_nonzero(res == 0, axis=0)
+        for lo in range(0, len(counts), step):
+            for res in _rotation_residues(data[lo : lo + step], counts[lo : lo + step], paths.N, tables):
+                values += np.count_nonzero(res == 0, axis=0)
         c_star = int(values.min())
         if (values > c_star).any():
             keep = np.flatnonzero(values == c_star)

@@ -77,6 +77,18 @@ class TestExitCodes:
         rc = main(["design", "--iee", str(tmp_path / "nope.json"), "--k", "8", "--m", "3"])
         assert rc == 1
 
+    def test_out_of_memory_is_1(self, small_db, tmp_path, capsys, monkeypatch):
+        # A screen too large for the machine ends in a message, not a traceback.
+        def search_dso(paths, m, threads=1):
+            raise MemoryError("Unable to allocate 64.0 GiB")
+
+        monkeypatch.setattr(cli, "search_dso", search_dso)
+        rc = main(["design", "--iee", str(small_db), "--n", "14", "--m", "3", "--out-dir", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: Unable to allocate 64.0 GiB")
+        assert "--m" in err and "Traceback" not in err
+
     def test_crc_degree_above_31_is_1(self, small_db, tmp_path, capsys, monkeypatch):
         # Refused before any path is expanded: building tables would fail.
         monkeypatch.setattr(cli, "build_tables", None)

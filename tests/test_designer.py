@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from conftest import rotations
 
+from crcforge import designer
 from crcforge.collector import collect_iees
 from crcforge.designer import (
     DistanceSpectrum,
@@ -88,8 +89,8 @@ class TestUndetectedSpectrum:
         # Degrees 1, 8, 16 and 31; 31 is the widest residue a uint32 holds.
         crc = GF2Poly(crc_bits)
         tables = _residue_tables([crc.bits], crc.degree, 9).tables
-        for k in range(9):
-            expect = [(GF2Poly(b << (8 * k)) % crc).bits for b in range(256)]
+        for k in range(2 * 9):
+            expect = [(GF2Poly(b << (4 * k)) % crc).bits for b in range(16)]
             assert tables[k, :, 0].tolist() == expect, k
         rng = random.Random(crc_bits)
         words = [(GF2Poly(rng.getrandbits(70 - crc.degree)) * crc).bits for _ in range(40)]
@@ -171,6 +172,14 @@ def _row_spectrum(paths, rows, weights, crc):
     return DistanceSpectrum(crc, paths.N, paths.d_tilde, tuple(int(c) for c in hist))
 
 
+@functools.lru_cache(maxsize=None)
+def _exhaustive_spectra(paths, m):
+    """Every degree-m candidate's spectrum from the materialised rows, kept per
+    path set so that repeated checks of one instance fold its rows once."""
+    rows, weights = _rows(paths)
+    return {c.to_hex(): _row_spectrum(paths, rows, weights, c) for c in candidate_list(m)}
+
+
 def _check_against_exhaustive(paths, m):
     """search_dso must match a lexicographic screen of every full spectrum.
 
@@ -179,8 +188,7 @@ def _check_against_exhaustive(paths, m):
     (A_1..A_d) is the lexicographic minimum over all of them.
     """
     result = search_dso(paths, m)
-    rows, weights = _rows(paths)
-    spectra = {c.to_hex(): _row_spectrum(paths, rows, weights, c) for c in candidate_list(m)}
+    spectra = _exhaustive_spectra(paths, m)
     alive = tuple(spectra)
     rounds = []
     for d in range(1, paths.d_tilde):
@@ -226,6 +234,18 @@ class TestSearch:
         assert 1 < len(result.survivors) < len(candidate_list(m))
         assert [r.d for r in result.rounds] == list(range(1, d_tilde))
 
+    @pytest.mark.parametrize("cells", [1, 7])
+    def test_small_base_blocks_change_nothing(self, paths12, paths70, monkeypatch, cells):
+        # One-row blocks, and ragged last blocks once few candidates are left.
+        cases = [(paths12, m) for m in range(3, 7)] + [(paths70, 6)]
+        defaults = [search_dso(paths, m) for paths, m in cases]
+        monkeypatch.setattr(designer, "_CELLS", cells)
+        for (paths, m), default in zip(cases, defaults):
+            result = _check_against_exhaustive(paths, m)
+            assert (result.rounds, result.survivors, result.spectrum) == (
+                default.rounds, default.survivors, default.spectrum
+            ), m
+
     def test_rounds_shrink_monotonically(self, paths12):
         result = search_dso(paths12, 4)
         sizes = [len(r.survivors_hex) for r in result.rounds]
@@ -260,7 +280,7 @@ def _round_pins(result):
 
 
 class TestHighDegreePins:
-    """Degree-12 and degree-14 searches at (13,17) N=70 d_tilde=18, pinned from the
+    """Degree-12, 14 and 16 searches at (13,17) N=70 d_tilde=18, pinned from the
     code before any change to the screen, so a faster screen must give the same rounds."""
 
     def test_degree_12_winner_and_rounds(self, paths70):
@@ -278,7 +298,7 @@ class TestHighDegreePins:
 
     @pytest.mark.extended
     def test_degree_14_tie_and_rounds(self, paths70):
-        # About 20 s on a 2-core machine.
+        # About 9 s on a 2-core machine.
         result = search_dso(paths70, 14)
         sizes, digest = _round_pins(result)
         counts = [8192] * 5 + [8190, 8190, 8183, 8175, 8098, 8042, 7267, 6736, 3494, 1879, 23, 2]
@@ -287,6 +307,19 @@ class TestHighDegreePins:
         assert result.winner is None
         assert [c.to_hex() for c in result.survivors] == ["0x52cd", "0x66f9"]
         assert result.spectrum is None
+
+    @pytest.mark.extended
+    def test_degree_16_tie_and_rounds(self, paths70):
+        # About 90 s and 150 MiB on a 2-core machine.
+        result = search_dso(paths70, 16)
+        sizes, digest = _round_pins(result)
+        counts = [32768] * 7 + [32762, 32761, 32680, 32612, 31662, 31098, 26323, 22546, 6678, 2764]
+        assert sizes == [(d, 0, n) for d, n in enumerate(counts, 1)]
+        assert digest == "e06dd4e9b7935781ac002241f216c12907dfbd74b5cc2ce94b71c4a48ee56204"
+        assert result.winner is None
+        assert result.spectrum is None
+        # The digest covers the last round's 2,764 survivors.
+        assert tuple(c.to_hex() for c in result.survivors) == result.rounds[-1].survivors_hex
 
 
 Q_REFERENCE = {
