@@ -9,6 +9,12 @@ the CRC degree) and the screening bound (--dtilde, or the database's)
 and expands the path set; both read N and the bound back from it. Exit
 codes: 0 success, 1 domain failure (catastrophic code, coverage, ties,
 corrupt files, bad values), 2 usage errors (argparse's native behavior).
+
+Each command imports only the library modules it runs, on first use:
+--help, usage errors and bound never import numpy (bound reads its CSVs
+with the pure-Python bound module); collect loads the collector; growth
+adds the reconstructor, design and spectrum the designer too; only
+verify loads the brute-force oracle.
 """
 
 from __future__ import annotations
@@ -19,34 +25,40 @@ import os
 import sys
 import time
 from collections import Counter
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .collector import collect_iees, load_database, save_database, verify_events
-from .designer import (
-    _MAX_DEGREE,
-    DistanceSpectrum,
-    bound_sweep,
-    search_dso,
-    undetected_spectrum,
-    write_bound_csv,
-)
-from .encoder import ConvCode
 from .errors import CrcforgeError
-from .gf2 import parse_hex_crc, parse_octal
-from .oracle import (
-    MAX_ORACLE_LEN,
-    MAX_ORACLE_V,
-    brute_force_iees,
-    brute_force_partition,
-    is_cyclic_closed,
-)
-from .reconstructor import TBPathSet, build_tables, expand_and_dedup, growth_profile
+from .gf2 import parse_hex_crc
+
+if TYPE_CHECKING:
+    from .reconstructor import TBPathSet
 
 __all__ = ["main"]
 
 # Largest --snr grid accepted; a finite but huge point count would never finish.
 MAX_SNR_POINTS = 1_000_000
+
+# The library names the commands call. Each is taken from the package's lazy
+# exports on first access as an attribute of this module and kept there, so
+# a command loads only the modules it runs. Commands call them as
+# _cli.<name>, so a caller that rebinds one here (bench/traced.py wraps each
+# in a span) has its wrapper called.
+_LIBRARY = {
+    "ConvCode", "collect_iees", "save_database", "load_database", "verify_events", "build_tables",
+    "expand_and_dedup", "growth_profile", "search_dso", "undetected_spectrum", "DistanceSpectrum",
+    "bound_sweep", "write_bound_csv",
+}
+
+
+def __getattr__(name):
+    if name not in _LIBRARY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
+
+
+# This module, whether imported as crcforge.cli or run as __main__.
+_cli = sys.modules[__name__]
 
 
 def _parse_gens(text: str) -> list[str]:
@@ -88,17 +100,17 @@ def _parse_l_range(text: str) -> range:
 
 
 def cmd_collect(args) -> int:
-    code = ConvCode(_parse_gens(args.gens), args.v)
+    code = _cli.ConvCode(_parse_gens(args.gens), args.v)
     ordering = None
     if args.ordering:
         ordering = [int(s) for s in args.ordering.split(",")]
     start = time.perf_counter()
-    db = collect_iees(code, args.dtilde, args.max_len, ordering=ordering)
+    db = _cli.collect_iees(code, args.dtilde, args.max_len, ordering=ordering)
     elapsed = time.perf_counter() - start
     for state, count in db.state_counts().items():
         print(f"state {state}: {count} events")
     print(f"collected {db.num_iees} events in {elapsed:.2f} s")
-    save_database(db, args.out)
+    _cli.save_database(db, args.out)
     print(f"saved {args.out}")
     return 0
 
@@ -113,22 +125,24 @@ def _path_set(args, m: int) -> TBPathSet:
     """
     if (args.k is None) == (args.n is None):
         raise ValueError("give exactly one of --k (message bits) or --n (block bits)")
+    from .designer import _MAX_DEGREE
+
     if not 1 <= m <= _MAX_DEGREE:
         raise ValueError(f"CRC degree m must be in [1, {_MAX_DEGREE}], got {m}")
-    db = load_database(args.iee)
+    db = _cli.load_database(args.iee)
     d_tilde = args.dtilde if args.dtilde is not None else db.d_tilde
     if d_tilde < 2:
         raise ValueError(f"d_tilde must be >= 2, got {d_tilde}")
     N = args.n if args.n is not None else args.k + m
     if N >= db.v and d_tilde > db.n * N + 1:  # N < v is left to build_tables
         raise ValueError(f"d_tilde={d_tilde} is above n*N + 1 = {db.n * N + 1}, the largest bound allowed at N={N}")
-    return expand_and_dedup(build_tables(db, N, d_tilde), N)
+    return _cli.expand_and_dedup(_cli.build_tables(db, N, d_tilde), N)
 
 
 def cmd_design(args) -> int:
     paths = _path_set(args, args.m)
     print(f"expanded {len(paths)} paths of weight < {paths.d_tilde} at N={paths.N}")
-    result = search_dso(paths, args.m)
+    result = _cli.search_dso(paths, args.m)
     for row in result.rounds:
         survivors = ",".join(row.survivors_hex)
         print(f"d={row.d} C*={row.c_star} survivors={len(row.survivors_hex)} [{survivors}]")
@@ -162,7 +176,7 @@ def cmd_design(args) -> int:
 
 def cmd_spectrum(args) -> int:
     crc = parse_hex_crc(args.crc)
-    spectrum = undetected_spectrum(_path_set(args, crc.degree), crc)
+    spectrum = _cli.undetected_spectrum(_path_set(args, crc.degree), crc)
     for d, count in spectrum.nonzero().items():
         print(f"d={d} A_d={count}")
     os.makedirs(args.out_dir, exist_ok=True)
@@ -177,17 +191,17 @@ def cmd_bound(args) -> int:
     files = [f.strip() for f in args.spectra.split(",") if f.strip()]
     if not files:
         raise ValueError("--spectra needs at least one CSV file")
-    spectra = [DistanceSpectrum.from_csv(f) for f in files]
-    rows = bound_sweep(spectra, grid)
-    write_bound_csv(args.out, spectra, rows)
+    spectra = [_cli.DistanceSpectrum.from_csv(f) for f in files]
+    rows = _cli.bound_sweep(spectra, grid)
+    _cli.write_bound_csv(args.out, spectra, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
 
 
 def cmd_growth(args) -> int:
-    db = load_database(args.iee)
+    db = _cli.load_database(args.iee)
     d_tilde = args.dtilde if args.dtilde is not None else db.d_tilde
-    profile = growth_profile(db, d_tilde, _parse_l_range(args.l_range))
+    profile = _cli.growth_profile(db, d_tilde, _parse_l_range(args.l_range))
     for l, count in profile:
         print(f"l={l} count={count}")
     if args.out:
@@ -200,13 +214,17 @@ def cmd_growth(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    code = ConvCode(_parse_gens(args.gens), args.v)
+    import numpy as np
+
+    from .oracle import MAX_ORACLE_LEN, MAX_ORACLE_V, brute_force_iees, brute_force_partition, is_cyclic_closed
+
+    code = _cli.ConvCode(_parse_gens(args.gens), args.v)
     N, d_tilde = args.n, args.dtilde
     if N > MAX_ORACLE_LEN:
         raise ValueError(f"verify enumerates all 2^N inputs; keep N <= {MAX_ORACLE_LEN} (got {N})")
 
-    db = collect_iees(code, d_tilde, max_len=N)
-    paths = expand_and_dedup(build_tables(db, N, d_tilde), N)
+    db = _cli.collect_iees(code, d_tilde, max_len=N)
+    paths = _cli.expand_and_dedup(_cli.build_tables(db, N, d_tilde), N)
     # The one exhaustive pass: every word of weight < d_tilde and its weight, by anchor state.
     oracle_classes = brute_force_partition(code, N, d_tilde, db.ordering)
 
@@ -230,7 +248,7 @@ def cmd_verify(args) -> int:
 
     check("partition", {s: dict(pairs) for s, pairs in ours.items()} == oracle_classes, classes)
 
-    check("irreducibility", verify_events(db).all(), f"{db.num_iees} events")
+    check("irreducibility", _cli.verify_events(db).all(), f"{db.num_iees} events")
 
     if code.v <= MAX_ORACLE_V:
         agree = all(

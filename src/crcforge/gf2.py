@@ -181,7 +181,7 @@ def parse_hex_crc(text: str) -> GF2Poly:
     except ValueError:
         raise PolynomialParseError(f"not a hex string: {text!r}") from None
     if value.bit_length() < 2:
-        raise InvalidCrcError(f"CRC degree must be >= 1, got {value.bit_length() - 1}")
+        raise InvalidCrcError(f"{text} has degree below 1; not a CRC generator")
     if not value & 1:
         raise InvalidCrcError(f"{text} has no constant term; not a CRC generator")
     return GF2Poly(value)

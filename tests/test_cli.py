@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
-from crcforge import cli, reconstructor
+import crcforge
+from crcforge import bound, cli, collector, designer, reconstructor
 from crcforge.cli import _parse_snr_grid, main
 
 
@@ -98,6 +102,12 @@ class TestExitCodes:
             out, err = capsys.readouterr()
             assert "expanded" not in out
             assert "error: CRC degree m must be in [1, 31], got 32" in err
+
+    @pytest.mark.parametrize("text", ["0x0", "0x1"])
+    def test_crc_degree_below_1_is_1(self, small_db, tmp_path, capsys, text):
+        rc = main(["spectrum", "--crc", text, "--iee", str(small_db), "--n", "14", "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {text} has degree below 1; not a CRC generator\n"
 
     @pytest.mark.parametrize("argv,message", EARLY_REFUSALS)
     def test_front_end_refuses_before_tables(self, small_db, tmp_path, capsys, monkeypatch, argv, message):
@@ -344,3 +354,95 @@ class TestPipeline:
     def test_verify_both_k_n_usage(self, small_db):
         rc = main(["design", "--iee", str(small_db), "--k", "8", "--n", "14", "--m", "3"])
         assert rc == 1
+
+
+# Runs `python -m crcforge.cli ARGS` the way runpy does it, and writes the
+# names in sys.modules at exit to the file named by the first argument.
+_CHILD = """
+import atexit, runpy, sys
+out = sys.argv.pop(1)
+atexit.register(lambda: open(out, "w").write("\\n".join(sorted(sys.modules))))
+runpy.run_module("crcforge.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def _modules_loaded(tmp_path, argv, expect_rc):
+    """The modules a fresh `python -m crcforge.cli` process loads to run argv."""
+    out = tmp_path / "modules.txt"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(crcforge.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(out), *argv], env=env, cwd=tmp_path, capture_output=True, text=True
+    )
+    assert proc.returncode == expect_rc, proc.stderr
+    return set(out.read_text().split())
+
+
+class TestStartupImports:
+    """Each command loads only the modules it runs."""
+
+    def test_help_usage_and_bound_load_no_numpy(self, tmp_path):
+        spectra = []
+        for crc, counts in (("0x9", "0,0,1,4"), ("0xb", "0,0,0,6")):
+            path = tmp_path / f"spectrum_{crc}_N16_dt5.csv"
+            path.write_text("d,A_d\n" + "".join(f"{d},{c}\n" for d, c in enumerate(counts.split(","), 1)))
+            spectra.append(str(path))
+        for argv, rc in (
+            (["--help"], 0),
+            (["collect", "--gens", "13,17"], 2),
+            (["bound", "--spectra", ",".join(spectra), "--snr", "3:0.5:5", "--out", "b.csv"], 0),
+        ):
+            loaded = _modules_loaded(tmp_path, argv, rc)
+            assert "numpy" not in loaded, argv
+        assert (tmp_path / "b.csv").read_text().startswith("snr_db,0x9,0xb\n")
+
+    def test_collect_and_design_load_only_their_stages(self, tmp_path):
+        db = str(tmp_path / "db.json")
+        collect = ["collect", "--gens", "13,17", "--v", "3", "--dtilde", "9", "--max-len", "16", "--out", db]
+        loaded = _modules_loaded(tmp_path, collect, 0)
+        assert "crcforge.collector" in loaded
+        assert not {"crcforge.designer", "crcforge.reconstructor", "crcforge.oracle"} & loaded
+        loaded = _modules_loaded(tmp_path, ["design", "--iee", db, "--n", "16", "--m", "3"], 0)
+        assert "crcforge.designer" in loaded
+        assert "crcforge.oracle" not in loaded
+
+
+# The names bench/traced.py rebinds on the cli module, with the modules that define them.
+TRACED = {
+    "collect_iees": collector,
+    "save_database": collector,
+    "load_database": collector,
+    "build_tables": reconstructor,
+    "expand_and_dedup": reconstructor,
+    "search_dso": designer,
+    "undetected_spectrum": designer,
+    "bound_sweep": bound,
+    "growth_profile": reconstructor,
+}
+
+
+class TestLibraryNames:
+    """The commands call the library through attributes of the cli module."""
+
+    @pytest.mark.parametrize("name", TRACED)
+    def test_name_is_the_library_function(self, name):
+        assert getattr(cli, name) is getattr(TRACED[name], name)
+
+    def test_rebound_names_are_called(self, small_db, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def wrap(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("undetected_spectrum", "bound_sweep"):
+            monkeypatch.setattr(cli, name, wrap(name, getattr(cli, name)))
+        assert main(["spectrum", "--iee", str(small_db), "--n", "16", "--crc", "0xb", "--out-dir", str(tmp_path)]) == 0
+        spectrum = str(tmp_path / "spectrum_0xb_N16_dt9.csv")
+        assert main(["bound", "--spectra", spectrum, "--snr", "3:1:5", "--out", str(tmp_path / "b.csv")]) == 0
+        assert calls == ["undetected_spectrum", "bound_sweep"]
+
+    def test_unknown_name_is_an_attribute_error(self):
+        assert not hasattr(cli, "brute_force_spectrum")

@@ -8,21 +8,23 @@ import pytest
 from conftest import rotations
 
 from crcforge import designer
+from crcforge.bound import (
+    DistanceSpectrum,
+    bound_sweep,
+    db_to_linear,
+    q_function,
+    truncated_union_bound,
+    write_bound_csv,
+)
 from crcforge.collector import collect_iees
 from crcforge.designer import (
-    DistanceSpectrum,
     EliminationRound,
     _residue_tables,
     _residues,
     _rotation_residues,
-    bound_sweep,
     candidate_list,
-    db_to_linear,
-    q_function,
     search_dso,
-    truncated_union_bound,
     undetected_spectrum,
-    write_bound_csv,
 )
 from crcforge.encoder import ConvCode
 from crcforge.errors import InvalidCrcError

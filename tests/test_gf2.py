@@ -46,6 +46,11 @@ class TestParseHexCrc:
         with pytest.raises(InvalidCrcError):
             parse_hex_crc("0x62")
 
+    @pytest.mark.parametrize("text", ["0x0", "0x1"])
+    def test_degree_below_1_names_the_text(self, text):
+        with pytest.raises(InvalidCrcError, match=f"^{text} has degree below 1; not a CRC generator$"):
+            parse_hex_crc(text)
+
     def test_not_hex(self):
         with pytest.raises(PolynomialParseError):
             parse_hex_crc("0xzz")
