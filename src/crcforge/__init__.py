@@ -16,7 +16,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "gf2": ["GF2Poly", "parse_octal", "parse_hex_crc"],
+    "gf2": ["Crc", "parse_octal", "parse_hex_crc"],
     "encoder": ["ConvCode", "TBPath", "encode_tb"],
     "collector": ["IEEDatabase", "collect_iees", "save_database", "load_database", "verify_events"],
     "reconstructor": ["WeightLengthTable", "TBPathSet", "build_tables", "expand_and_dedup", "growth_profile"],

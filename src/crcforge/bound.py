@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .gf2 import GF2Poly
+from .gf2 import parse_hex_crc
 
 __all__ = [
     "DistanceSpectrum",
@@ -30,7 +30,7 @@ __all__ = [
 class DistanceSpectrum:
     """Undetected-path counts A_d of one CRC, dense over d in [0, d_tilde)."""
 
-    crc: GF2Poly
+    crc: int
     N: int
     d_tilde: int
     counts: tuple[int, ...]
@@ -42,7 +42,7 @@ class DistanceSpectrum:
         return [(d, self.counts[d]) for d in range(1, self.d_tilde)]
 
     def csv_filename(self) -> str:
-        return f"spectrum_{self.crc.to_hex()}_N{self.N}_dt{self.d_tilde}.csv"
+        return f"spectrum_{hex(self.crc)}_N{self.N}_dt{self.d_tilde}.csv"
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="\n") as fh:
@@ -55,16 +55,17 @@ class DistanceSpectrum:
         """Rebuild a spectrum from what to_csv writes; CRC, N and d_tilde come from the filename.
 
         Only the canonical csv_filename() form, spectrum_0x<crc>_N<n>_dt<d>.csv,
-        is accepted; any other name raises ValueError. So do a negative
+        is accepted; any other name raises ValueError, and a <crc> that
+        parse_hex_crc refuses raises its error. So do a negative
         count, a distance outside 1..d_tilde-1 or given on two rows, and a
         file without a row for every distance in 1..d_tilde-1, refused
         before the dense counts are built.
         """
         name = os.path.basename(str(path))
-        match = re.fullmatch(r"spectrum_0x([0-9a-f]+)_N(\d+)_dt(\d+)\.csv", name)
+        match = re.fullmatch(r"spectrum_(0x[0-9a-f]+)_N(\d+)_dt(\d+)\.csv", name)
         if not match:
             raise ValueError(f"{name}: not a spectrum_0x<crc>_N<n>_dt<d>.csv file name")
-        crc = GF2Poly(int(match.group(1), 16))
+        crc = parse_hex_crc(match.group(1))
         N = int(match.group(2))
         d_tilde = int(match.group(3))
         rows: dict[int, int] = {}
@@ -131,6 +132,6 @@ def bound_sweep(
 def write_bound_csv(path, spectra: Sequence[DistanceSpectrum], rows) -> None:
     """One column per CRC, fixed float formatting so reruns are byte-identical."""
     with open(path, "w", newline="\n") as fh:
-        fh.write("snr_db," + ",".join(s.crc.to_hex() for s in spectra) + "\n")
+        fh.write("snr_db," + ",".join(hex(s.crc) for s in spectra) + "\n")
         for snr_db, values in rows:
             fh.write(f"{snr_db:g}," + ",".join(f"{v:.12e}" for v in values) + "\n")

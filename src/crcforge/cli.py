@@ -161,7 +161,7 @@ def cmd_design(args) -> int:
     print(f"wrote {log_path}")
 
     if result.winner is None:
-        tied = ",".join(c.to_hex() for c in result.survivors)
+        tied = ",".join(hex(c) for c in result.survivors)
         print(
             f"candidates indistinguishable below d_tilde={paths.d_tilde}: {tied}; "
             "re-collect with a larger d_tilde to separate them"
@@ -170,13 +170,13 @@ def cmd_design(args) -> int:
     spec_path = os.path.join(out_dir, result.spectrum.csv_filename())
     result.spectrum.to_csv(spec_path)
     print(f"wrote {spec_path}")
-    print(f"DSO CRC: {result.winner.to_hex()}")
+    print(f"DSO CRC: {hex(result.winner)}")
     return 0
 
 
 def cmd_spectrum(args) -> int:
     crc = parse_hex_crc(args.crc)
-    spectrum = _cli.undetected_spectrum(_path_set(args, crc.degree), crc)
+    spectrum = _cli.undetected_spectrum(_path_set(args, crc.bit_length() - 1), crc)
     for d, count in spectrum.nonzero().items():
         print(f"d={d} A_d={count}")
     os.makedirs(args.out_dir, exist_ok=True)

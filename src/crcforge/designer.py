@@ -35,7 +35,7 @@ import numpy as np
 
 from .bound import DistanceSpectrum
 from .errors import InvalidCrcError
-from .gf2 import GF2Poly
+from .gf2 import Crc
 from .reconstructor import TBPathSet
 
 __all__ = [
@@ -52,7 +52,7 @@ _MAX_DEGREE = 31
 _CELLS = 1 << 20
 
 
-def candidate_list(m: int) -> list[GF2Poly]:
+def candidate_list(m: int) -> list[int]:
     """All degree-m polynomials with a constant term, ascending.
 
     Both end taps are forced (x^m for the degree, 1 so the CRC detects
@@ -61,14 +61,14 @@ def candidate_list(m: int) -> list[GF2Poly]:
     """
     if not 1 <= m <= _MAX_DEGREE:
         raise InvalidCrcError(f"CRC degree must be in [1, {_MAX_DEGREE}], got {m}")
-    return [GF2Poly((1 << m) | (mid << 1) | 1) for mid in range(1 << (m - 1))]
+    return list(range((1 << m) | 1, 2 << m, 2))
 
 
-def _check_crc(p: GF2Poly) -> None:
-    if p.is_zero or p.degree < 1 or not (p.bits & 1):
-        raise InvalidCrcError(f"{p!r} is not a CRC generator (need degree >= 1 and a constant term)")
-    if p.degree > _MAX_DEGREE:
-        raise InvalidCrcError(f"CRC degree {p.degree} exceeds the 31-bit residue tables")
+def _check_crc(crc: int) -> None:
+    if crc < 3 or not crc & 1:
+        raise InvalidCrcError(f"{hex(crc)} is not a CRC generator (need degree >= 1 and a constant term)")
+    if crc.bit_length() - 1 > _MAX_DEGREE:
+        raise InvalidCrcError(f"CRC degree {crc.bit_length() - 1} exceeds the 31-bit residue tables")
 
 
 class _Crcs(NamedTuple):
@@ -88,14 +88,14 @@ def _times_x(res: np.ndarray, polys: np.ndarray, degree: int) -> None:
     res ^= (res >> degree) * polys
 
 
-def _residue_tables(bits: Sequence[int], degree: int, width: int) -> _Crcs:
-    """The nibble tables of the degree-`degree` CRCs with coefficients `bits`, for words of `width` bytes.
+def _residue_tables(crcs: Sequence[int], degree: int, width: int) -> _Crcs:
+    """The nibble tables of the degree-`degree` CRCs `crcs`, for words of `width` bytes.
 
     Reduction is linear, so tables[k][b] is the XOR of x^(4k+j) mod p over
     the set bits j of the nibble b: 8 * width shift-reduce steps, taken for
     all CRCs at once, and 4 doubling steps build every table.
     """
-    polys = np.array(bits, dtype=np.uint32)
+    polys = np.array(crcs, dtype=np.uint32)
     powers = np.empty((8 * width, len(polys)), dtype=np.uint32)
     r = np.ones(len(polys), dtype=np.uint32)
     for i in range(8 * width):
@@ -158,7 +158,7 @@ def _rotation_residues(
         nxt ^= top[:, None] * wrap
 
 
-def _spectrum(paths: TBPathSet, bases: _Bases, crc: GF2Poly, tables: _Crcs) -> DistanceSpectrum:
+def _spectrum(paths: TBPathSet, bases: _Bases, crc: int, tables: _Crcs) -> DistanceSpectrum:
     """Each base's count of rotations the CRC divides, summed by weight."""
     hits = np.zeros(len(bases.counts), dtype=np.int64)
     for res in _rotation_residues(bases.data, bases.counts, paths.N, tables):
@@ -167,10 +167,10 @@ def _spectrum(paths: TBPathSet, bases: _Bases, crc: GF2Poly, tables: _Crcs) -> D
     return DistanceSpectrum(crc, paths.N, paths.d_tilde, tuple(int(c) for c in hist[: paths.d_tilde]))
 
 
-def undetected_spectrum(paths: TBPathSet, crc: GF2Poly) -> DistanceSpectrum:
+def undetected_spectrum(paths: TBPathSet, crc: int) -> DistanceSpectrum:
     """Histogram the paths whose input polynomial the CRC divides."""
     _check_crc(crc)
-    tables = _residue_tables([crc.bits], crc.degree, (paths.N + 7) // 8)
+    tables = _residue_tables([crc], crc.bit_length() - 1, (paths.N + 7) // 8)
     return _spectrum(paths, _by_rotation_count(paths), crc, tables)
 
 
@@ -187,12 +187,13 @@ class EliminationRound:
 class DsoSearchResult:
     """Search outcome: the winner and its spectrum, both None when candidates stay tied at d_tilde.
 
-    A tie lasts through a round at every d below d_tilde, so each tied
-    survivor's A_d is rounds[d - 1].c_star.
+    The winner and survivors are Crc ints. A tie lasts through a round at
+    every d below d_tilde, so each tied survivor's A_d is
+    rounds[d - 1].c_star.
     """
 
-    winner: GF2Poly | None
-    survivors: tuple[GF2Poly, ...]
+    winner: Crc | None
+    survivors: tuple[Crc, ...]
     rounds: tuple[EliminationRound, ...]
     spectrum: DistanceSpectrum | None
 
@@ -209,7 +210,7 @@ def search_dso(paths: TBPathSet, m: int, threads: int = 1) -> DsoSearchResult:
     compatibility and ignored; the search runs on one thread.
     """
     crcs = candidate_list(m)
-    tables = _residue_tables([c.bits for c in crcs], m, (paths.N + 7) // 8)
+    tables = _residue_tables(crcs, m, (paths.N + 7) // 8)
     bases = _by_rotation_count(paths)
     alive = np.arange(len(crcs))  # survivors, with their tables in `tables`
     rounds: list[EliminationRound] = []
@@ -228,7 +229,8 @@ def search_dso(paths: TBPathSet, m: int, threads: int = 1) -> DsoSearchResult:
         if (values > c_star).any():
             keep = np.flatnonzero(values == c_star)
             alive, tables = alive[keep], tables.pick(keep)
-        rounds.append(EliminationRound(d, c_star, tuple(crcs[i].to_hex() for i in alive)))
-    winner = crcs[alive[0]] if len(alive) == 1 else None
+        rounds.append(EliminationRound(d, c_star, tuple(hex(crcs[i]) for i in alive)))
+    survivors = tuple(Crc(crcs[i]) for i in alive)
+    winner = survivors[0] if len(survivors) == 1 else None
     spectrum = None if winner is None else _spectrum(paths, bases, winner, tables)
-    return DsoSearchResult(winner, tuple(crcs[i] for i in alive), tuple(rounds), spectrum)
+    return DsoSearchResult(winner, survivors, tuple(rounds), spectrum)

@@ -21,7 +21,7 @@ from functools import reduce
 from typing import Sequence
 
 from .errors import CodeConstructionError
-from .gf2 import GF2Poly, parse_octal, poly_gcd
+from .gf2 import _gcd, parse_octal, to_octal
 
 __all__ = ["ConvCode", "TBPath", "encode_tb"]
 
@@ -43,9 +43,10 @@ class TBPath:
 class ConvCode:
     """A feedforward rate-1/n convolutional code with v memory elements.
 
-    Generators may be octal tap strings ("13") or GF2Poly values. Every
-    generator must have degree <= v and at least one must have degree
-    exactly v, otherwise the declared memory is wrong. Only rate 1/n
+    Generators may be octal tap strings ("13") or positive ints, bit t
+    the coefficient of x^t (octal 13 is 0b1101). Every generator must
+    have degree <= v and at least one must have degree exactly v,
+    otherwise the declared memory is wrong. Only rate 1/n
     feedforward encoders are representable: there is no way to pass
     feedback polynomials or multi-bit inputs.
 
@@ -65,31 +66,28 @@ class ConvCode:
         "_out_weight",
     )
 
-    def __init__(self, generators: Sequence[str | GF2Poly], v: int):
+    def __init__(self, generators: Sequence[str | int], v: int):
         if v < 1:
             raise CodeConstructionError(f"memory order v must be >= 1, got {v}")
         if not generators:
             raise CodeConstructionError("at least one generator is required")
-        polys = tuple(
-            g if isinstance(g, GF2Poly) else parse_octal(g) for g in generators
-        )
-        if any(p.is_zero for p in polys):
-            raise CodeConstructionError("zero generator polynomial")
-        tops = [p.degree for p in polys]
+        polys = tuple(parse_octal(g) if isinstance(g, str) else g for g in generators)
+        if any(p <= 0 for p in polys):
+            raise CodeConstructionError(f"generators must be positive, got {', '.join(map(str, polys))}")
+        tops = [p.bit_length() - 1 for p in polys]
         if max(tops) != v:
             raise CodeConstructionError(
                 f"no generator has degree {v}; their highest taps are {', '.join(f'x^{t}' for t in tops)}"
             )
-        self.generators_octal = tuple(p.to_octal() for p in polys)
+        self.generators_octal = tuple(map(to_octal, polys))
         self.n = len(polys)
         self.v = v
         self.num_states = 1 << v
-        gcd = reduce(poly_gcd, polys)
-        self.is_catastrophic = gcd.bits.bit_count() != 1
+        self.is_catastrophic = reduce(_gcd, polys).bit_count() != 1
 
         # Tap masks against the (bit << v) | state window: coefficient of
         # x^t lands at window bit v-t.
-        masks = [int(f"{p.bits:0{v + 1}b}"[::-1], 2) for p in polys]
+        masks = [int(f"{p:0{v + 1}b}"[::-1], 2) for p in polys]
         nstates = self.num_states
         self._next = tuple(
             (s >> 1) | (b << (v - 1)) for s in range(nstates) for b in (0, 1)

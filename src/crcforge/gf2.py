@@ -1,10 +1,10 @@
 """Exact arithmetic on binary polynomials.
 
-A polynomial over GF(2) is held as a nonnegative Python int: bit i of the
-int is the coefficient of x**i. Addition is XOR, multiplication is
-carry-less, and division is shift-and-subtract long division. The raw-int
-helpers (`_mul`, `_divmod`, ...) do the work; :class:`GF2Poly` is a thin
-immutable wrapper that keeps degree bookkeeping honest.
+A polynomial over GF(2) is a nonnegative Python int: bit i of the int is
+the coefficient of x**i. Addition is XOR, multiplication is carry-less
+(`_mul`), and division is shift-and-subtract long division (`_divmod`).
+CRCs and generators are held as these ints everywhere; hex output is the
+builtin ``hex()``.
 
 Conventions baked in here and relied on everywhere else:
 
@@ -12,20 +12,20 @@ Conventions baked in here and relied on everywhere else:
   tables: the most significant bit of the octal value is the tap on the
   current input bit, i.e. the constant term. Reading the binary expansion
   of octal 13 (1011) left to right therefore gives the coefficients of
-  x^0, x^1, x^2, x^3, so ``parse_octal("13")`` is x^3 + x^2 + 1.
+  x^0, x^1, x^2, x^3, so ``parse_octal("13")`` is x^3 + x^2 + 1 (0b1101).
 * Hex CRC strings ("0x63", ...) list the m+1 coefficient bits MSB-first,
   MSB being the coefficient of x^m: ``parse_hex_crc("0x63")`` is
-  x^6 + x^5 + x + 1, of degree 6.
+  x^6 + x^5 + x + 1, of degree 6, and ``hex(0x63)`` writes it back.
 * A bit sequence u_0, u_1, ..., u_{N-1} in transmission order maps to the
   polynomial sum of u_i * x^i (first bit = constant term), so a word
-  packed with u_i at bit i is its own polynomial: ``GF2Poly(word)``.
+  packed with u_i at bit i is its own polynomial.
 """
 
 from __future__ import annotations
 
 from .errors import InvalidCrcError, PolynomialParseError
 
-__all__ = ["GF2Poly", "parse_octal", "parse_hex_crc", "poly_gcd"]
+__all__ = ["Crc", "parse_octal", "parse_hex_crc", "to_octal"]
 
 
 def _mul(a: int, b: int) -> int:
@@ -58,100 +58,28 @@ def _gcd(a: int, b: int) -> int:
     return a
 
 
-class GF2Poly:
-    """Immutable binary polynomial.
+class Crc(int):
+    """A CRC generator's coefficient int that also writes itself as hex.
 
-    Wraps the bit-packed int representation. The zero polynomial has
-    ``degree is None`` (a distinguished sentinel rather than -1, so degree
-    arithmetic cannot silently underflow).
+    ``search_dso`` returns its winner and survivors as Crc because
+    ``bench/traced.py`` and the README's library example read
+    ``result.winner.to_hex()``; every other CRC is a bare int. Operators
+    are the int's, not GF(2)'s: use `_mul` and `_divmod` for polynomials.
     """
 
-    __slots__ = ("_bits",)
-
-    def __init__(self, bits: int):
-        if not isinstance(bits, int) or bits < 0:
-            raise ValueError("coefficient bits must be a nonnegative int")
-        object.__setattr__(self, "_bits", bits)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GF2Poly is immutable")
-
-    @property
-    def bits(self) -> int:
-        """Bit-packed coefficients, bit i = coefficient of x**i."""
-        return self._bits
-
-    @property
-    def degree(self) -> int | None:
-        """Highest set coefficient index, or None for the zero polynomial."""
-        return self._bits.bit_length() - 1 if self._bits else None
-
-    @property
-    def weight(self) -> int:
-        """Number of nonzero coefficients."""
-        return self._bits.bit_count()
-
-    @property
-    def is_zero(self) -> bool:
-        return self._bits == 0
-
-    def __add__(self, other: "GF2Poly") -> "GF2Poly":
-        return GF2Poly(self._bits ^ other._bits)
-
-    __sub__ = __add__  # characteristic 2
-
-    def __mul__(self, other: "GF2Poly") -> "GF2Poly":
-        return GF2Poly(_mul(self._bits, other._bits))
-
-    def __divmod__(self, other: "GF2Poly") -> tuple["GF2Poly", "GF2Poly"]:
-        q, r = _divmod(self._bits, other._bits)
-        return GF2Poly(q), GF2Poly(r)
-
-    def __floordiv__(self, other: "GF2Poly") -> "GF2Poly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "GF2Poly") -> "GF2Poly":
-        return GF2Poly(_divmod(self._bits, other._bits)[1])
-
-    def divides(self, other: "GF2Poly") -> bool:
-        """True iff self divides other (self must be nonzero)."""
-        return _divmod(other._bits, self._bits)[1] == 0
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GF2Poly) and self._bits == other._bits
-
-    def __hash__(self) -> int:
-        return hash((GF2Poly, self._bits))
-
-    def __bool__(self) -> bool:
-        return self._bits != 0
-
-    def __repr__(self) -> str:
-        return f"GF2Poly(0b{self._bits:b})"
-
-    def __str__(self) -> str:
-        if self._bits == 0:
-            return "0"
-        terms = []
-        for i in range(self._bits.bit_length() - 1, -1, -1):
-            if (self._bits >> i) & 1:
-                terms.append("1" if i == 0 else ("x" if i == 1 else f"x^{i}"))
-        return " + ".join(terms)
+    __slots__ = ()
 
     def to_hex(self) -> str:
         """MSB-first hex form, e.g. '0x63' for x^6+x^5+x+1."""
-        return f"0x{self._bits:x}"
-
-    def to_octal(self) -> str:
-        """Octal tap string under the generator convention (see module doc)."""
-        if self._bits == 0:
-            raise ValueError("zero polynomial has no octal tap form")
-        width = self._bits.bit_length()
-        rev = int(f"{self._bits:0{width}b}"[::-1], 2)
-        return f"{rev:o}"
+        return hex(self)
 
 
-def parse_octal(text: str) -> GF2Poly:
+def to_octal(bits: int) -> str:
+    """Octal tap string of a generator under the convention above; parse_octal reverses it."""
+    return f"{int(f'{bits:b}'[::-1], 2):o}"
+
+
+def parse_octal(text: str) -> int:
     """Parse an octal generator string such as "13" or "171".
 
     The binary expansion of the octal value, read most significant bit
@@ -163,30 +91,24 @@ def parse_octal(text: str) -> GF2Poly:
     value = int(text, 8)
     if value == 0:
         raise PolynomialParseError("generator polynomial must be nonzero")
-    width = value.bit_length()
-    return GF2Poly(int(f"{value:0{width}b}"[::-1], 2))
+    return int(f"{value:b}"[::-1], 2)
 
 
-def parse_hex_crc(text: str) -> GF2Poly:
+def parse_hex_crc(text: str) -> int:
     """Parse a CRC generator written as hex, e.g. "0x63".
 
-    The hex value lists the coefficient bits MSB-first, the MSB being the
-    coefficient of x^m for a degree-m CRC. A valid CRC generator has
-    degree m >= 1 and its constant coefficient set, so the value must be
-    odd and at least 0x3.
+    The text is an optional 0x or 0X and then hex digits only: no sign,
+    whitespace or underscore. The hex value lists the coefficient bits
+    MSB-first, the MSB being the coefficient of x^m for a degree-m CRC. A
+    valid CRC generator has degree m >= 1 and its constant coefficient
+    set, so the value must be odd and at least 0x3.
     """
-    body = text[2:] if text[:2].lower() == "0x" else text
-    try:
-        value = int(body, 16)
-    except ValueError:
-        raise PolynomialParseError(f"not a hex string: {text!r}") from None
+    body = text[2:] if text[:2] in ("0x", "0X") else text
+    if not body or any(c not in "0123456789abcdefABCDEF" for c in body):
+        raise PolynomialParseError(f"not a hex string: {text!r}")
+    value = int(body, 16)
     if value.bit_length() < 2:
         raise InvalidCrcError(f"{text} has degree below 1; not a CRC generator")
     if not value & 1:
         raise InvalidCrcError(f"{text} has no constant term; not a CRC generator")
-    return GF2Poly(value)
-
-
-def poly_gcd(a: GF2Poly, b: GF2Poly) -> GF2Poly:
-    """Greatest common divisor (monic by construction over GF(2))."""
-    return GF2Poly(_gcd(a.bits, b.bits))
+    return value

@@ -18,7 +18,7 @@ import numpy as np
 from .collector import EventColumns
 from .encoder import ConvCode, encode_tb
 from .errors import EnumerationGuardError
-from .gf2 import GF2Poly
+from .gf2 import _divmod
 
 __all__ = [
     "MAX_ORACLE_N",
@@ -43,7 +43,7 @@ def _check_n(N: int) -> None:
 
 
 def brute_force_spectrum(
-    code: ConvCode, N: int, crcs: Sequence[GF2Poly] = ()
+    code: ConvCode, N: int, crcs: Sequence[int] = ()
 ) -> tuple[dict[int, int], list[dict[int, int]]]:
     """Weight histograms of the nonzero tail-biting paths of length N.
 
@@ -60,9 +60,8 @@ def brute_force_spectrum(
     for u in range(1, 1 << N):
         w = encode_tb(code, tuple((u >> i) & 1 for i in range(N))).weight
         counts[w] = counts.get(w, 0) + 1
-        poly = GF2Poly(u)
         for crc, hist in zip(crcs, undetected):
-            if crc.divides(poly):
+            if _divmod(u, crc)[1] == 0:
                 hist[w] = hist.get(w, 0) + 1
     return counts, undetected
 

@@ -109,6 +109,13 @@ class TestExitCodes:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {text} has degree below 1; not a CRC generator\n"
 
+    @pytest.mark.parametrize("text", ["-0x63", "0x0x63"])
+    def test_malformed_crc_is_1(self, small_db, tmp_path, capsys, text):
+        rc = main(["spectrum", f"--crc={text}", "--iee", str(small_db), "--n", "14", "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: not a hex string: {text!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv,message", EARLY_REFUSALS)
     def test_front_end_refuses_before_tables(self, small_db, tmp_path, capsys, monkeypatch, argv, message):
         # The command line's own checks come first: building tables would fail.

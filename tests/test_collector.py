@@ -21,7 +21,6 @@ from crcforge.collector import (
 )
 from crcforge.encoder import ConvCode, encode_tb
 from crcforge.errors import CatastrophicEncoderError, DatabaseFormatError
-from crcforge.gf2 import GF2Poly
 from crcforge.oracle import brute_force_iees
 from crcforge.reconstructor import build_tables, expand_and_dedup
 
@@ -280,7 +279,7 @@ class TestBoundTables:
             ),
             label="taps",
         )
-        code = ConvCode([GF2Poly(g) for g in taps], v)
+        code = ConvCode(taps, v)
         ordering = tuple(data.draw(st.permutations(range(code.num_states)), label="ordering"))
         d_tilde = data.draw(st.integers(1, 30), label="d_tilde")
         max_len = data.draw(st.integers(1, 30), label="max_len")

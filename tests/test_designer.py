@@ -28,7 +28,7 @@ from crcforge.designer import (
 )
 from crcforge.encoder import ConvCode
 from crcforge.errors import InvalidCrcError
-from crcforge.gf2 import GF2Poly, parse_hex_crc
+from crcforge.gf2 import _divmod, _mul, parse_hex_crc
 from crcforge.oracle import brute_force_spectrum
 from crcforge.reconstructor import build_tables, expand_and_dedup
 
@@ -54,15 +54,15 @@ class TestCandidates:
     def test_degree_six_count_and_ends(self):
         cands = candidate_list(6)
         assert len(cands) == 32
-        assert cands[0].bits == 0x41
-        assert cands[-1].bits == 0x7F
-        assert all(c.degree == 6 and c.bits & 1 for c in cands)
+        assert cands[0] == 0x41
+        assert cands[-1] == 0x7F
+        assert all(c.bit_length() - 1 == 6 and c & 1 for c in cands)
 
     def test_degree_three(self):
-        assert [c.bits for c in candidate_list(3)] == [0x9, 0xB, 0xD, 0xF]
+        assert candidate_list(3) == [0x9, 0xB, 0xD, 0xF]
 
     def test_degree_one(self):
-        assert [c.bits for c in candidate_list(1)] == [0x3]
+        assert candidate_list(1) == [0x3]
 
     def test_degree_zero_rejected(self):
         with pytest.raises(InvalidCrcError):
@@ -77,29 +77,28 @@ class TestCandidates:
 class TestUndetectedSpectrum:
     @pytest.mark.parametrize("crc_bits", [0x9, 0xB, 0xD, 0xF, 0x13])
     def test_matches_oracle(self, code, paths12, crc_bits):
-        crc = GF2Poly(crc_bits)
-        spec = undetected_spectrum(paths12, crc)
-        ref = {w: c for w, c in brute_force_spectrum(code, 12, [crc])[1][0].items() if w < 9}
+        spec = undetected_spectrum(paths12, crc_bits)
+        ref = {w: c for w, c in brute_force_spectrum(code, 12, [crc_bits])[1][0].items() if w < 9}
         assert spec.nonzero() == ref
 
     def test_rejects_non_crc(self, paths12):
         with pytest.raises(InvalidCrcError):
-            undetected_spectrum(paths12, GF2Poly(0b10))  # no constant term
+            undetected_spectrum(paths12, 0b10)  # no constant term
 
-    @pytest.mark.parametrize("crc_bits", [0x3, 0x107, 0x11021, 0xB4C11DB7])
-    def test_divisible_rows_match_polynomial_division(self, crc_bits):
+    @pytest.mark.parametrize("crc", [0x3, 0x107, 0x11021, 0xB4C11DB7])
+    def test_divisible_rows_match_polynomial_division(self, crc):
         # Degrees 1, 8, 16 and 31; 31 is the widest residue a uint32 holds.
-        crc = GF2Poly(crc_bits)
-        tables = _residue_tables([crc.bits], crc.degree, 9).tables
+        degree = crc.bit_length() - 1
+        tables = _residue_tables([crc], degree, 9).tables
         for k in range(2 * 9):
-            expect = [(GF2Poly(b << (4 * k)) % crc).bits for b in range(16)]
+            expect = [_divmod(b << (4 * k), crc)[1] for b in range(16)]
             assert tables[k, :, 0].tolist() == expect, k
-        rng = random.Random(crc_bits)
-        words = [(GF2Poly(rng.getrandbits(70 - crc.degree)) * crc).bits for _ in range(40)]
+        rng = random.Random(crc)
+        words = [_mul(rng.getrandbits(70 - degree), crc) for _ in range(40)]
         words += [rng.getrandbits(70) for _ in range(40)]
         packed = np.array([list(w.to_bytes(9, "little")) for w in words], dtype=np.uint8)
         mask = _residues(packed, tables)[:, 0] == 0
-        assert mask.tolist() == [crc.divides(GF2Poly(w)) for w in words]
+        assert mask.tolist() == [_divmod(w, crc)[1] == 0 for w in words]
         assert mask[:40].all()
 
     def test_parity_factor_kills_odd_distances(self, code):
@@ -108,17 +107,15 @@ class TestUndetectedSpectrum:
         db = collect_iees(code, 10, 14)
         paths = expand_and_dedup(build_tables(db, 14, 10), 14)
         for crc_bits in (0x3, 0x9, 0xF, 0x63):
-            crc = GF2Poly(crc_bits)
-            q, r = divmod(crc, GF2Poly(0b11))
-            if not r.is_zero:
+            if _divmod(crc_bits, 0b11)[1]:
                 continue
-            spec = undetected_spectrum(paths, crc)
+            spec = undetected_spectrum(paths, crc_bits)
             assert all(d % 2 == 0 for d in spec.nonzero()), hex(crc_bits)
 
 
 class TestRotationResidues:
     # Degrees 1, 8, 16 and 31, one table each.
-    CRCS = [GF2Poly(b) for b in (0x3, 0x107, 0x11021, 0xB4C11DB7)]
+    CRCS = [0x3, 0x107, 0x11021, 0xB4C11DB7]
 
     @pytest.mark.parametrize("N", [11, 64, 65, 70, 129])
     def test_every_rotation_matches_division(self, N):
@@ -132,22 +129,21 @@ class TestRotationResidues:
         data = np.array([list(w.to_bytes(width, "little")) for w in words], dtype=np.uint8)
         for crc in self.CRCS:
             steps = _rotation_residues(
-                data, np.array(counts), N, _residue_tables([crc.bits], crc.degree, width)
+                data, np.array(counts), N, _residue_tables([crc], crc.bit_length() - 1, width)
             )
             for r, res in enumerate(steps):
                 live = sum(c > r for c in counts)
                 assert res.shape == (live, 1)
                 for b, word in enumerate(words[:live]):
                     rotated = ((word << r) | (word >> (N - r))) & mask
-                    assert res[b].tolist() == [(GF2Poly(rotated) % crc).bits], (N, crc, r, b)
+                    assert res[b].tolist() == [_divmod(rotated, crc)[1]], (N, crc, r, b)
             assert r == N - 1
 
 
 @functools.lru_cache(maxsize=None)
 def _byte_table(crc_bits, k):
-    """(b(x) * x^(8k)) mod crc for every byte b, from GF2Poly division."""
-    crc = GF2Poly(crc_bits)
-    powers = [(GF2Poly(1 << (8 * k + j)) % crc).bits for j in range(8)]
+    """(b(x) * x^(8k)) mod crc for every byte b, from polynomial long division."""
+    powers = [_divmod(1 << (8 * k + j), crc_bits)[1] for j in range(8)]
     table = [0] * 256
     for b in range(1, 256):
         low = b & -b
@@ -169,7 +165,7 @@ def _row_spectrum(paths, rows, weights, crc):
     bytewise fold over its bytes, then a histogram of the zero rows' weights."""
     residues = np.zeros(len(rows), dtype=np.int64)
     for k in range(rows.shape[1]):
-        residues ^= _byte_table(crc.bits, k)[rows[:, k]]
+        residues ^= _byte_table(crc, k)[rows[:, k]]
     hist = np.bincount(weights[residues == 0], minlength=paths.d_tilde)
     return DistanceSpectrum(crc, paths.N, paths.d_tilde, tuple(int(c) for c in hist))
 
@@ -179,7 +175,7 @@ def _exhaustive_spectra(paths, m):
     """Every degree-m candidate's spectrum from the materialised rows, kept per
     path set so that repeated checks of one instance fold its rows once."""
     rows, weights = _rows(paths)
-    return {c.to_hex(): _row_spectrum(paths, rows, weights, c) for c in candidate_list(m)}
+    return {hex(c): _row_spectrum(paths, rows, weights, c) for c in candidate_list(m)}
 
 
 def _check_against_exhaustive(paths, m):
@@ -224,7 +220,7 @@ class TestSearch:
 
     def test_early_exit_equals_exhaustive_screen_at_n70(self, paths70):
         result = _check_against_exhaustive(paths70, 6)
-        assert result.winner == GF2Poly(0x63)
+        assert result.winner == 0x63
         assert result.spectrum.nonzero() == GOLDEN_63
 
     @pytest.mark.parametrize("m,d_tilde", [(4, 7), (5, 9)])
@@ -256,7 +252,7 @@ class TestSearch:
 
     def test_single_candidate_returns_immediately(self, paths12):
         result = search_dso(paths12, 1)
-        assert result.winner == GF2Poly(0x3)
+        assert result.winner == 0x3
         assert result.rounds == ()
 
     def test_tie_reported_not_broken(self, code):
@@ -267,6 +263,16 @@ class TestSearch:
         assert result.winner is None
         assert result.spectrum is None
         assert len(result.survivors) == 32
+
+    def test_winner_and_survivors_write_their_hex(self, db12, paths70):
+        # bench/traced.py and the README example read result.winner.to_hex().
+        tied = search_dso(expand_and_dedup(build_tables(db12, 12, 7), 12), 4)
+        unique = search_dso(paths70, 6)
+        assert tied.winner is None and len(tied.survivors) > 1
+        assert unique.winner.to_hex() == hex(int(unique.winner)) == "0x63"
+        for result in (tied, unique):
+            assert [c.to_hex() for c in result.survivors] == [hex(int(c)) for c in result.survivors]
+        assert tuple(c.to_hex() for c in tied.survivors) == tied.rounds[-1].survivors_hex
 
     def test_threads_do_not_change_result(self, paths12):
         a = search_dso(paths12, 4, threads=1)
@@ -295,7 +301,7 @@ class TestHighDegreePins:
             "0x1385", "0x1433", "0x144d", "0x1589", "0x15cd", "0x17bb",
             "0x1871", "0x18cf", "0x192f", "0x1bf9", "0x1ea3", "0x1eed",
         )
-        assert result.winner == GF2Poly(0x1EED)
+        assert result.winner == 0x1EED
         assert result.spectrum.nonzero() == {16: 118}
 
     @pytest.mark.extended
@@ -345,7 +351,7 @@ class TestBounds:
             assert math.isclose(q_function(x), ref, rel_tol=1e-6), x
 
     def test_single_term_bound(self):
-        spec = DistanceSpectrum(GF2Poly(0x63), 70, 18, tuple(
+        spec = DistanceSpectrum(0x63, 70, 18, tuple(
             735 if d == 12 else 0 for d in range(18)
         ))
         snr = db_to_linear(6.5)
@@ -353,12 +359,12 @@ class TestBounds:
         assert math.isclose(truncated_union_bound(spec, snr), expect, rel_tol=1e-12)
 
     def test_nonpositive_snr_rejected(self):
-        spec = DistanceSpectrum(GF2Poly(0x63), 70, 18, (0,) * 18)
+        spec = DistanceSpectrum(0x63, 70, 18, (0,) * 18)
         with pytest.raises(ValueError):
             truncated_union_bound(spec, 0.0)
 
     def test_sweep_shape_and_monotonicity(self, paths12):
-        specs = [undetected_spectrum(paths12, GF2Poly(b)) for b in (0x9, 0xB)]
+        specs = [undetected_spectrum(paths12, b) for b in (0x9, 0xB)]
         grid = [3 + 0.25 * i for i in range(17)]
         rows = bound_sweep(specs, grid)
         assert len(rows) == 17
@@ -367,7 +373,7 @@ class TestBounds:
             assert all(b <= a for a, b in zip(v1, v2))  # bounds fall with SNR
 
     def test_sweep_grid_validation(self, paths12):
-        spec = undetected_spectrum(paths12, GF2Poly(0x9))
+        spec = undetected_spectrum(paths12, 0x9)
         with pytest.raises(ValueError):
             bound_sweep([spec], [])
         with pytest.raises(ValueError):
@@ -378,19 +384,19 @@ class TestBounds:
 
 class TestCsv:
     def test_roundtrip_canonical_name(self, paths12, tmp_path):
-        spec = undetected_spectrum(paths12, GF2Poly(0x9))
+        spec = undetected_spectrum(paths12, 0x9)
         out = tmp_path / spec.csv_filename()
         spec.to_csv(out)
         again = DistanceSpectrum.from_csv(out)
         assert again == spec
 
     def test_filename_embeds_parameters(self, paths12):
-        spec = undetected_spectrum(paths12, GF2Poly(0x9))
+        spec = undetected_spectrum(paths12, 0x9)
         assert spec.csv_filename() == "spectrum_0x9_N12_dt9.csv"
 
     def test_renamed_file_rejected(self, paths12, tmp_path):
         # A renamed file has lost N and d_tilde; it is refused, not guessed.
-        spec = undetected_spectrum(paths12, GF2Poly(0x9))
+        spec = undetected_spectrum(paths12, 0x9)
         for name in ("spec_0x9.csv", "spectrum_0x9.csv", "spectrum_0x9_N12_dt9.txt"):
             spec.to_csv(tmp_path / name)
             with pytest.raises(ValueError, match="spectrum_0x<crc>_N<n>_dt<d>"):
@@ -423,8 +429,16 @@ class TestCsv:
         with pytest.raises(ValueError, match=f"needs one row for each {message}"):
             DistanceSpectrum.from_csv(out)
 
+    @pytest.mark.parametrize("crc", ["0x62", "0x0", "0x1"])
+    def test_non_crc_in_file_name_rejected(self, tmp_path, crc):
+        # The name's CRC is read as --crc is: even or of degree below 1 is no CRC generator.
+        out = tmp_path / f"spectrum_{crc}_N16_dt3.csv"
+        out.write_text("d,A_d\n1,0\n2,0\n")
+        with pytest.raises(InvalidCrcError, match=f"^{crc} has "):
+            DistanceSpectrum.from_csv(out)
+
     def test_unlabeled_file_rejected(self, paths12, tmp_path):
-        spec = undetected_spectrum(paths12, GF2Poly(0x9))
+        spec = undetected_spectrum(paths12, 0x9)
         out = tmp_path / "mystery.csv"
         spec.to_csv(out)
         with pytest.raises(ValueError):

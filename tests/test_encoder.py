@@ -103,6 +103,11 @@ class TestConstruction:
         with pytest.raises(CodeConstructionError):
             ConvCode(["13", "17"], 0)
 
+    @pytest.mark.parametrize("gens", [[0, 0b1111], [-0b1101, 0b1111]])
+    def test_nonpositive_int_generator(self, gens):
+        with pytest.raises(CodeConstructionError, match="generators must be positive"):
+            ConvCode(gens, 3)
+
     def test_no_generators(self):
         with pytest.raises(CodeConstructionError):
             ConvCode([], 3)
