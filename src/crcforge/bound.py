@@ -55,11 +55,12 @@ class DistanceSpectrum:
         """Rebuild a spectrum from what to_csv writes; CRC, N and d_tilde come from the filename.
 
         Only the canonical csv_filename() form, spectrum_0x<crc>_N<n>_dt<d>.csv,
-        is accepted; any other name raises ValueError, and a <crc> that
-        parse_hex_crc refuses raises its error. So do a negative
-        count, a distance outside 1..d_tilde-1 or given on two rows, and a
-        file without a row for every distance in 1..d_tilde-1, refused
-        before the dense counts are built.
+        with N >= 1 and d_tilde >= 2, is accepted; any other name raises
+        ValueError, and a <crc> that parse_hex_crc refuses raises its error.
+        So do a row that is not two integers, a negative count, a distance
+        outside 1..d_tilde-1 or given on two rows, and a file without a row
+        for every distance in 1..d_tilde-1, refused before the dense counts
+        are built; a bad row's error names its line.
         """
         name = os.path.basename(str(path))
         match = re.fullmatch(r"spectrum_(0x[0-9a-f]+)_N(\d+)_dt(\d+)\.csv", name)
@@ -68,17 +69,21 @@ class DistanceSpectrum:
         crc = parse_hex_crc(match.group(1))
         N = int(match.group(2))
         d_tilde = int(match.group(3))
+        if N < 1 or d_tilde < 2:
+            raise ValueError(f"{name}: needs N >= 1 and d_tilde >= 2, got N={N} and d_tilde={d_tilde}")
         rows: dict[int, int] = {}
         with open(path) as fh:
             header = fh.readline().strip()
             if header != "d,A_d":
                 raise ValueError(f"{name}: bad header {header!r}")
-            for line in fh:
+            for number, line in enumerate(fh, start=2):
                 line = line.strip()
                 if not line:
                     continue
-                d_text, c_text = line.split(",")
-                d, c = int(d_text), int(c_text)
+                try:
+                    d, c = (int(field) for field in line.split(","))
+                except ValueError:
+                    raise ValueError(f"{name}: line {number} {line!r} is not two integers d,A_d") from None
                 if not (1 <= d < d_tilde):
                     raise ValueError(f"{name}: row distance {d} outside [1, {d_tilde})")
                 if d in rows:

@@ -13,37 +13,40 @@ gives the normal form used here:
 The (skeleton, gaps, t*) triple is in bijection with the paths of the
 partition class: cutting any length-N word at the event block covering
 time N-1 recovers exactly one triple, periodic words included. Expansion
-therefore emits every path exactly once with no dedup hashing. Each
-(skeleton, gaps) pair gives one base word, the word with t* = 0, on a
-row of ceil(N/64) uint64 limbs. numpy builds them a group at a time: the
-skeletons of one state with j events and gap total G = N - length are
-crossed with the weak compositions of G into j gaps, and each event's
-limbs are shifted to its start and ORed into place. The path set keeps
-the base words with their rotation counts len_j + g_j and weights, class
-by class; the rows rot^r(base), r < len_j + g_j, stay implied, and verify
-reads them from it as Python ints (TBPathSet.words). States other than 0
-have no zero loop, so their skeletons must fill the length budget exactly.
+therefore emits every path exactly once with no dedup hashing. States
+other than 0 have no zero loop, so their skeletons must fill the length
+budget exactly.
+
+One frontier search, an event count at a time, finds the skeletons of
+every state and keeps them in the database's layout: database event rows
+(padded with -1), lengths and weights, grouped by the place of their
+state in the ordering. Off the zero loop's place a prefix lives only
+while an exact unbounded-knapsack bound, one dynamic programme over a
+(places x lengths) table, can still take it to a target length.
+
+Each (skeleton, gaps) pair gives one base word, the word with t* = 0, on
+a row of ceil(N/64) uint64 limbs, built for all states at once: the
+skeletons with j events and gap total G = N - length are crossed with
+the weak compositions of G into j gaps, and each event's limbs are
+shifted to its start and ORed into place. The path set keeps the base
+words with their rotation counts len_j + g_j and weights, class by
+class; the rows rot^r(base) stay implied (TBPathSet.words lists them).
 
 The uniqueness guard never emits a row. Each base word sits on the cycle
 of its necklace (its least rotation, of period p dividing N) and its
 rotations fill an arc of that cycle; the rows are distinct iff no two
 arcs on one cycle overlap and none is longer than p.
-
-A state's table holds its skeletons as numpy columns: event indices into
-the state's event columns (padded with -1), length and weight, grown one
-event count at a time by a frontier search. The weight/length cells of
-the classic recurrence are never materialized, which keeps N=70 in tens
-of megabytes instead of gigabytes.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .collector import EventColumns, IEEDatabase
+from .collector import IEEDatabase
 from .errors import CoverageError
 
 __all__ = [
@@ -56,119 +59,120 @@ __all__ = [
 ]
 
 
-def _skeletons_for_state(
-    iees: EventColumns, d_tilde: int, targets: Sequence[int]
-) -> tuple[int | None, np.ndarray, np.ndarray, np.ndarray]:
-    """Enumerate feasible event skeletons for one state, as columns.
+def _skeletons(
+    db: IEEDatabase, d_tilde: int, targets: Sequence[int]
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every feasible event skeleton of every state: ReconstructionTables' zero and columns.
 
-    targets are the trellis lengths the caller wants to reach. For the
-    state owning the zero loop any skeleton no longer than max(targets)
-    can be padded out; for the others a prefix is kept only if some
-    target length is exactly reachable with the remaining weight budget
-    (unbounded-knapsack bound, exact, so pruning loses nothing).
-    Returns zero_index and WeightLengthTable's skeleton columns, sorted by
-    (weight, length, event tuple).
+    targets are the trellis lengths the caller wants to reach. On the zero
+    loop's place any skeleton no longer than max(targets) can be padded
+    out; elsewhere a prefix is kept only if some target length is exactly
+    reachable with the remaining weight budget (unbounded-knapsack bound,
+    exact, so pruning loses nothing). Rows sort by (place, weight, length,
+    event tuple).
     """
-    l_max = max(targets)
-    d_tilde = min(d_tilde, int(np.iinfo(np.int32).max))  # weights stay far below it; 2^63 overflows int64
-    weight_of, length_of = iees.weights.astype(np.int64), iees.lengths.astype(np.int64)
-    zeros = np.flatnonzero(weight_of == 0)
-    if len(zeros) > 1:
-        raise RuntimeError("two zero-weight loops; encoder should have been refused")
-    zero_index = int(zeros[0]) if len(zeros) else None
-    index = np.flatnonzero((weight_of > 0) & (weight_of < d_tilde) & (length_of <= l_max))
-    # Ascending weight makes the children of a row a prefix of the events.
-    index = index[np.lexsort((index, length_of[index], weight_of[index]))]
-    ev_weight, ev_length = weight_of[index], length_of[index]
+    l_max, places, zero = max(targets), len(db.ordering), db.ordering.index(0)
+    # Each event's cell (place, length) of a places x width table, lengths
+    # past l_max in the last column, in the narrowest dtype.
+    width = l_max + 2
+    cell = np.minimum(db.lengths, l_max + 1, dtype=np.min_scalar_type(places * width))
+    cell += np.repeat(np.arange(0, places * width, width, dtype=cell.dtype), np.diff(db.offsets))
+    # cheap[p, L]: the least weight of the events of place p of length L.
+    cheap = np.full(places * width, d_tilde, dtype=db.weights.dtype)
+    np.minimum.at(cheap, cell, db.weights)
+    cheap = cheap.reshape(places, width).astype(np.int64)
+    # best[p, l]: the least weight of events of place p whose lengths take
+    # l to a target, d_tilde or more for none; the zero loop pads any prefix.
+    best = np.full((places, width), d_tilde, dtype=np.int64)
+    best[:, targets] = 0
+    for l in range(l_max - 1, -1, -1):
+        step = cheap[:, 1 : l_max + 1 - l] + best[:, l + 1 : l_max + 1]
+        np.minimum(best[:, l], step.min(axis=1), out=best[:, l])
+    best[zero, : l_max + 1] = 0
 
-    best_fill = None
-    if zero_index is None:
-        inf = float("inf")
-        # The fill only takes minima, so the cheapest event of each length
-        # stands for all events of that length: the first, as weight ascends.
-        fill_lengths, first = np.unique(ev_length, return_index=True)
-        # fill[r]: the least weight of events whose lengths sum to r. Pass k
-        # settles the sums of k events, and none has more than l_max // shortest.
-        back = np.arange(l_max + 1)[:, None] - fill_lengths
-        step = np.where(back >= 0, ev_weight[first], inf)
-        fill = np.where(np.arange(l_max + 1) == 0, 0.0, inf)
-        for _ in range(l_max // int(fill_lengths[0]) if len(fill_lengths) else 0):
-            fill = np.minimum(fill, (fill[np.maximum(back, 0)] + step).min(axis=1, initial=inf))
-        # best_fill[l]: the least weight that takes a length-l prefix to a target.
-        best_fill = np.full(l_max + 1, inf)
-        for t in targets:
-            np.minimum(best_fill[: t + 1], fill[t::-1], out=best_fill[: t + 1])
+    # The events kept pass the bound as one-event prefixes; in file order,
+    # they sort by (place, weight).
+    allow = (d_tilde - best).astype(db.weights.dtype).ravel()
+    keep = db.weights < allow[cell]
+    del cell
+    keep &= db.weights > 0
+    rows = np.flatnonzero(keep)
+    ev_place = np.searchsorted(db.offsets, rows, side="right") - 1
+    ev_weight, ev_length = db.weights[rows].astype(np.int64), db.lengths[rows].astype(np.int64)
+    # A prefix's children are its place's events under its remaining budget: a run of ev_key.
+    ev_key = ev_place * d_tilde + ev_weight
+    first = np.searchsorted(ev_place, np.arange(places))
 
-    # One block per event count: positions into the sorted events, then
-    # length and weight, one row per skeleton. The first block, of no
-    # events, is empty, so a state with no skeleton needs no special case.
-    empty = np.zeros(0, dtype=np.int64)
-    blocks = [(np.zeros((0, 0), dtype=np.int64), empty, empty)]
-    pos = np.zeros((1, 0), dtype=np.int64)
-    length = weight = np.zeros(1, dtype=np.int64)
+    # One block per event count: positions into the kept events, then
+    # place, length and weight, one row per skeleton. The search starts
+    # from every place's empty prefix, and its last block is empty.
+    blocks = []
+    pos, place = np.zeros((places, 0), dtype=np.int64), np.arange(places)
+    length = weight = np.zeros(places, dtype=np.int64)
     while len(pos):
-        fits = np.searchsorted(ev_weight, d_tilde - weight)
+        fits = np.searchsorted(ev_key, (place + 1) * d_tilde - weight) - first[place]
         parent = np.repeat(np.arange(len(pos)), fits)
-        child = np.arange(len(parent)) - np.repeat(np.cumsum(fits) - fits, fits)
-        length = length[parent] + ev_length[child]
-        weight = weight[parent] + ev_weight[child]
-        fit = length <= l_max
-        if best_fill is not None:
-            fit &= weight + best_fill[np.minimum(length, l_max)] < d_tilde
-        keep = np.flatnonzero(fit)
-        pos, length, weight = np.column_stack((pos[parent[keep]], child[keep])), length[keep], weight[keep]
-        if len(pos):
-            blocks.append((pos, length, weight))
-    events = np.full((sum(len(b[0]) for b in blocks), len(blocks) - 1), -1, dtype=np.int32)
-    row = 0
-    for block_pos, *_ in blocks:
-        events[row : row + len(block_pos), : block_pos.shape[1]] = index[block_pos]
-        row += len(block_pos)
-    length, weight = (np.concatenate(column) for column in list(zip(*blocks))[1:])
-    order = np.lexsort((*events.T[::-1], length, weight))
-    return zero_index, events[order], length[order], weight[order]
+        child = np.arange(len(parent)) - np.repeat(np.cumsum(fits) - fits - first[place], fits)
+        place, length, weight = place[parent], length[parent] + ev_length[child], weight[parent] + ev_weight[child]
+        keep = np.flatnonzero(weight + best[place, np.minimum(length, l_max + 1)] < d_tilde)
+        pos = np.column_stack((pos[parent[keep]], child[keep]))
+        place, length, weight = place[keep], length[keep], weight[keep]
+        blocks.append((pos, place, length, weight))
+    # Position len(rows), database row -1, pads each skeleton to the most events.
+    pad = [np.pad(p, ((0, 0), (0, len(blocks) - p.shape[1])), constant_values=len(rows)) for p, *_ in blocks]
+    events = np.append(rows, -1).astype(np.int32)[np.concatenate(pad)[:, :-1]]
+    place, length, weight = (np.concatenate(column) for column in list(zip(*blocks))[1:])
+    order = np.lexsort((*events.T[::-1], length, weight, place))
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(place, minlength=places))))
+    return zero, offsets, events[order], length[order], weight[order]
 
 
 class WeightLengthTable(NamedTuple):
-    """Anchored-path table of one state, stored in skeleton normal form.
+    """One state's skeletons: its rows of the ReconstructionTables columns."""
 
-    Expansion walks the skeletons directly; iees are the state's event
-    columns, and zero_index is the row of the zero loop in them, or None
-    for states without one. Skeleton a is row a of skeletons (event rows,
-    padded with -1) with its length and weight in the columns of the same
-    names.
-    """
-
-    iees: EventColumns
-    zero_index: int | None
     skeletons: np.ndarray
     lengths: np.ndarray
     weights: np.ndarray
 
 
+@dataclass(eq=False)
 class ReconstructionTables:
-    """Per-state tables for one (N, d_tilde) reconstruction run, in the database's state ordering."""
+    """The skeletons of every state for one (N, d_tilde) reconstruction run.
 
-    __slots__ = ("ordering", "N", "d_tilde", "per_state")
+    The columns are in the database's layout: skeletons holds database
+    event rows, padded with -1, with lengths and weights alongside, and
+    the skeletons of db.ordering[i] are rows offsets[i]:offsets[i + 1].
+    zero is the place of state 0, which owns the zero loop. Iterating
+    gives the states in the ordering, and tables[state] the state's rows.
+    """
 
-    def __init__(self, ordering: tuple[int, ...], N: int, d_tilde: int, per_state: dict[int, WeightLengthTable]):
-        self.ordering = ordering
-        self.N = N
-        self.d_tilde = d_tilde
-        self.per_state = per_state
+    db: IEEDatabase
+    N: int
+    d_tilde: int
+    zero: int
+    offsets: np.ndarray
+    skeletons: np.ndarray
+    lengths: np.ndarray
+    weights: np.ndarray
 
     def __getitem__(self, state: int) -> WeightLengthTable:
-        return self.per_state[state]
+        i = self.db.ordering.index(state)
+        rows = slice(int(self.offsets[i]), int(self.offsets[i + 1]))
+        return WeightLengthTable(self.skeletons[rows], self.lengths[rows], self.weights[rows])
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.ordering)
+        return iter(self.db.ordering)
 
     def __repr__(self) -> str:
-        return f"ReconstructionTables(N={self.N}, d_tilde={self.d_tilde}, states={len(self.per_state)})"
+        return f"ReconstructionTables(N={self.N}, d_tilde={self.d_tilde}, skeletons={len(self.lengths)})"
 
 
-def _check_coverage(db: IEEDatabase, d_tilde: int, length: int, name: str) -> None:
-    """Refuse a weight bound or a length (called name) the database does not cover."""
+def _covered_bound(db: IEEDatabase, d_tilde: int, length: int, name: str) -> int:
+    """Refuse a weight bound or a length (called name) the database does not cover.
+
+    Returns the bound to search with: no word of that length weighs more
+    than n * length, so a larger bound finds the same words as n * length + 1.
+    """
     if d_tilde > db.d_tilde:
         raise CoverageError(
             f"database only covers weights < {db.d_tilde}, need d_tilde={d_tilde}; "
@@ -179,20 +183,20 @@ def _check_coverage(db: IEEDatabase, d_tilde: int, length: int, name: str) -> No
             f"database only covers event lengths <= {db.max_len}, need {name}={length}; "
             f"re-collect with max_len >= {length}"
         )
+    return min(d_tilde, db.n * length + 1)
 
 
 def build_tables(db: IEEDatabase, N: int, d_tilde: int) -> ReconstructionTables:
-    """Prepare expansion tables, checking the database actually covers the ask."""
+    """Prepare expansion tables, checking the database actually covers the ask.
+
+    A d_tilde above n*N + 1 is lowered to it: the same words come out.
+    """
     if d_tilde < 1:
         raise ValueError(f"d_tilde must be >= 1, got {d_tilde}")
-    _check_coverage(db, d_tilde, N, "N")
+    d_tilde = _covered_bound(db, d_tilde, N, "N")
     if N < db.v:
         raise ValueError(f"N={N} is degenerate for a memory-{db.v} code; need N >= {db.v}")
-    per_state: dict[int, WeightLengthTable] = {}
-    for sigma in db.ordering:
-        iees = db.events(sigma)
-        per_state[sigma] = WeightLengthTable(iees, *_skeletons_for_state(iees, d_tilde, [N]))
-    return ReconstructionTables(db.ordering, N, d_tilde, per_state)
+    return ReconstructionTables(db, N, d_tilde, *_skeletons(db, d_tilde, [N]))
 
 
 def _rotate(words: np.ndarray, N: int, spare: np.ndarray) -> None:
@@ -277,6 +281,7 @@ def _overlapping_arcs(bases: np.ndarray, counts: np.ndarray, N: int) -> int:
     return int(np.count_nonzero(end > nxt))
 
 
+@dataclass(eq=False)
 class TBPathSet:
     """All tail-biting paths of weight < d_tilde at one length, held as base words.
 
@@ -288,18 +293,12 @@ class TBPathSet:
     paths of all bases are distinct.
     """
 
-    __slots__ = ("N", "d_tilde", "offsets", "bases", "counts", "base_weights")
-
-    def __init__(
-        self, N: int, d_tilde: int, offsets: np.ndarray, bases: np.ndarray, counts: np.ndarray,
-        base_weights: np.ndarray,
-    ):
-        self.N = N
-        self.d_tilde = d_tilde
-        self.offsets = offsets
-        self.bases = bases
-        self.counts = counts
-        self.base_weights = base_weights
+    N: int
+    d_tilde: int
+    offsets: np.ndarray
+    bases: np.ndarray
+    counts: np.ndarray
+    base_weights: np.ndarray
 
     def __len__(self) -> int:
         return int(self.counts.sum())
@@ -355,53 +354,49 @@ def _shift_left(words: np.ndarray, shift: np.ndarray) -> np.ndarray:
     return out
 
 
-def _state_bases(table: WeightLengthTable, N: int, limbs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(bases, rotation counts, weights) of one state's partition class.
+def _build_bases(tables: ReconstructionTables) -> TBPathSet:
+    """The path set of the tables' skeletons, unchecked.
 
-    The skeletons are grouped by (event count j, gap total G = N - length).
-    A group crosses its skeletons with the weak compositions of G into j
+    The skeletons used (all of the zero loop's place, those of length N
+    elsewhere) are grouped by (event count j, gap total G = N - length);
+    a group crosses its skeletons with the weak compositions of G into j
     gaps and places each event after the events and gaps before it. Each
     base word starts its first event at time 0, and its rotation count is
     len_j + g_j. Rows come in skeleton order, then composition order.
     """
-    keep = slice(None) if table.zero_index is not None else table.lengths == N
-    events, sk_lengths = table.skeletons[keep], table.lengths[keep]
-    if not len(events):
-        empty = np.zeros(0, dtype=np.int64)
-        return np.zeros((0, limbs), dtype=np.uint64), empty, empty.astype(np.uint32)
-    parts = np.count_nonzero(events >= 0, axis=1)
-    gap_total = N - sk_lengths
+    db, N, limbs = tables.db, tables.N, (tables.N + 63) // 64
+    width = min(limbs, db.inputs.shape[1])  # events longer than N sit in no skeleton
+    used = tables.lengths == N
+    used[tables.offsets[tables.zero] : tables.offsets[tables.zero + 1]] = True
+    parts = np.count_nonzero(tables.skeletons >= 0, axis=1)
+    gap_total = N - tables.lengths
     key = parts * (N + 1) + gap_total
-    by_key = np.argsort(key, kind="stable")
-    groups = np.split(by_key, np.flatnonzero(np.diff(key[by_key])) + 1)
+    by_key = np.flatnonzero(used)[np.argsort(key[used], kind="stable")]
+    groups = np.split(by_key, np.flatnonzero(np.diff(key[by_key])) + 1) if len(by_key) else []
     comps = [_composition_table(int(gap_total[g[0]]), int(parts[g[0]])) for g in groups]
-    sizes = np.empty(len(events), dtype=np.int64)
+    sizes = np.zeros(len(used), dtype=np.int64)
     for members, comp in zip(groups, comps):
         sizes[members] = len(comp)
     first = np.cumsum(sizes) - sizes
-    total = int(sizes.sum())
-    bases = np.empty((total, limbs), dtype=np.uint64)
-    counts = np.empty(total, dtype=np.int64)
-    weights = np.repeat(table.weights[keep].astype(np.uint32), sizes)
-
-    lengths, inputs = table.iees.lengths.astype(np.int32), table.iees.inputs
-    # Events longer than N sit in no skeleton; their high limbs are cut off.
-    bits = np.zeros((len(inputs), limbs), dtype=np.uint64)
-    bits[:, : inputs.shape[1]] = inputs[:, :limbs]
+    bases = np.empty((int(sizes.sum()), limbs), dtype=np.uint64)
+    counts = np.empty(len(bases), dtype=np.int64)
+    weights = np.repeat(tables.weights.astype(np.uint32), sizes)
 
     for members, comp in zip(groups, comps):
-        sk_events = events[members, : comp.shape[1]]
-        lens = lengths[sk_events]
-        gaps = (np.cumsum(comp, axis=1) - comp).astype(np.int32)
+        sk_events = tables.skeletons[members, : comp.shape[1]]
+        lens = db.lengths[sk_events].astype(np.int64)
+        gaps = np.cumsum(comp, axis=1) - comp
         # Event k starts after the events and gaps before it; event 0 at time 0.
         start = ((np.cumsum(lens, axis=1) - lens)[:, None, :] + gaps).reshape(-1, comp.shape[1])
-        word = bits[np.repeat(sk_events[:, 0], len(comp))]
-        for k in range(1, comp.shape[1]):
-            word |= _shift_left(bits[np.repeat(sk_events[:, k], len(comp))], start[:, k])
+        word = np.zeros((len(start), limbs), dtype=np.uint64)
+        event = np.zeros_like(word)
+        for k in range(comp.shape[1]):
+            event[:, :width] = db.inputs[np.repeat(sk_events[:, k], len(comp)), :width]
+            word |= _shift_left(event, start[:, k])
         rows = (first[members][:, None] + np.arange(len(comp))).ravel()
         bases[rows] = word
         counts[rows] = (lens[:, -1][:, None] + comp[:, -1]).ravel()
-    return bases, counts, weights
+    return TBPathSet(N, tables.d_tilde, np.append(first, len(bases))[tables.offsets], bases, counts, weights)
 
 
 def expand_and_dedup(tables: ReconstructionTables, N: int) -> TBPathSet:
@@ -414,18 +409,15 @@ def expand_and_dedup(tables: ReconstructionTables, N: int) -> TBPathSet:
     """
     if N != tables.N:
         raise ValueError(f"tables were built for N={tables.N}, asked to expand N={N}")
-    limbs = (N + 63) // 64
-    parts = [_state_bases(tables.per_state[sigma], N, limbs) for sigma in tables.ordering]
-    offsets = np.cumsum([0] + [len(part[0]) for part in parts])
-    bases, counts, weights = (np.concatenate(column) for column in zip(*parts))
-    overlaps = _overlapping_arcs(bases, counts, N)
+    paths = _build_bases(tables)
+    overlaps = _overlapping_arcs(paths.bases, paths.counts, N)
     if overlaps:
         raise RuntimeError(
-            f"{len(bases)} base words stand for {int(counts.sum())} words, but {overlaps} "
+            f"{len(paths.bases)} base words stand for {len(paths)} words, but {overlaps} "
             "of their rotation arcs overlap the next on their necklace; "
             "bijection invariant broken"
         )
-    return TBPathSet(N, tables.d_tilde, offsets, bases, counts, weights)
+    return paths
 
 
 def growth_profile(db: IEEDatabase, d_tilde: int, l_range: range) -> list[tuple[int, int]]:
@@ -434,11 +426,10 @@ def growth_profile(db: IEEDatabase, d_tilde: int, l_range: range) -> list[tuple[
     Lengths below 1, and lengths or a d_tilde the database does not cover,
     are refused from the range's two ends, before its lengths are listed.
     Counts come straight from the skeletons in closed form: a skeleton of
-    j events, length L and last event length len_j (read from the event
-    columns), padded to length l with G = l - L zero loops, owns
-    C(G+j-1, j-1) gap placements whose rotation counts sum to
-    len_j*C(G+j-1, j-1) + G*C(G+j-1, j-1)/j. States without the zero
-    loop contribute len_j once when L == l.
+    j events, length L and last event length len_j, padded to length l
+    with G = l - L zero loops, owns C(G+j-1, j-1) gap placements whose
+    rotation counts sum to len_j*C(G+j-1, j-1) + G*C(G+j-1, j-1)/j. Off
+    the zero loop's place only G = 0 is open.
     """
     if d_tilde < 1:
         raise ValueError(f"d_tilde must be >= 1, got {d_tilde}")
@@ -447,25 +438,18 @@ def growth_profile(db: IEEDatabase, d_tilde: int, l_range: range) -> list[tuple[
     lo, hi = min(l_range[0], l_range[-1]), max(l_range[0], l_range[-1])
     if lo < 1:
         raise ValueError(f"lengths must be >= 1, got {lo}")
-    _check_coverage(db, d_tilde, hi, "l")
+    d_tilde = _covered_bound(db, d_tilde, hi, "l")
     targets = sorted(l_range)
+    zero, offsets, events, lengths, _weights = _skeletons(db, d_tilde, targets)
+    padded = np.repeat(np.arange(len(db.ordering)) == zero, np.diff(offsets))
+    # Skeletons that agree on (padded, j, L, len_j) count alike; Python ints keep the sums exact.
+    parts = np.count_nonzero(events >= 0, axis=1)
+    last_len = db.lengths[events[np.arange(len(events)), parts - 1]]
+    groups, sizes = np.unique(np.column_stack((padded, parts, lengths, last_len)), axis=0, return_counts=True)
     counts = {l: 0 for l in targets}
-    for sigma in db.ordering:
-        iees = db.events(sigma)
-        zero_index, events, lengths, _weights = _skeletons_for_state(iees, d_tilde, targets)
-        # Skeletons that agree on (j, L, len_j) count alike; Python ints keep the sums exact.
-        parts = np.count_nonzero(events >= 0, axis=1)
-        last_len = iees.lengths[events[np.arange(len(events)), parts - 1]]
-        groups, sizes = np.unique(np.column_stack((parts, lengths, last_len)), axis=0, return_counts=True)
-        for (j, length, last), size in zip(groups.tolist(), sizes.tolist()):
-            if zero_index is None:
-                if length in counts:
-                    counts[length] += size * last
-                continue
-            for l in targets:
-                gap = l - length
-                if gap < 0:
-                    continue
-                placements = math.comb(gap + j - 1, j - 1)
-                counts[l] += size * (last * placements + (gap * placements) // j)
+    for (pad, j, length, last), size in zip(groups.tolist(), sizes.tolist()):
+        for l in (l for l in targets if l == length or (pad and l > length)):
+            gap = l - length
+            placements = math.comb(gap + j - 1, j - 1)
+            counts[l] += size * (last * placements + (gap * placements) // j)
     return [(l, counts[l]) for l in targets]

@@ -300,11 +300,38 @@ class TestPipeline:
             assert main(args + [str(out), "--threads", threads]) == 0
             assert out.read_bytes() == small_db.read_bytes()
 
+    def test_collect_ordering_saves_that_collection(self, small_db, tmp_path):
+        # --ordering is collect_iees's ordering: the same database, byte for byte.
+        order = [3, 1, 0, 2, 7, 5, 6, 4]
+        out, ref = tmp_path / "db.json", tmp_path / "ref.json"
+        args = ["collect", "--gens", "13,17", "--v", "3", "--dtilde", "9", "--max-len", "16", "--out", str(out)]
+        assert main(args + ["--ordering", ",".join(map(str, order))]) == 0
+        collector.save_database(collector.collect_iees(crcforge.ConvCode(["13", "17"], 3), 9, 16, ordering=order), ref)
+        assert out.read_bytes() == ref.read_bytes() != small_db.read_bytes()
+        assert collector.load_database(out).ordering == tuple(order)
+
+    @pytest.mark.parametrize("ordering", ["0,1,2,3,4,5,6", "0,1,2,3,4,5,6,6", "0,1,2,3,4,5,6,8"])
+    def test_collect_non_permutation_ordering_is_1(self, tmp_path, capsys, ordering):
+        out = tmp_path / "db.json"
+        args = ["collect", "--gens", "13,17", "--v", "3", "--dtilde", "9", "--max-len", "16", "--out", str(out)]
+        assert main(args + ["--ordering", ordering]) == 1
+        assert "ordering must be a permutation of all states" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_growth_profile_output(self, small_db, capsys):
         rc = main(["growth", "--iee", str(small_db), "--dtilde", "7", "--l-range", "1:12"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "l=1 count=1" in out
+
+    def test_growth_out_writes_the_printed_counts(self, small_db, tmp_path, capsys):
+        out = tmp_path / "growth.csv"
+        assert main(["growth", "--iee", str(small_db), "--dtilde", "7", "--l-range", "1:12", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[-1] == f"wrote {out}"
+        header, *rows = out.read_bytes().decode().split("\n")[:-1]
+        assert header == "l,count" and len(rows) == 12
+        assert [f"l={l} count={count}" for l, count in (row.split(",") for row in rows)] == printed[:-1]
 
     def test_verify_passes(self, capsys):
         rc = main([
@@ -321,14 +348,13 @@ class TestPipeline:
         # One bit of one base word flipped after the build, its weight and
         # rotation count kept: the counts by weight still agree with brute
         # force, so only the classes read from the path set can catch it.
-        def flipped(table, N, limbs):
-            bases, counts, weights = state_bases(table, N, limbs)
-            if len(bases) > 3:
-                bases[3, 0] ^= np.uint64(1 << 5)
-            return bases, counts, weights
+        def flipped(tables):
+            paths = build_bases(tables)
+            paths.bases[3, 0] ^= np.uint64(1 << 5)
+            return paths
 
-        state_bases = reconstructor._state_bases
-        monkeypatch.setattr(reconstructor, "_state_bases", flipped)
+        build_bases = reconstructor._build_bases
+        monkeypatch.setattr(reconstructor, "_build_bases", flipped)
         assert main(["verify", "--gens", "13,17", "--v", "3", "--n", "12", "--dtilde", "8"]) == 1
         out = capsys.readouterr().out
         assert "PASS spectrum-match" in out

@@ -577,6 +577,7 @@ CORRUPTIONS = {
     "ordering-state-string": _set_field("ordering", [0, 1, 2, 3, 4, 5, 6, "7"]),
     "d_tilde-string": _set_field("d_tilde", "7"),
     "max_len-float": _set_field("max_len", 8.0),
+    "field-missing": _redump(lambda p: p.pop("max_len")),
     "iees-int": _set_field("iees", 5),
     "record-list": _replace_record([0, "0", 0]),
     "record-state-string": _set_field("state", "0", record=0),

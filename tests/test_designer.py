@@ -264,6 +264,22 @@ class TestSearch:
         assert result.spectrum is None
         assert len(result.survivors) == 32
 
+    def test_bound_past_every_weight_screens_as_n_times_N(self, code):
+        # No word of 8 steps weighs more than n*N = 16, so a bound of 2^31
+        # screens as 17 does: 17 counts per spectrum, holding the 2^5 - 1
+        # words a degree-3 CRC divides, and a tie ends after round 16
+        # instead of screening up to 2^31 rounds.
+        db = collect_iees(code, 2**31, 8)
+        paths = expand_and_dedup(build_tables(db, 8, 2**31), 8)
+        assert paths.d_tilde == 17 and len(paths) == 255
+        spectrum = undetected_spectrum(paths, 0xB)
+        assert len(spectrum.counts) == 17 and sum(spectrum.counts) == 2**5 - 1
+        result = search_dso(paths, 3)
+        assert len(result.spectrum.counts) == 17 and sum(result.spectrum.counts) == 2**5 - 1
+        tied = search_dso(paths, 7)
+        assert tied.winner is None
+        assert [row.d for row in tied.rounds] == list(range(1, 17))
+
     def test_winner_and_survivors_write_their_hex(self, db12, paths70):
         # bench/traced.py and the README example read result.winner.to_hex().
         tied = search_dso(expand_and_dedup(build_tables(db12, 12, 7), 12), 4)
@@ -412,6 +428,30 @@ class TestCsv:
         out = tmp_path / "spectrum_0x63_N70_dt18.csv"
         out.write_text("d,A_d\n" + rows)
         with pytest.raises(ValueError, match=message):
+            DistanceSpectrum.from_csv(out)
+
+    @pytest.mark.parametrize("rows,line", [
+        pytest.param("1,2,3\n", "line 2 '1,2,3'", id="three-fields"),
+        pytest.param("1,0\nx,1\n", "line 3 'x,1'", id="not-an-int"),
+        pytest.param("1,0\n2\n", "line 3 '2'", id="one-field"),
+    ])
+    def test_malformed_row_names_file_and_line(self, tmp_path, rows, line):
+        out = tmp_path / "spectrum_0x63_N70_dt3.csv"
+        out.write_text("d,A_d\n" + rows)
+        with pytest.raises(ValueError, match=f"^spectrum_0x63_N70_dt3.csv: {line} is not two integers d,A_d$"):
+            DistanceSpectrum.from_csv(out)
+
+    @pytest.mark.parametrize("name,rows", [
+        pytest.param("spectrum_0x63_N70_dt0.csv", "", id="dt0"),
+        pytest.param("spectrum_0x63_N70_dt1.csv", "", id="dt1"),
+        pytest.param("spectrum_0x63_N0_dt2.csv", "1,0\n", id="N0"),
+    ])
+    def test_degenerate_name_rejected(self, tmp_path, name, rows):
+        # No spectrum has d_tilde below 2 or N below 1; such a name would load
+        # as an all-zero spectrum and bound would write a zero column for it.
+        out = tmp_path / name
+        out.write_text("d,A_d\n" + rows)
+        with pytest.raises(ValueError, match="needs N >= 1 and d_tilde >= 2"):
             DistanceSpectrum.from_csv(out)
 
     @pytest.mark.parametrize("name,rows,message", [

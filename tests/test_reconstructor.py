@@ -62,42 +62,49 @@ def _compositions(total, parts):
             yield (head,) + tail
 
 
-def _base_words(table, N):
-    """(base word, rotation count, weight) for every gap composition of a state.
+def _base_words(tables):
+    """{state: (base word, rotation count, weight) for every gap composition}.
 
     The per-class reference for the numpy build, one Python-int word at a
-    time: each skeleton, padded or not, crossed with the weak compositions
-    of its gap total, its events placed after the events and gaps before
-    them. The base word starts its first event at time 0 and stands for
-    its first len_j + g_j rotations.
+    time: each skeleton of a state, padded where the state owns the zero
+    loop, crossed with the weak compositions of its gap total, its events
+    placed after the events and gaps before them. The base word starts its
+    first event at time 0 and stands for its first len_j + g_j rotations.
     """
-    padded = table.zero_index is not None
-    iees = event_list(table.iees)
-    columns = (table.skeletons.tolist(), table.lengths.tolist(), table.weights.tolist())
-    for events, length, weight in zip(*columns):
-        if not padded and length != N:
-            continue
-        evs = [iees[i] for i in events if i >= 0]
-        bits = [e.input_bits for e in evs]
-        lens = [e.length for e in evs]
-        j = len(evs)
-        for gaps in _compositions(N - length, j):
-            base = 0
-            pos = 0
-            for k in range(j):
-                base |= bits[k] << pos
-                pos += lens[k] + gaps[k]
-            yield base, lens[-1] + gaps[-1], weight
+    N, iees = tables.N, event_list(tables.db)
+    out = {}
+    for place, state in enumerate(tables):
+        table, out[state] = tables[state], []
+        columns = (table.skeletons.tolist(), table.lengths.tolist(), table.weights.tolist())
+        for events, length, weight in zip(*columns):
+            if place != tables.zero and length != N:
+                continue
+            evs = [iees[i] for i in events if i >= 0]
+            bits = [e.input_bits for e in evs]
+            lens = [e.length for e in evs]
+            j = len(evs)
+            for gaps in _compositions(N - length, j):
+                base = 0
+                pos = 0
+                for k in range(j):
+                    base |= bits[k] << pos
+                    pos += lens[k] + gaps[k]
+                out[state].append((base, lens[-1] + gaps[-1], weight))
+    return out
 
 
-def iter_state_paths(tables, state):
-    """(input word, weight) pairs of one partition class, from _base_words."""
+def class_paths(tables):
+    """{state: (input word, weight) pairs of its partition class}, from _base_words."""
     N = tables.N
     mask = (1 << N) - 1
-    for word, count, w in _base_words(tables[state], N):
-        for _ in range(count):
-            yield word, w
-            word = ((word << 1) | (word >> (N - 1))) & mask
+    classes = {}
+    for state, bases in _base_words(tables).items():
+        classes[state] = []
+        for word, count, w in bases:
+            for _ in range(count):
+                classes[state].append((word, w))
+                word = ((word << 1) | (word >> (N - 1))) & mask
+    return classes
 
 
 @pytest.fixture(scope="module")
@@ -124,12 +131,12 @@ class TestBuildTables:
         # Only state 0 owns the zero loop, and it appears in no skeleton:
         # zero-weight steps enter a word only as gap padding.
         tables = build_tables(db7, 8, 7)
-        assert [tables[s].zero_index is not None for s in tables] == [True] + [False] * 7
-        zero = event_list(tables[0].iees)[tables[0].zero_index]
-        assert (zero.weight, zero.length) == (0, 1)
+        assert tables.zero == db7.ordering.index(0)
+        (zero,) = [e for e in event_list(db7) if e.weight == 0]
+        assert (zero.start_state, zero.weight, zero.length) == (0, 0, 1)
         for s in tables:
             events = tables[s].skeletons
-            assert (tables[s].iees.weights[events[events >= 0]] > 0).all()
+            assert (db7.weights[events[events >= 0]] > 0).all()
 
     def test_weight6_length8_cell(self, db7):
         # One weight-6 event of length 5 (inputs 11000) plus three zero
@@ -150,16 +157,18 @@ class TestBuildTables:
         # keeps them all; the others keep exactly those of length N, plus
         # prefixes that can still reach N.
         code, N, d_tilde, ordering = case
-        tables = build_tables(collect_iees(code, d_tilde, N, ordering), N, d_tilde)
-        for s in tables:
-            t = tables[s]
-            want = _naive_skeletons(event_list(t.iees), d_tilde, N)
-            rows = [tuple(i for i in row if i >= 0) for row in t.skeletons.tolist()]
+        db = collect_iees(code, d_tilde, N, ordering)
+        tables = build_tables(db, N, d_tilde)
+        for place, s in enumerate(tables):
+            t, lo = tables[s], int(db.offsets[place])
+            want = _naive_skeletons(event_list(db.events(s)), d_tilde, N)
+            # Skeleton rows hold database rows; the state's events start at row lo.
+            rows = [tuple(i - lo for i in row if i >= 0) for row in t.skeletons.tolist()]
             assert t.skeletons.dtype == np.int32
-            assert [list(r) + [-1] * (t.skeletons.shape[1] - len(r)) for r in rows] == t.skeletons.tolist()
+            assert [[i + lo for i in r] + [-1] * (t.skeletons.shape[1] - len(r)) for r in rows] == t.skeletons.tolist()
             got = list(zip(rows, t.lengths.tolist(), t.weights.tolist()))
             assert got == sorted(got, key=lambda sk: (sk[2], sk[1], sk[0]))
-            if t.zero_index is not None:
+            if place == tables.zero:
                 assert got == want, s
             else:
                 assert set(got) <= set(want), s
@@ -197,8 +206,8 @@ class TestExpansion:
     def test_partition_classes_disjoint_and_complete(self, code, db7):
         N = 12
         tables = build_tables(db7, N, 7)
-        ours = state_classes(expand_and_dedup(tables, N), tables.ordering)
-        oracle = brute_force_partition(code, N, 7, tables.ordering)
+        ours = state_classes(expand_and_dedup(tables, N), db7.ordering)
+        oracle = brute_force_partition(code, N, 7, db7.ordering)
         assert {s: dict(pairs) for s, pairs in ours.items()} == oracle
         assert sum(map(len, ours.values())) == sum(map(len, oracle.values()))
 
@@ -211,7 +220,7 @@ class TestExpansion:
         # Each partition class is closed on its own, and so is their union.
         tables = build_tables(db7, 11, 7)
         paths = expand_and_dedup(tables, 11)
-        for s, pairs in state_classes(paths, tables.ordering).items():
+        for s, pairs in state_classes(paths, db7.ordering).items():
             assert is_cyclic_closed((word for word, _w in pairs), 11), s
         assert is_cyclic_closed((word for word, _w in path_words(paths)), 11)
 
@@ -273,7 +282,7 @@ class TestExpansion:
         code, N, d_tilde, ordering = case
         tables = build_tables(collect_iees(code, d_tilde, N, ordering), N, d_tilde)
         paths = expand_and_dedup(tables, N)
-        per_state = [list(_base_words(tables[s], N)) for s in tables.ordering]
+        per_state = list(_base_words(tables).values())
         ref = [c for state in per_state for c in state]
         assert paths.offsets.tolist() == np.cumsum([0] + list(map(len, per_state))).tolist()
         assert _row_words(paths.bases) == [base for base, _c, _w in ref]
@@ -295,11 +304,11 @@ class TestExpansion:
         db = collect_iees(ConvCode(gens, v), d_tilde, max_len)
         tables = build_tables(db, N, d_tilde)
         paths = expand_and_dedup(tables, N)
-        classes = {s: list(iter_state_paths(tables, s)) for s in tables.ordering}
-        ref = [pair for s in tables.ordering for pair in classes[s]]
+        classes = class_paths(tables)
+        ref = [pair for s in db.ordering for pair in classes[s]]
         assert len(ref) > 0
         assert path_words(paths) == ref
-        assert state_classes(paths, tables.ordering) == classes
+        assert state_classes(paths, db.ordering) == classes
         assert paths.bases.shape == (len(paths.counts), (N + 63) // 64)
         for s, pairs in classes.items():
             assert is_cyclic_closed((word for word, _w in pairs), N), s
@@ -318,12 +327,14 @@ class TestExpansion:
 
     def test_repeated_skeleton_breaks_uniqueness(self, db7):
         tables = build_tables(db7, 12, 7)
-        t = tables[0]
-        # Every column gets its last row once more.
-        again = np.append(np.arange(len(t.skeletons)), len(t.skeletons) - 1)
-        tables.per_state[0] = t._replace(
-            skeletons=t.skeletons[again], lengths=t.lengths[again], weights=t.weights[again]
+        # Every column gets the last row of state 0, the first place, once more.
+        end = int(tables.offsets[1])
+        again = np.insert(np.arange(len(tables.lengths)), end, end - 1)
+        tables.skeletons, tables.lengths, tables.weights = (
+            tables.skeletons[again], tables.lengths[again], tables.weights[again]
         )
+        tables.offsets = tables.offsets + (np.arange(len(tables.offsets)) > 0)
+        assert len(tables[0].skeletons) == end + 1
         with pytest.raises(RuntimeError, match="bijection invariant broken"):
             expand_and_dedup(tables, 12)
 
@@ -426,12 +437,13 @@ class TestArcGuard:
 
     def test_raises_through_expansion(self, db7, monkeypatch):
         # Every rotation count stretched by one between the build and the guard.
-        def stretched(table, N, limbs):
-            bases, counts, weights = state_bases(table, N, limbs)
-            return bases, counts + 1, weights
+        def stretched(tables):
+            paths = build_bases(tables)
+            paths.counts += 1
+            return paths
 
-        state_bases = reconstructor._state_bases
-        monkeypatch.setattr(reconstructor, "_state_bases", stretched)
+        build_bases = reconstructor._build_bases
+        monkeypatch.setattr(reconstructor, "_build_bases", stretched)
         with pytest.raises(RuntimeError, match="bijection invariant broken"):
             expand_and_dedup(build_tables(db7, 12, 7), 12)
 
