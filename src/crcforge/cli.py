@@ -68,6 +68,16 @@ def _parse_gens(text: str) -> list[str]:
     return gens
 
 
+def _parse_ordering(text: str) -> list[int]:
+    if not text.strip():
+        raise ValueError("--ordering needs comma separated states, got an empty value")
+    states = [s.strip() for s in text.split(",")]
+    for state in states:
+        if not state.isdecimal():
+            raise ValueError(f"--ordering entry {state!r} of {text!r} is not a state number")
+    return [int(s) for s in states]
+
+
 def _parse_snr_grid(text: str) -> list[float]:
     """start:step:stop, inclusive on both ends."""
     parts = text.split(":")
@@ -101,9 +111,7 @@ def _parse_l_range(text: str) -> range:
 
 def cmd_collect(args) -> int:
     code = _cli.ConvCode(_parse_gens(args.gens), args.v)
-    ordering = None
-    if args.ordering:
-        ordering = [int(s) for s in args.ordering.split(",")]
+    ordering = None if args.ordering is None else _parse_ordering(args.ordering)
     start = time.perf_counter()
     db = _cli.collect_iees(code, args.dtilde, args.max_len, ordering=ordering)
     elapsed = time.perf_counter() - start

@@ -27,7 +27,9 @@ encoders are refused: they have zero-weight cycles away from state 0, so
 weight pruning alone would not bound the search. So are memories above
 MAX_MEMORY, whose pruning tables grow as 4^v.
 
-The collector is the one source of truth for a code's events. A saved
+The collector is the one source of truth for a code's events. They are
+held in an IEEDatabase, a slotted dataclass of five header fields and
+four event columns whose equality compares every field. A saved
 database is indented JSON: a header of what the collection needs, then
 the events as records, rendered from the columns with numpy. Loading it
 parses only the header, re-runs the collection it describes, and refuses
@@ -36,6 +38,7 @@ the file unless its text is exactly what save_database writes for that.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import os
@@ -230,6 +233,7 @@ def _closures(
     return offsets, weight[order], length[order], inputs
 
 
+@dataclasses.dataclass(eq=False, slots=True)
 class IEEDatabase:
     """The collected IEEs of one code under one ordering, held as columns.
 
@@ -243,33 +247,23 @@ class IEEDatabase:
     max_len tail-biting path).
     """
 
-    __slots__ = (
-        "generators_octal", "v", "n", "ordering", "d_tilde", "max_len",
-        "offsets", "weights", "lengths", "inputs",
-    )
+    generators_octal: tuple[str, ...]
+    v: int
+    ordering: tuple[int, ...]
+    d_tilde: int
+    max_len: int
+    offsets: np.ndarray
+    weights: np.ndarray
+    lengths: np.ndarray
+    inputs: np.ndarray
 
-    def __init__(
-        self,
-        generators_octal: Sequence[str],
-        v: int,
-        ordering: Sequence[int],
-        d_tilde: int,
-        max_len: int,
-        offsets: np.ndarray,
-        weights: np.ndarray,
-        lengths: np.ndarray,
-        inputs: np.ndarray,
-    ):
-        self.generators_octal = tuple(generators_octal)
-        self.v = v
-        self.ordering = tuple(ordering)
-        self.d_tilde = d_tilde
-        self.max_len = max_len
-        self.offsets = offsets
-        self.weights = weights
-        self.lengths = lengths
-        self.inputs = inputs
-        self.n = len(self.generators_octal)
+    def __post_init__(self):
+        self.generators_octal = tuple(self.generators_octal)
+        self.ordering = tuple(self.ordering)
+
+    @property
+    def n(self) -> int:
+        return len(self.generators_octal)
 
     @property
     def num_iees(self) -> int:
@@ -287,16 +281,8 @@ class IEEDatabase:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IEEDatabase):
             return NotImplemented
-        return (
-            self.generators_octal == other.generators_octal
-            and self.v == other.v
-            and self.ordering == other.ordering
-            and self.d_tilde == other.d_tilde
-            and self.max_len == other.max_len
-            and all(
-                np.array_equal(getattr(self, name), getattr(other, name))
-                for name in ("offsets", "weights", "lengths", "inputs")
-            )
+        return all(
+            np.array_equal(getattr(self, field.name), getattr(other, field.name)) for field in dataclasses.fields(self)
         )
 
     def __repr__(self) -> str:
@@ -371,16 +357,13 @@ def _pieces(db: IEEDatabase) -> Iterator[str]:
     newline, for the format version, the header fields of _FIELD_TYPES
     and the "iees" records. The pieces are the header up to '"iees": [',
     the records _PIECE_EVENTS at a time, and the closing brackets. Only
-    the header goes through json. A slice's records are rendered from the
-    columns as rows of fields: states and weights from a table of decimal
-    digits, and each event's inputs, a 0/1 string that needs no escaping,
-    from its unpacked limbs.
+    the header goes through json: its text less the closing brace. A
+    slice's records are rendered from the columns as rows of fields:
+    states and weights from a table of decimal digits, and each event's
+    inputs, a 0/1 string that needs no escaping, from its unpacked limbs.
     """
     header = {"format_version": DB_FORMAT_VERSION, **{key: getattr(db, key) for key in _FIELD_TYPES}}
-    yield "".join(
-        ("," if i else "{") + f"\n {json.dumps(key)}: " + json.dumps(value, indent=1).replace("\n", "\n ")
-        for i, (key, value) in enumerate(header.items())
-    ) + ',\n "iees": ['
+    yield json.dumps(header, indent=1)[:-2] + ',\n "iees": ['
     events = db.num_iees
     # Row i of digits holds str(i), for every state and weight, in its first widths[i] bytes.
     numbers = np.array([str(i) for i in range(max(len(db.ordering), int(db.weights.max(initial=0)) + 1))], "S")

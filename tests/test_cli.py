@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -47,6 +48,36 @@ EARLY_REFUSALS = [
     # No word of 3 steps of a rate-1/2 code weighs more than 6, so the database's bound of 9 is above 7.
     pytest.param(["design", "--m", "3", "--n", "3"], _BOUND_ABOVE_N3, id="design-dtilde-above-nN"),
     pytest.param(["spectrum", "--crc", "0xb", "--n", "3"], _BOUND_ABOVE_N3, id="spectrum-dtilde-above-nN"),
+]
+
+_COLLECT = ["collect", "--gens", "13,17", "--v", "3", "--dtilde", "9", "--max-len", "16", "--out", "db.json"]
+
+# Command lines refused with exit 1 before any file is written, with the
+# message; "{db}" stands for the small_db database.
+ARGUMENT_REFUSALS = [
+    pytest.param([*_COLLECT, "--gens", ","], "--gens needs octal generators, got ','", id="gens-comma"),
+    pytest.param(
+        [*_COLLECT, "--ordering", ""], "--ordering needs comma separated states, got an empty value",
+        id="ordering-empty",
+    ),
+    pytest.param(
+        [*_COLLECT, "--ordering", "0,1,x"], "--ordering entry 'x' of '0,1,x' is not a state number", id="ordering-x"
+    ),
+    pytest.param(
+        [*_COLLECT, "--ordering", "0,1,,2"], "--ordering entry '' of '0,1,,2' is not a state number",
+        id="ordering-blank-entry",
+    ),
+    pytest.param(["growth", "--iee", "{db}", "--l-range", "60"], "--l-range expects lmin:lmax, got '60'", id="l-one"),
+    pytest.param(["growth", "--iee", "{db}", "--l-range", "5:3"], "bad length range '5:3'", id="l-reversed"),
+    pytest.param(["growth", "--iee", "{db}", "--l-range", "0:3"], "bad length range '0:3'", id="l-from-0"),
+    pytest.param(
+        ["bound", "--spectra", ",", "--snr", "3:1:4", "--out", "b.csv"], "--spectra needs at least one CSV file",
+        id="spectra-comma",
+    ),
+    pytest.param(
+        ["verify", "--gens", "13,17", "--v", "3", "--n", "17", "--dtilde", "8"],
+        "verify enumerates all 2^N inputs; keep N <= 16 (got 17)", id="verify-n17",
+    ),
 ]
 
 
@@ -125,6 +156,13 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert "expanded" not in out
         assert f"error: {message}" in err
+
+    @pytest.mark.parametrize("argv,message", ARGUMENT_REFUSALS)
+    def test_refused_arguments_are_1(self, small_db, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert main([str(small_db) if arg == "{db}" else arg for arg in argv]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "command", [["design", "--m", "3"], ["spectrum", "--crc", "0xb"]], ids=["design", "spectrum"]
@@ -332,6 +370,40 @@ class TestPipeline:
         header, *rows = out.read_bytes().decode().split("\n")[:-1]
         assert header == "l,count" and len(rows) == 12
         assert [f"l={l} count={count}" for l, count in (row.split(",") for row in rows)] == printed[:-1]
+
+    def test_every_output_byte_is_pinned(self, tmp_path, monkeypatch, capsys):
+        # One small run of every file-writing command: (13,17) with d_tilde=10
+        # and max_len=20, where 0x1f is the unique m=4 winner at N=20. Each
+        # stdout (collect's without its timing line) and each written file is
+        # pinned by sha256; paths are relative, so the text names no tmp_path.
+        monkeypatch.chdir(tmp_path)
+        db, dso, ref = "iee_1317_dt10.json", "spectrum_0x1f_N20_dt10.csv", "spectrum_0x13_N20_dt10.csv"
+        steps = [
+            (["collect", "--gens", "13,17", "--v", "3", "--dtilde", "10", "--max-len", "20", "--out", db],
+             "5b8fcaa038ac8b87516c9a839f1a5400722d490c125a973f60988b46ca0177a2"),
+            (["design", "--iee", db, "--n", "20", "--m", "4"],
+             "0076f692f6079dde168cbafa49c962dc13f812a57303bac4a438bab838edbded"),
+            (["spectrum", "--iee", db, "--n", "20", "--crc", "0x13"],
+             "4a94584b1e8c5e94c58f5399b509eb6216253f1f5f3f9bce6120e93285e5d6a0"),
+            (["bound", "--spectra", f"{dso},{ref}", "--snr", "3:0.5:7"],
+             "32f01ee66423d570c2298a5f622800bddca3ff5301196386328fae5e2bd64fff"),
+            (["growth", "--iee", db, "--l-range", "12:20", "--out", "growth.csv"],
+             "f74e567ff134073bece7808fb994d36ae0c7a7a792500b342908e03ae74fffc5"),
+        ]
+        for argv, digest in steps:
+            assert main(argv) == 0
+            lines = capsys.readouterr().out.splitlines(True)
+            out = "".join(line for line in lines if not line.startswith("collected "))
+            assert (argv[0], hashlib.sha256(out.encode()).hexdigest()) == (argv[0], digest)
+        files = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
+        assert files == {
+            db: "be3bc873431a0e54c204bd714f9aa355c39bc0289bc3ddaea49d4c23744b2bcc",
+            "elimination_m4_N20_dt10.csv": "57fa9dde1d6a45f03bf33270e0df6f3b6317f80718a2bdbb3c1d660097b715c4",
+            dso: "7e08b950936f7931366f0241f66c91ff8f23d04662d709d8734ded6d78c6913b",
+            ref: "628098d48a342e652a094c6a4f00603db3cdeda87f9e091f5a96d48bab948b04",
+            "bounds.csv": "cbf71fb0c82cae1c1e5aadba9abb9a3e5825237717fc5ae0e4bb867aec988eec",
+            "growth.csv": "b578859180faf6214d74109b48f7757afcbab587f1aa33684f3c1e888d5e3b27",
+        }
 
     def test_verify_passes(self, capsys):
         rc = main([

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import json
@@ -229,6 +230,13 @@ class TestCollectedSet:
         with pytest.raises(ValueError):
             collect_iees(code, 7, 10, ordering=[0, 1, 2])
 
+    @pytest.mark.parametrize(
+        "d_tilde,max_len,message", [(0, 10, "d_tilde must be >= 1, got 0"), (7, 0, "max_len must be >= 1, got 0")]
+    )
+    def test_nonpositive_bounds_refused(self, code, d_tilde, max_len, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            collect_iees(code, d_tilde, max_len)
+
     def test_d_tilde_one_keeps_only_zero_loop(self, code):
         db = collect_iees(code, 1, 10)
         assert db.num_iees == 1
@@ -351,6 +359,10 @@ class TestSaveLoad:
         assert _with(db7) == db7
         for other in changed:
             assert (db7 == other, other == db7) == (False, False)
+
+    def test_equality_with_another_type_is_false(self, db7):
+        assert db7.__eq__(1) is NotImplemented
+        assert (db7 == 1, 1 == db7, db7 != 1) == (False, False, True)
 
     def test_checksum_detects_tampering(self, db7, tmp_path):
         # A record changed in place, nothing else rewritten.
@@ -502,10 +514,8 @@ def _reference_text(db, events) -> str:
     return text + ',\n "iees": [' + lines[1:] + ("\n ]" if rows else "]") + "\n}\n"
 
 
-def _with(db, **changes):
-    """A database with db's fields but those in changes."""
-    names = ["generators_octal", "v", "ordering", "d_tilde", "max_len", "offsets", "weights", "lengths", "inputs"]
-    return IEEDatabase(*(changes.get(name, getattr(db, name)) for name in names))
+# A database with db's fields but those given as keywords.
+_with = dataclasses.replace
 
 
 def _appended(db, event):

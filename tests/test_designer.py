@@ -85,6 +85,10 @@ class TestUndetectedSpectrum:
         with pytest.raises(InvalidCrcError):
             undetected_spectrum(paths12, 0b10)  # no constant term
 
+    def test_rejects_degree_above_31(self, paths12):
+        with pytest.raises(InvalidCrcError, match="^CRC degree 32 exceeds the 31-bit residue tables$"):
+            undetected_spectrum(paths12, (1 << 32) | 1)
+
     @pytest.mark.parametrize("crc", [0x3, 0x107, 0x11021, 0xB4C11DB7])
     def test_divisible_rows_match_polynomial_division(self, crc):
         # Degrees 1, 8, 16 and 31; 31 is the widest residue a uint32 holds.
@@ -421,6 +425,8 @@ class TestCsv:
     @pytest.mark.parametrize("rows,message", [
         pytest.param("12,-735\n14,2310\n", "negative count A_12=-735", id="negative"),
         pytest.param("12,735\n14,2310\n12,735\n", "distance 12 appears twice", id="repeated"),
+        pytest.param("0,1\n", r"row distance 0 outside \[1, 18\)", id="distance-0"),
+        pytest.param("12,735\n18,1\n", r"row distance 18 outside \[1, 18\)", id="distance-d-tilde"),
     ])
     def test_bad_rows_rejected(self, tmp_path, rows, message):
         # A negative count would give negative bounds; a repeated row would
@@ -440,6 +446,17 @@ class TestCsv:
         out.write_text("d,A_d\n" + rows)
         with pytest.raises(ValueError, match=f"^spectrum_0x63_N70_dt3.csv: {line} is not two integers d,A_d$"):
             DistanceSpectrum.from_csv(out)
+
+    def test_bad_header_rejected(self, tmp_path):
+        out = tmp_path / "spectrum_0x63_N70_dt3.csv"
+        out.write_text("d,count\n1,0\n2,5\n")
+        with pytest.raises(ValueError, match="^spectrum_0x63_N70_dt3.csv: bad header 'd,count'$"):
+            DistanceSpectrum.from_csv(out)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        out = tmp_path / "spectrum_0x63_N70_dt3.csv"
+        out.write_text("d,A_d\n1,0\n\n2,5\n\n")
+        assert DistanceSpectrum.from_csv(out) == DistanceSpectrum(0x63, 70, 3, (0, 0, 5))
 
     @pytest.mark.parametrize("name,rows", [
         pytest.param("spectrum_0x63_N70_dt0.csv", "", id="dt0"),

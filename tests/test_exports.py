@@ -22,6 +22,11 @@ def test_star_import_gives_every_listed_name(module):
     assert [name for name in names if name not in namespace] == []
 
 
+def test_dir_lists_every_export():
+    # The exports resolve lazily; dir() lists them whether resolved or not.
+    assert set(crcforge.__all__) <= set(dir(crcforge))
+
+
 def test_readme_library_example_runs(capsys):
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
     (example,) = re.findall(r"^```python\n(.*?)^```", readme, re.DOTALL | re.MULTILINE)

@@ -40,6 +40,11 @@ def test_spectrum_guard():
         brute_force_partition(code, 25, 8, range(8))
 
 
+def test_spectrum_needs_v_input_bits(code):
+    with pytest.raises(ValueError, match="^need at least v=3 input bits, got 2$"):
+        brute_force_spectrum(code, 2)
+
+
 def test_iee_guards():
     big = ConvCode(["133", "171"], 6)
     with pytest.raises(EnumerationGuardError):

@@ -184,6 +184,10 @@ class TestBuildTables:
         with pytest.raises(ValueError, match="degenerate"):
             build_tables(db7, 2, 7)
 
+    def test_zero_bound_rejected(self, db7):
+        with pytest.raises(ValueError, match="^d_tilde must be >= 1, got 0$"):
+            build_tables(db7, 10, 0)
+
 
 class TestExpansion:
     def test_every_word_once_at_full_weight(self, code):
@@ -487,6 +491,10 @@ class TestGrowthProfile:
 
     def test_empty_range(self, db7):
         assert growth_profile(db7, 7, range(1, 1)) == []
+
+    def test_length_zero_rejected(self, db7):
+        with pytest.raises(ValueError, match="^lengths must be >= 1, got 0$"):
+            growth_profile(db7, 7, range(0, 3))
 
     @pytest.mark.parametrize("d_tilde", [0, -3])
     def test_nonpositive_d_tilde_rejected(self, db7, d_tilde):
