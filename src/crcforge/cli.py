@@ -78,12 +78,25 @@ def _parse_ordering(text: str) -> list[int]:
     return [int(s) for s in states]
 
 
+def _parse_fields(text: str, option: str, layout: str, kind: type) -> list:
+    """The ':'-separated fields of an option's value, each read by `kind`
+    (int or float); a refusal names the option and the bad field."""
+    fields = text.split(":")
+    if len(fields) != layout.count(":") + 1:
+        raise ValueError(f"{option} expects {layout}, got {text!r}")
+    values = []
+    for field in fields:
+        try:
+            values.append(kind(field))
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise ValueError(f"{option} field {field!r} of {text!r} is not {noun}") from None
+    return values
+
+
 def _parse_snr_grid(text: str) -> list[float]:
     """start:step:stop, inclusive on both ends."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"--snr expects start:step:stop, got {text!r}")
-    start, step, stop = (float(p) for p in parts)
+    start, step, stop = _parse_fields(text, "--snr", "start:step:stop", float)
     if step <= 0:
         raise ValueError(f"SNR step must be positive, got {step}")
     if stop < start:
@@ -100,10 +113,7 @@ def _parse_snr_grid(text: str) -> list[float]:
 
 
 def _parse_l_range(text: str) -> range:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ValueError(f"--l-range expects lmin:lmax, got {text!r}")
-    lo, hi = int(parts[0]), int(parts[1])
+    lo, hi = _parse_fields(text, "--l-range", "lmin:lmax", int)
     if lo < 1 or hi < lo:
         raise ValueError(f"bad length range {text!r}")
     return range(lo, hi + 1)
@@ -207,9 +217,11 @@ def cmd_bound(args) -> int:
 
 
 def cmd_growth(args) -> int:
+    # A malformed range is refused before the load, which re-runs the collection.
+    lengths = _parse_l_range(args.l_range)
     db = _cli.load_database(args.iee)
     d_tilde = args.dtilde if args.dtilde is not None else db.d_tilde
-    profile = _cli.growth_profile(db, d_tilde, _parse_l_range(args.l_range))
+    profile = _cli.growth_profile(db, d_tilde, lengths)
     for l, count in profile:
         print(f"l={l} count={count}")
     if args.out:

@@ -71,6 +71,13 @@ ARGUMENT_REFUSALS = [
     pytest.param(["growth", "--iee", "{db}", "--l-range", "5:3"], "bad length range '5:3'", id="l-reversed"),
     pytest.param(["growth", "--iee", "{db}", "--l-range", "0:3"], "bad length range '0:3'", id="l-from-0"),
     pytest.param(
+        ["growth", "--iee", "{db}", "--l-range", "x:3"], "--l-range field 'x' of 'x:3' is not an integer", id="l-not-int"
+    ),
+    pytest.param(
+        ["bound", "--spectra", "s.csv", "--snr", "a:1:3", "--out", "b.csv"], "--snr field 'a' of 'a:1:3' is not a number",
+        id="snr-not-float",
+    ),
+    pytest.param(
         ["bound", "--spectra", ",", "--snr", "3:1:4", "--out", "b.csv"], "--spectra needs at least one CSV file",
         id="spectra-comma",
     ),
@@ -214,6 +221,12 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert "count=" not in out
         assert f"error: d_tilde must be >= 1, got {d_tilde}" in err
+
+    def test_growth_range_is_refused_before_the_load(self, tmp_path, capsys):
+        # The database would be loaded, and a missing one refused, only after the range.
+        rc = main(["growth", "--iee", str(tmp_path / "missing.json"), "--l-range", "x:3"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --l-range field 'x' of 'x:3' is not an integer\n"
 
     def test_growth_range_past_max_len_is_1_at_once(self, small_db, capsys):
         # The range's end is refused before its 10**12 lengths are listed.

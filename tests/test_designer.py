@@ -6,6 +6,8 @@ import random
 import numpy as np
 import pytest
 from conftest import rotations
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crcforge import designer
 from crcforge.bound import (
@@ -30,7 +32,7 @@ from crcforge.encoder import ConvCode
 from crcforge.errors import InvalidCrcError
 from crcforge.gf2 import _divmod, _mul, parse_hex_crc
 from crcforge.oracle import brute_force_spectrum
-from crcforge.reconstructor import build_tables, expand_and_dedup
+from crcforge.reconstructor import TBPathSet, build_tables, expand_and_dedup
 
 GOLDEN_63 = {12: 735, 14: 2310, 16: 13965}
 
@@ -182,6 +184,54 @@ def _exhaustive_spectra(paths, m):
     return {hex(c): _row_spectrum(paths, rows, weights, c) for c in candidate_list(m)}
 
 
+def _path_set(N, d_tilde, bases):
+    """A TBPathSet of (word, count, weight) bases; nothing checks that they are codewords."""
+    limbs = (N + 63) // 64
+    words = np.array([[(w >> (64 * j)) & (2**64 - 1) for j in range(limbs)] for w, _, _ in bases], dtype=np.uint64)
+    counts = np.array([c for _, c, _ in bases], dtype=np.int64)
+    weights = np.array([wt for _, _, wt in bases], dtype=np.uint32)
+    return TBPathSet(N, d_tilde, np.array([0, len(bases)]), words, counts, weights)
+
+
+@st.composite
+def _random_path_sets(draw):
+    """Path sets of random words, each with a run of t zero bits at the top
+    and a count that is often at most t + 1, so that every rotation is unwrapped."""
+    N = draw(st.sampled_from([63, 64, 65, 128, 129]) | st.integers(4, 140))
+    d_tilde = draw(st.integers(2, 5))
+    bases = []
+    for _ in range(draw(st.integers(1, 8))):
+        top = draw(st.integers(0, N - 1))
+        word = draw(st.integers(0, (1 << (N - 1 - top)) - 1)) | (1 << (N - 1 - top))
+        count = draw(st.integers(1, top + 1) | st.integers(1, N))
+        bases.append((word, count, draw(st.integers(1, d_tilde - 1))))
+    return _path_set(N, d_tilde, bases)
+
+
+class TestShiftFirst:
+    """The shift-first screen against every rotation divided on its own."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_random_path_sets(), st.integers(1, 6))
+    # Shifts of 64 bits and more: all rotations unwrapped (shift 128, one
+    # left), and a shift of 70 with 30 rotations left to step.
+    @example(_path_set(129, 3, [(1, 129, 1), (0b1011 << 55, 100, 2), (1 << 128, 129, 2)]), 4)
+    @example(_path_set(140, 2, [(1 << 70, 140, 1), (0b11, 70, 1)]), 5)
+    def test_counts_and_spectrum_match_every_rotation(self, paths, m):
+        rows, weights = _rows(paths)
+        bases = designer._by_rotation_count(paths)
+        assert (bases.counts >= 1).all() and bases.first.sum() + (bases.counts - 1).sum() == len(paths)
+        crcs = candidate_list(m) + [0x11021, 0xB4C11DB7]
+        spectra = [_row_spectrum(paths, rows, weights, crc) for crc in crcs]
+        cands = _residue_tables(candidate_list(m), m, (paths.N + 7) // 8)
+        for d in range(1, paths.d_tilde):
+            got = designer._undetected_counts(bases.select(bases.weights == d), paths.N, cands)
+            assert got.tolist() == [s.counts[d] for s in spectra[: len(got)]], d
+        for crc, expect in zip(crcs, spectra):
+            tables = _residue_tables([crc], crc.bit_length() - 1, (paths.N + 7) // 8)
+            assert designer._spectrum(paths, bases, crc, tables) == expect, hex(crc)
+
+
 def _check_against_exhaustive(paths, m):
     """search_dso must match a lexicographic screen of every full spectrum.
 
@@ -324,9 +374,8 @@ class TestHighDegreePins:
         assert result.winner == 0x1EED
         assert result.spectrum.nonzero() == {16: 118}
 
-    @pytest.mark.extended
     def test_degree_14_tie_and_rounds(self, paths70):
-        # About 9 s on a 2-core machine.
+        # About 2 s on a 2-core machine.
         result = search_dso(paths70, 14)
         sizes, digest = _round_pins(result)
         counts = [8192] * 5 + [8190, 8190, 8183, 8175, 8098, 8042, 7267, 6736, 3494, 1879, 23, 2]
@@ -338,7 +387,7 @@ class TestHighDegreePins:
 
     @pytest.mark.extended
     def test_degree_16_tie_and_rounds(self, paths70):
-        # About 90 s and 150 MiB on a 2-core machine.
+        # About 20 s and 145 MiB on a 2-core machine.
         result = search_dso(paths70, 16)
         sizes, digest = _round_pins(result)
         counts = [32768] * 7 + [32762, 32761, 32680, 32612, 31662, 31098, 26323, 22546, 6678, 2764]
