@@ -45,7 +45,7 @@ import numpy as np
 from .bound import DistanceSpectrum
 from .errors import InvalidCrcError
 from .gf2 import Crc
-from .reconstructor import TBPathSet
+from .reconstructor import TBPathSet, _count_dtype
 
 __all__ = [
     "EliminationRound",
@@ -59,6 +59,8 @@ __all__ = [
 _MAX_DEGREE = 31
 # The most residues a search round holds at once: 4 MiB of uint32.
 _CELLS = 1 << 20
+# Bases per block of the shift-first fold's bit-length scan and shifts.
+_BLOCK = 1 << 12
 
 
 def candidate_list(m: int) -> list[int]:
@@ -94,7 +96,9 @@ class _Crcs(NamedTuple):
 def _times_x(res: np.ndarray, polys: np.ndarray, degree: int) -> None:
     """res = x * res mod p, in place, for residues of degree below p's."""
     res <<= np.uint32(1)
-    res ^= (res >> degree) * polys
+    top = res >> degree
+    top *= polys
+    res ^= top
 
 
 def _residue_tables(crcs: Sequence[int], degree: int, width: int) -> _Crcs:
@@ -141,19 +145,38 @@ class _Bases(NamedTuple):
 
 def _shift_left(limbs: np.ndarray, shift: np.ndarray) -> None:
     """limbs <<= shift row by row, in place, on rows of little-endian uint64
-    limbs, for shifts below the row's width."""
+    limbs, for shifts below the row's width, _BLOCK rows at a time."""
     width = limbs.shape[1]
     whole = shift >> 6
     for w in range(1, width):
         rows = np.flatnonzero(whole == w)
         limbs[rows, w:] = limbs[rows, : width - w]
         limbs[rows, :w] = 0
-    bits = (shift & 63).astype(np.uint64)[:, None]
-    # The carry from the limb below is w >> (64 - bits), in two steps, as
-    # numpy leaves a shift by 64 undefined; both give 0 at bits = 0.
-    carry = (limbs[:, :-1] >> np.uint64(1)) >> (np.uint64(63) - bits)
-    limbs <<= bits
-    limbs[:, 1:] |= carry
+    for lo in range(0, len(limbs), _BLOCK):
+        block = limbs[lo : lo + _BLOCK]
+        bits = (shift[lo : lo + _BLOCK] & 63).astype(np.uint64)[:, None]
+        # The carry from the limb below is w >> (64 - bits), in two steps, as
+        # numpy leaves a shift by 64 undefined; both give 0 at bits = 0.
+        carry = (block[:, :-1] >> np.uint64(1)) >> (np.uint64(63) - bits)
+        block <<= bits
+        block[:, 1:] |= carry
+
+
+def _bit_lengths(bases: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """The bit length of each base word, 0 for the zero word.
+
+    float64 holds each 32-bit half of a limb exactly, and its exponent is
+    the half's bit length; the halves are read one column of _BLOCK rows
+    at a time.
+    """
+    length = np.zeros(len(bases), dtype=dtype)
+    halves = bases.view(np.uint32)
+    for lo in range(0, len(bases), _BLOCK):
+        out = length[lo : lo + _BLOCK]
+        for j, half in enumerate(halves[lo : lo + _BLOCK].T):
+            exponent = np.frexp(half.astype(np.float64))[1]
+            np.copyto(out, exponent + 32 * j, where=exponent > 0)
+    return length
 
 
 def _by_rotation_count(paths: TBPathSet) -> _Bases:
@@ -162,20 +185,21 @@ def _by_rotation_count(paths: TBPathSet) -> _Bases:
     A base b with t zero bits at the top is shifted up by
     s = min(t, count - 1), in place on the sorted copy; rotation 0 of
     x^s * b stands for s + 1 rotations, and count - s rotations are left.
+    Beyond the path set, the sorted copy of the base words, the sort order
+    (one index per base) and _BLOCK rows of scratch are held at once; the
+    counts, shifts and firsts are in _count_dtype(N).
     """
-    length = np.zeros(len(paths.bases), dtype=np.int64)  # bit length of each base
-    for j, limb in enumerate(paths.bases.T):
-        # float64 holds each 32-bit half exactly; its exponent is the bit length.
-        for low, half in ((64 * j, limb & np.uint64(0xFFFFFFFF)), (64 * j + 32, limb >> np.uint64(32))):
-            np.copyto(length, np.frexp(half.astype(np.float64))[1] + low, where=half != 0)
-    shift = np.minimum(paths.N - length, paths.counts - 1)
-    counts = paths.counts - shift
+    N = paths.N
+    counts = paths.counts.astype(_count_dtype(N))
+    shift = np.minimum(N - _bit_lengths(paths.bases, counts.dtype), counts - 1)
+    counts -= shift
     order = np.argsort(-counts, kind="stable")
     limbs = paths.bases[order]
-    shift = shift[order]
+    shift, counts, weights = shift[order], counts[order], paths.base_weights[order]
+    del order
     _shift_left(limbs, shift)
-    data = limbs.view(np.uint8)[:, : (paths.N + 7) // 8]
-    return _Bases(data, counts[order], shift + 1, paths.base_weights[order])
+    data = limbs.view(np.uint8)[:, : (N + 7) // 8]
+    return _Bases(data, counts, shift + 1, weights)
 
 
 def _rotation_residues(
@@ -227,12 +251,14 @@ def _undetected_counts(bases: _Bases, N: int, crcs: _Crcs) -> np.ndarray:
 
 
 def _spectrum(paths: TBPathSet, bases: _Bases, crc: int, tables: _Crcs) -> DistanceSpectrum:
-    """Each base's count of rotations the CRC divides, summed by weight."""
-    hits = np.zeros(len(bases.counts), dtype=np.int64)
+    """The rotations the CRC divides, counted by weight from the indices of their zero residues."""
+    hist = np.zeros(paths.d_tilde, dtype=np.int64)
     for r, res in enumerate(_rotation_residues(bases.data, bases.counts, paths.N, tables)):
-        hits[: len(res)] += (res[:, 0] == 0) * (bases.first if r == 0 else 1)
-    hist = np.bincount(bases.weights, weights=hits, minlength=paths.d_tilde)
-    return DistanceSpectrum(crc, paths.N, paths.d_tilde, tuple(int(c) for c in hist[: paths.d_tilde]))
+        rows = np.flatnonzero(res[:, 0] == 0)
+        # Rotation 0 counts with its multiplicity.
+        weights = bases.first[rows] if r == 0 else None
+        hist += np.bincount(bases.weights[rows], weights, paths.d_tilde).astype(np.int64)
+    return DistanceSpectrum(crc, paths.N, paths.d_tilde, tuple(int(c) for c in hist))
 
 
 def undetected_spectrum(paths: TBPathSet, crc: int) -> DistanceSpectrum:

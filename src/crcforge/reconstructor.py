@@ -58,6 +58,12 @@ __all__ = [
     "growth_profile",
 ]
 
+# uint64 limbs per block of the necklace guard's N - 1 rotations (256 KiB):
+# one block's rotating copy and scratch rows are held, not the path set's.
+# A block stays in cache, so the guard at (13,17) N=70 d_tilde=22 took
+# 0.85 s where rotating every base at once took 1.55 s (2-core host).
+_BLOCK = 1 << 15
+
 
 def _skeletons(
     db: IEEDatabase, d_tilde: int, targets: Sequence[int]
@@ -199,22 +205,40 @@ def build_tables(db: IEEDatabase, N: int, d_tilde: int) -> ReconstructionTables:
     return ReconstructionTables(db, N, d_tilde, *_skeletons(db, d_tilde, [N]))
 
 
+def _count_dtype(N: int) -> np.dtype:
+    """The narrowest signed integer type that holds -N..N.
+
+    Every per-base column bounded by the length (rotation counts, necklace
+    offsets, periods and arc starts, bit lengths and shifts) is held in it.
+    It is signed so that a difference of two such values, or a count
+    stepped by one, cannot wrap.
+    """
+    return np.min_scalar_type(-N - 1)
+
+
 def _rotate(words: np.ndarray, N: int, spare: np.ndarray) -> None:
     """Rotate every N-bit word one step later in time, in place.
 
     words holds one contiguous row per uint64 limb, low limb first, one
     column per word; each word becomes (w << 1) | (w >> (N-1)). spare is
-    a scratch row of the same length.
+    a scratch row of the same length and the only one used: each limb
+    first turns one place within itself (the top limb within its own
+    N - 64*top bits), which puts its top bit in bit 0, and then bit 0 of
+    every limb moves one limb up, the top limb's round to limb 0.
     """
     top = len(words) - 1
-    np.right_shift(words[top], (N - 1) % 64, out=spare)  # bit N-1, the wrap
-    for i in range(top, 0, -1):
-        np.left_shift(words[i], 1, out=words[i])
-        words[i] |= words[i - 1] >> np.uint64(63)
-    np.left_shift(words[0], 1, out=words[0])
-    words[0] |= spare
+    for i, row in enumerate(words):
+        np.right_shift(row, (N - 1) % 64 if i == top else 63, out=spare)
+        np.left_shift(row, 1, out=row)
+        row |= spare
     if N % 64:
         words[top] &= np.uint64((1 << (N % 64)) - 1)
+    for i in range(top, 0, -1):
+        # Swap bit 0 of limbs i and i - 1.
+        np.bitwise_xor(words[i], words[i - 1], out=spare)
+        spare &= np.uint64(1)
+        words[i] ^= spare
+        words[i - 1] ^= spare
 
 
 def _necklaces(bases: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -224,33 +248,41 @@ def _necklaces(bases: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray, np.nd
     period p, the least p > 0 with rot^p(b) == b, divides N, and the least
     rotation comes round N/p times in N steps; so k < p. The least
     rotations come back one row per limb, low limb first (shape
-    (limbs, bases)); bases itself is left as it is.
+    (limbs, bases)); k and p in _count_dtype(N); bases itself is left as
+    it is. The N - 1 rotations run over _BLOCK limbs of bases at a time,
+    so beyond the output only one block's rotating copy and scratch rows
+    are held.
     """
-    cur = bases.T.copy()
-    least = cur.copy()
-    top = len(cur) - 1
-    offset = np.zeros(len(bases), dtype=np.int64)
-    repeats = np.ones(len(bases), dtype=np.int64)
-    spare = np.empty(len(bases), dtype=np.uint64)
-    less = np.empty(len(bases), dtype=bool)
-    same = np.empty(len(bases), dtype=bool)
-    step = np.empty(len(bases), dtype=bool)
-    for r in range(1, N):
-        _rotate(cur, N, spare)
-        # less, same: cur < least, cur == least, the high limb deciding first.
-        np.less(cur[top], least[top], out=less)
-        np.equal(cur[top], least[top], out=same)
-        for i in range(top - 1, -1, -1):
-            np.less(cur[i], least[i], out=step)
-            step &= same
-            less |= step
-            np.equal(cur[i], least[i], out=step)
-            same &= step
-        np.copyto(least, cur, where=less)
-        np.copyto(offset, r, where=less)
-        repeats += same
-        np.copyto(repeats, 1, where=less)
-    return least, offset, N // repeats
+    limbs = bases.shape[1]
+    top = limbs - 1
+    least = np.empty((limbs, len(bases)), dtype=np.uint64)
+    offset = np.zeros(len(bases), dtype=_count_dtype(N))
+    repeats = np.ones(len(bases), dtype=offset.dtype)
+    rows = max(1, min(len(bases), _BLOCK // limbs))
+    scratch = (np.empty((limbs, rows), dtype=np.uint64), np.empty(rows, dtype=np.uint64),
+               *(np.empty(rows, dtype=bool) for _ in range(3)))
+    for lo in range(0, len(bases), rows):
+        hi = min(lo + rows, len(bases))
+        cur, spare, less, same, step = (a[..., : hi - lo] for a in scratch)
+        low, k, repeat = least[:, lo:hi], offset[lo:hi], repeats[lo:hi]
+        cur[...] = bases[lo:hi].T
+        low[...] = cur
+        for r in range(1, N):
+            _rotate(cur, N, spare)
+            # less, same: cur < low, cur == low, the high limb deciding first.
+            np.less(cur[top], low[top], out=less)
+            np.equal(cur[top], low[top], out=same)
+            for i in range(top - 1, -1, -1):
+                np.less(cur[i], low[i], out=step)
+                step &= same
+                less |= step
+                np.equal(cur[i], low[i], out=step)
+                same &= step
+            np.copyto(low, cur, where=less)
+            np.copyto(k, r, where=less)
+            repeat += same
+            np.copyto(repeat, 1, where=less)
+    return least, offset, np.floor_divide(N, repeats, out=repeats)
 
 
 def _overlapping_arcs(bases: np.ndarray, counts: np.ndarray, N: int) -> int:
@@ -262,23 +294,32 @@ def _overlapping_arcs(bases: np.ndarray, counts: np.ndarray, N: int) -> int:
     all rows are distinct iff, with the arcs of each necklace sorted by
     start, every arc ends no later than the next one starts (the last
     against the first, one turn later). A lone arc must then fit in p.
+
+    Beyond the bases, the least rotations (one copy of the base words),
+    the sort order (one index per base) and one limb row are held at once;
+    the starts, periods and rooms are in _count_dtype(N).
     """
     if len(bases) == 0:
         return 0
     least, offset, period = _necklaces(bases, N)
-    start = -offset % period
+    start = (period - offset) % period
     order = np.lexsort((start, *least))
-    least, start, period = least[:, order], start[order], period[order]
-    end = start + counts[order]
+    for row in least:
+        row[...] = row[order]
+    start, period, counts = start[order], period[order], counts[order]
+    del order
     # new[i]: arc i opens its necklace's run, new[i + 1]: arc i closes it.
-    new = np.ones(len(order) + 1, dtype=bool)
-    new[1:-1] = (least[:, 1:] != least[:, :-1]).any(axis=0)
-    first = np.maximum.accumulate(np.where(new[:-1], np.arange(len(order)), 0))
-    nxt = np.empty_like(start)
-    nxt[:-1] = start[1:]
-    last = new[1:]
-    nxt[last] = start[first[last]] + period[last]
-    return int(np.count_nonzero(end > nxt))
+    new = np.ones(len(start) + 1, dtype=bool)
+    np.not_equal(least[0, 1:], least[0, :-1], out=new[1:-1])
+    for row in least[1:]:
+        new[1:-1] |= row[1:] != row[:-1]
+    del least
+    # room[i]: how far arc i may run, to the next start or one turn round to the first.
+    room = np.empty_like(start)
+    np.subtract(start[1:], start[:-1], out=room[:-1])
+    last = np.flatnonzero(new[1:])
+    room[last] = start[np.flatnonzero(new[:-1])] + period[last] - start[last]
+    return int(np.count_nonzero(counts > room))
 
 
 @dataclass(eq=False)
@@ -291,6 +332,11 @@ class TBPathSet:
     base_weights[b]. The bases of the partition class of ordering[i] are
     rows offsets[i]:offsets[i+1], as its events are in IEEDatabase. The
     paths of all bases are distinct.
+
+    Only the base words are held at full width: counts is in the narrowest
+    signed type that holds N (_count_dtype), base_weights in the narrowest
+    unsigned type that holds d_tilde - 1, so at N < 128 and d_tilde <= 256
+    a base costs 8 bytes per limb and 2 more.
     """
 
     N: int
@@ -379,8 +425,8 @@ def _build_bases(tables: ReconstructionTables) -> TBPathSet:
         sizes[members] = len(comp)
     first = np.cumsum(sizes) - sizes
     bases = np.empty((int(sizes.sum()), limbs), dtype=np.uint64)
-    counts = np.empty(len(bases), dtype=np.int64)
-    weights = np.repeat(tables.weights.astype(np.uint32), sizes)
+    counts = np.empty(len(bases), dtype=_count_dtype(N))
+    weights = np.repeat(tables.weights.astype(np.min_scalar_type(tables.d_tilde - 1)), sizes)
 
     for members, comp in zip(groups, comps):
         sk_events = tables.skeletons[members, : comp.shape[1]]

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from typing import NamedTuple
 
 import pytest
@@ -26,6 +27,22 @@ def rotations(bases, counts, N):
         for _ in range(count):
             yield word
             word = ((word << 1) | (word >> (N - 1))) & mask
+
+
+def traced_growth(fn, *args):
+    """fn(*args), and the most memory it held at once beyond what was live
+    when it started, as Python and numpy report allocations to tracemalloc."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def rate_half_codes(max_v):

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from conftest import rotations
+from conftest import rotations, traced_growth
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -106,6 +106,18 @@ class TestUndetectedSpectrum:
         mask = _residues(packed, tables)[:, 0] == 0
         assert mask.tolist() == [_divmod(w, crc)[1] == 0 for w in words]
         assert mask[:40].all()
+
+    def test_working_memory_at_n70(self, paths70):
+        # Beyond the path set the spectrum holds the base words sorted by
+        # rotation count, and while it sorts them the int64 order (half the
+        # words at N=70's two limbs); then one uint32 residue per base and
+        # its temporaries. The counts, shifts and weights are one byte per
+        # base and the bit lengths and shifts run in blocks, so 2.0 times
+        # the words is measured; 5.5 times when those columns were int64 or
+        # float64 over every base at once.
+        spectrum, growth = traced_growth(undetected_spectrum, paths70, 0x63)
+        assert spectrum.nonzero() == GOLDEN_63
+        assert growth <= 2.5 * paths70.bases.nbytes
 
     def test_parity_factor_kills_odd_distances(self, code):
         # Generators of odd+even tap weight preserve input parity, so any
@@ -217,6 +229,10 @@ class TestShiftFirst:
     # left), and a shift of 70 with 30 rotations left to step.
     @example(_path_set(129, 3, [(1, 129, 1), (0b1011 << 55, 100, 2), (1 << 128, 129, 2)]), 4)
     @example(_path_set(140, 2, [(1 << 70, 140, 1), (0b11, 70, 1)]), 5)
+    # Both sides of a count type's limit: shifts of 254 and 255 past 128,
+    # and counts of N whether all of them fold into rotation 0 or none do.
+    @example(_path_set(255, 3, [(1, 255, 1), (1 << 100, 255, 2), (1 << 254, 255, 2)]), 3)
+    @example(_path_set(256, 3, [(1, 256, 2), (0b1011 << 60, 200, 1), (1 << 255, 256, 1)]), 4)
     def test_counts_and_spectrum_match_every_rotation(self, paths, m):
         rows, weights = _rows(paths)
         bases = designer._by_rotation_count(paths)
@@ -288,10 +304,13 @@ class TestSearch:
 
     @pytest.mark.parametrize("cells", [1, 7])
     def test_small_base_blocks_change_nothing(self, paths12, paths70, monkeypatch, cells):
-        # One-row blocks, and ragged last blocks once few candidates are left.
+        # One-row blocks, and ragged last blocks once few candidates are left;
+        # the shift-first fold's bit lengths and shifts in blocks of 1,000
+        # bases, the last of paths70's blocks short.
         cases = [(paths12, m) for m in range(3, 7)] + [(paths70, 6)]
         defaults = [search_dso(paths, m) for paths, m in cases]
         monkeypatch.setattr(designer, "_CELLS", cells)
+        monkeypatch.setattr(designer, "_BLOCK", 1000)
         for (paths, m), default in zip(cases, defaults):
             result = _check_against_exhaustive(paths, m)
             assert (result.rounds, result.survivors, result.spectrum) == (

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from conftest import event_list, path_words, rate_half_codes, rotations, state_classes
+from conftest import event_list, path_words, rate_half_codes, rotations, state_classes, traced_growth
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -429,7 +429,7 @@ class TestArcGuard:
                 stretched[b] = period[b] + 1
                 assert reconstructor._overlapping_arcs(paths.bases, stretched, N) > 0
 
-    @pytest.mark.parametrize("N", [1, 2, 4, 5, 6, 11, 63, 64, 65, 128, 129])
+    @pytest.mark.parametrize("N", [1, 2, 4, 5, 6, 11, 63, 64, 65, 127, 128, 129, 255, 256, 257])
     def test_necklaces_against_int_rotations(self, N):
         # Random words, words of every period dividing N, and the zero and
         # all-ones words, each against its N rotations as Python ints.
@@ -438,6 +438,30 @@ class TestArcGuard:
         for p in (p for p in range(1, N) if N % p == 0):
             words += [rng.getrandbits(p) * ((1 << N) - 1) // ((1 << p) - 1) for _ in range(4)]
         _check_necklaces(words, N)
+
+    def test_working_memory_at_n70(self, paths70):
+        # Beyond the path set the guard holds the least rotations (one copy
+        # of the base words), the lexsort's int64 order (half the words at
+        # N=70's two limbs) and, while it puts the sorted rotations back one
+        # limb at a time, one limb row: twice the words. The offsets,
+        # periods and starts are one byte per base and the rotations run
+        # in blocks, so 2.2 times is measured; 5.5 times when those
+        # columns were int64 and every base rotated at once.
+        overlaps, growth = traced_growth(reconstructor._overlapping_arcs, paths70.bases, paths70.counts, 70)
+        assert overlaps == 0
+        assert growth <= 2.5 * paths70.bases.nbytes
+
+    @pytest.mark.parametrize("N", [1, 64, 65, 130])
+    def test_blocks_change_nothing(self, monkeypatch, N):
+        # Blocks of one and of three bases, the last one short, give the
+        # necklaces of one block holding every base.
+        rng = random.Random(N)
+        bases = _limb_rows([rng.getrandbits(N) for _ in range(9)] + [0, (1 << N) - 1], N)
+        whole = reconstructor._necklaces(bases, N)
+        for limbs in (1, 3):
+            monkeypatch.setattr(reconstructor, "_BLOCK", limbs * bases.shape[1])
+            for got, expect in zip(reconstructor._necklaces(bases, N), whole):
+                assert np.array_equal(got, expect)
 
     def test_raises_through_expansion(self, db7, monkeypatch):
         # Every rotation count stretched by one between the build and the guard.
