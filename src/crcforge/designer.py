@@ -13,9 +13,11 @@ word's residue in two XOR folds per byte column, and the linear rule
 steps every base to its next rotation at once. With the bases sorted by
 rotation count, the ones still rotating at any step are a prefix, and a
 matrix of (bases, candidates) residues advances all candidates together.
-The search feeds that matrix one slice of bases at a time, of at most
-_CELLS residues (one row when more candidates survive), so beyond the
-tables its memory grows neither with 2^m nor with the path set.
+Each residue is held in the narrowest unsigned type that holds a degree-m
+residue (uint8 up to m=8, uint16 up to 16, uint32 up to 31), tables
+included. The search feeds that matrix one slice of bases at a time, of
+at most _CELLS residues (one row when more candidates survive), so beyond
+the tables its memory grows neither with 2^m nor with the path set.
 
 Most rotations are scored without the recurrence. Take a base b whose t top
 bits (bits N-1 down to N-t) are zero. Its rotations r = 0..t are x^r * b,
@@ -29,7 +31,11 @@ d_tilde=18 that is 16% of the rotations: at most 23 steps per base, not 69.
 The design search is the distance-ordered elimination of Lou, Daneshrad
 and Wesel: at d = 1, 2, ... it screens the surviving candidates on the
 weight-d bases only and keeps those with the fewest undetected paths,
-stopping once one survivor is left or d reaches d_tilde. Only a unique
+stopping once one survivor is left or d reaches d_tilde. A round longer
+than one slice is pruned: a candidate counted over every row bounds the
+least count C*, and A_d only grows as rows are added, so a candidate
+whose count over part of the rows is already above that bound is dropped
+before the rest. Only a unique
 winner's full spectrum is computed: a tie lasts through every d below
 d_tilde, so each tied survivor's A_d is round d's C*. Everything runs on
 one thread.
@@ -37,6 +43,7 @@ one thread.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -55,9 +62,10 @@ __all__ = [
     "search_dso",
 ]
 
-# Residues are held in uint32 table entries.
+# The widest lane is uint32, which holds residues up to degree 31.
 _MAX_DEGREE = 31
-# The most residues a search round holds at once: 4 MiB of uint32.
+# The most residues a search round holds at once: 1, 2 or 4 MiB as the
+# lane is 8, 16 or 32 bits wide.
 _CELLS = 1 << 20
 # Bases per block of the shift-first fold's bit-length scan and shifts.
 _BLOCK = 1 << 12
@@ -85,18 +93,40 @@ def _check_crc(crc: int) -> None:
 class _Crcs(NamedTuple):
     """CRC generators of one degree as arrays, one entry per CRC on the last axis."""
 
-    polys: np.ndarray  # packed coefficient bits
+    polys: np.ndarray  # coefficient bits, truncated to the lane
     degree: int
     tables: np.ndarray  # (2 * width, 16, crcs): tables[k][b] = (b(x) * x^(4k)) mod p
 
     def pick(self, idx) -> "_Crcs":
-        return _Crcs(self.polys[idx], self.degree, np.take(self.tables, idx, axis=-1))
+        """The CRCs idx, with their tables packed in place into the front of
+        these tables' buffer, which is spent.
+
+        Packed table k ends before table k + 1 of these begins, and each
+        table is gathered before it is written, so none is overwritten
+        before it is read. Tables that fill at most half of the buffer are
+        copied out instead, and the buffer is freed: a search holds at most
+        one and a half buffers of tables, and at most twice the tables of
+        its survivors.
+        """
+        shape = (*self.tables.shape[:-1], len(idx))
+        buffer = self.tables if self.tables.base is None else self.tables.base
+        if 2 * math.prod(shape) <= buffer.size:
+            return _Crcs(self.polys[idx], self.degree, np.take(self.tables, idx, axis=-1))
+        packed = self.tables.reshape(-1)[: math.prod(shape)].reshape(shape)
+        for k, table in enumerate(self.tables):
+            packed[k] = table[:, idx]
+        return _Crcs(self.polys[idx], self.degree, packed)
 
 
 def _times_x(res: np.ndarray, polys: np.ndarray, degree: int) -> None:
-    """res = x * res mod p, in place, for residues of degree below p's."""
-    res <<= np.uint32(1)
-    top = res >> degree
+    """res = x * res mod p, in place, for residues of degree below p's.
+
+    polys are truncated to the residues' lane. The top bit is read before
+    the shift, which drops bit `degree` when the degree fills the lane; the
+    XOR clears it otherwise.
+    """
+    top = res >> (degree - 1)
+    res <<= 1
     top *= polys
     res ^= top
 
@@ -108,13 +138,15 @@ def _residue_tables(crcs: Sequence[int], degree: int, width: int) -> _Crcs:
     the set bits j of the nibble b: 8 * width shift-reduce steps, taken for
     all CRCs at once, and 4 doubling steps build every table.
     """
-    polys = np.array(crcs, dtype=np.uint32)
-    powers = np.empty((8 * width, len(polys)), dtype=np.uint32)
-    r = np.ones(len(polys), dtype=np.uint32)
+    # The lane: the narrowest unsigned type that holds a degree-`degree` residue.
+    lane = np.min_scalar_type((1 << degree) - 1)
+    polys = np.array(crcs, dtype=np.uint64).astype(lane)
+    powers = np.empty((8 * width, len(polys)), dtype=lane)
+    r = np.ones(len(polys), dtype=lane)
     for i in range(8 * width):
         powers[i] = r
         _times_x(r, polys, degree)
-    tables = np.zeros((2 * width, 16, len(polys)), dtype=np.uint32)
+    tables = np.zeros((2 * width, 16, len(polys)), dtype=lane)
     for j in range(4):
         tables[:, 1 << j : 2 << j] = tables[:, : 1 << j] ^ powers[j::4, None]
     return _Crcs(polys, degree, tables)
@@ -122,7 +154,7 @@ def _residue_tables(crcs: Sequence[int], degree: int, width: int) -> _Crcs:
 
 def _residues(data: np.ndarray, tables: np.ndarray) -> np.ndarray:
     """res[row, i] = (word of the row) mod crc i, for little-endian byte rows."""
-    out = np.zeros((len(data), tables.shape[2]), dtype=np.uint32)
+    out = np.zeros((len(data), tables.shape[2]), dtype=tables.dtype)
     for k in range(data.shape[1]):
         out ^= tables[2 * k][data[:, k] & 15]
         out ^= tables[2 * k + 1][data[:, k] >> 4]
@@ -216,7 +248,7 @@ def _rotation_residues(
     # (x^N + 1) mod p: one step on from x^(N-1) mod p, a table entry.
     wrap = crcs.tables[(N - 1) >> 2, 1 << ((N - 1) & 3)].copy()
     _times_x(wrap, crcs.polys, crcs.degree)
-    wrap ^= np.uint32(1)
+    wrap ^= 1
     res = _residues(data, crcs.tables)
     live = np.searchsorted(-counts, -np.arange(int(counts.max(initial=0))))
     for r, n in enumerate(live):
@@ -239,14 +271,12 @@ def _undetected_counts(bases: _Bases, N: int, crcs: _Crcs) -> np.ndarray:
     values = np.zeros(len(crcs.polys), dtype=np.int64)
     for lo in range(0, len(bases.counts), step):
         block = slice(lo, lo + step)
+        first = bases.first[block]
         for r, res in enumerate(_rotation_residues(bases.data[block], bases.counts[block], N, crcs)):
-            if r:
-                values += np.count_nonzero(res == 0, axis=0)
-            else:
-                # Rotation 0 counts with its multiplicity. Zeros are rare
-                # (about 2^-m), so they are weighted from their indices.
-                rows, cols = np.nonzero(res == 0)
-                values += np.bincount(cols, bases.first[block][rows], len(crcs.polys)).astype(np.int64)
+            # Zeros are rare (about 2^-m), so they are counted from their
+            # flat indices; rotation 0 counts with its multiplicity.
+            rows, cols = np.divmod(np.flatnonzero(res == 0), len(crcs.polys))
+            values += np.bincount(cols, first[rows] if r == 0 else None, len(crcs.polys)).astype(np.int64)
     return values
 
 
@@ -302,9 +332,22 @@ def search_dso(paths: TBPathSet, m: int, threads: int = 1) -> DsoSearchResult:
     silently; each tied survivor's A_d is round d's c_star. Only a unique
     winner's spectrum is counted in full. ``threads`` is accepted for
     compatibility and ignored; the search runs on one thread.
+
+    A round that fits one block of _CELLS // survivors rows is counted
+    whole. A longer one is pruned. Before each later block, the survivor
+    with the least running count not yet counted in full is counted over
+    the rows left, while that running count is below U, the least full
+    count so far; U bounds C* from above. One such count is not enough:
+    most survivors share the first block's least count, and the first of
+    them (x^m + 1 and its neighbours) can count far above C*, 187 where C*
+    is 0 in round 16 of the degree-16 screen at (13,17) N=70. Counts only
+    grow as rows are added, so a survivor whose running count is above U
+    is out. Once the residues the survivors that are out would still take
+    fill a block, they are dropped, tables included, and the rows left are
+    re-blocked at _CELLS // survivors.
     """
-    crcs = candidate_list(m)
-    tables = _residue_tables(crcs, m, (paths.N + 7) // 8)
+    crcs, width = candidate_list(m), (paths.N + 7) // 8
+    tables = _residue_tables(crcs, m, width)
     bases = _by_rotation_count(paths)
     alive = np.arange(len(crcs))  # survivors, with their tables in `tables`
     hexes = np.array([hex(c) for c in crcs], dtype=object)
@@ -312,10 +355,28 @@ def search_dso(paths: TBPathSet, m: int, threads: int = 1) -> DsoSearchResult:
     for d in range(1, paths.d_tilde):
         if len(alive) == 1:
             break
-        values = _undetected_counts(bases.select(bases.weights == d), paths.N, tables)
+        rows = bases.select(bases.weights == d)
+        step = max(1, _CELLS // len(alive))
+        values = _undetected_counts(rows.select(slice(0, step)), paths.N, tables)
+        bound, counted = np.iinfo(np.int64).max, np.zeros(len(alive), dtype=bool)
+        lo = step
+        while lo < len(rows.counts):
+            running = np.where(counted, bound, values)
+            lead = int(np.argmin(running))
+            if running[lead] < bound:
+                counted[lead] = True
+                lead_tables = _residue_tables([crcs[alive[lead]]], m, width)
+                rest = _undetected_counts(rows.select(slice(lo, None)), paths.N, lead_tables)
+                bound = min(bound, int(values[lead] + rest[0]))
+            keep = np.flatnonzero(values <= bound)
+            if (len(alive) - len(keep)) * (len(rows.counts) - lo) >= _CELLS:
+                alive, values, counted, tables = alive[keep], values[keep], counted[keep], tables.pick(keep)
+            step = max(1, _CELLS // len(alive))
+            values += _undetected_counts(rows.select(slice(lo, lo + step)), paths.N, tables)
+            lo += step
         c_star = int(values.min())
-        if (values > c_star).any():
-            keep = np.flatnonzero(values == c_star)
+        keep = np.flatnonzero(values == c_star)
+        if len(keep) < len(alive):
             alive, tables = alive[keep], tables.pick(keep)
         rounds.append(EliminationRound(d, c_star, tuple(hexes[alive])))
     survivors = tuple(Crc(crcs[i]) for i in alive)

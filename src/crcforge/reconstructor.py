@@ -98,36 +98,54 @@ def _skeletons(
 
     # The events kept pass the bound as one-event prefixes; in file order,
     # they sort by (place, weight).
-    allow = (d_tilde - best).astype(db.weights.dtype).ravel()
-    keep = db.weights < allow[cell]
+    room = (d_tilde - best).astype(db.weights.dtype)
+    keep = db.weights < room.ravel()[cell]
     del cell
     keep &= db.weights > 0
     rows = np.flatnonzero(keep)
+    # Columns in the narrowest types that cannot wrap. A kept event is no
+    # longer than l_max and lighter than d_tilde, and so is a kept prefix,
+    # so a child is shorter than 2 * l_max and lighter than 2 * d_tilde.
+    pos_t, length_t = np.min_scalar_type(len(rows)), np.min_scalar_type(2 * l_max)
+    place_t, weight_t = np.min_scalar_type(places - 1), np.min_scalar_type(2 * d_tilde)
     ev_place = np.searchsorted(db.offsets, rows, side="right") - 1
-    ev_weight, ev_length = db.weights[rows].astype(np.int64), db.lengths[rows].astype(np.int64)
-    # A prefix's children are its place's events under its remaining budget: a run of ev_key.
+    ev_weight, ev_length = db.weights[rows].astype(weight_t), db.lengths[rows].astype(length_t)
+    # A prefix's children are its place's events under its remaining budget:
+    # a run of ev_key, which ends before ends[place] - weight.
     ev_key = ev_place * d_tilde + ev_weight
+    ends = np.arange(1, places + 1) * d_tilde
     first = np.searchsorted(ev_place, np.arange(places))
+    del ev_place
 
     # One block per event count: positions into the kept events, then
     # place, length and weight, one row per skeleton. The search starts
     # from every place's empty prefix, and its last block is empty.
     blocks = []
-    pos, place = np.zeros((places, 0), dtype=np.int64), np.arange(places)
-    length = weight = np.zeros(places, dtype=np.int64)
+    pos, place = np.zeros((places, 0), dtype=pos_t), np.arange(places, dtype=place_t)
+    length, weight = np.zeros(places, dtype=length_t), np.zeros(places, dtype=weight_t)
     while len(pos):
-        fits = np.searchsorted(ev_key, (place + 1) * d_tilde - weight) - first[place]
-        parent = np.repeat(np.arange(len(pos)), fits)
-        child = np.arange(len(parent)) - np.repeat(np.cumsum(fits) - fits - first[place], fits)
-        place, length, weight = place[parent], length[parent] + ev_length[child], weight[parent] + ev_weight[child]
-        keep = np.flatnonzero(weight + best[place, np.minimum(length, l_max + 1)] < d_tilde)
-        pos = np.column_stack((pos[parent[keep]], child[keep]))
-        place, length, weight = place[keep], length[keep], weight[keep]
+        fits = np.searchsorted(ev_key, ends[place] - weight) - first[place]
+        parent = np.repeat(np.arange(len(pos), dtype=np.min_scalar_type(len(pos))), fits)
+        child = np.arange(len(parent))
+        child -= np.repeat(np.cumsum(fits) - fits - first[place], fits)
+        child = child.astype(pos_t)
+        del fits
+        length, weight = length[parent] + ev_length[child], weight[parent] + ev_weight[child]
+        keep = np.flatnonzero(weight < room[place[parent], np.minimum(length, l_max + 1)])
+        parent, child = parent[keep], child[keep]
+        pos = np.column_stack((pos[parent], child))
+        place, length, weight = place[parent], length[keep], weight[keep]
+        del parent, child, keep
         blocks.append((pos, place, length, weight))
-    # Position len(rows), database row -1, pads each skeleton to the most events.
-    pad = [np.pad(p, ((0, 0), (0, len(blocks) - p.shape[1])), constant_values=len(rows)) for p, *_ in blocks]
-    events = np.append(rows, -1).astype(np.int32)[np.concatenate(pad)[:, :-1]]
+    # Database row -1 pads each skeleton to the most events. The last block,
+    # which is empty, is one event wider.
+    events = np.full((sum(len(p) for p, *_ in blocks), len(blocks) - 1), -1, dtype=np.int32)
+    lo = 0
+    for block, *_ in blocks[:-1]:
+        events[lo : lo + len(block), : block.shape[1]] = rows[block]
+        lo += len(block)
     place, length, weight = (np.concatenate(column) for column in list(zip(*blocks))[1:])
+    del blocks, rows, ev_key, ev_weight, ev_length
     order = np.lexsort((*events.T[::-1], length, weight, place))
     offsets = np.concatenate(([0], np.cumsum(np.bincount(place, minlength=places))))
     return zero, offsets, events[order], length[order], weight[order]
@@ -146,7 +164,8 @@ class ReconstructionTables:
     """The skeletons of every state for one (N, d_tilde) reconstruction run.
 
     The columns are in the database's layout: skeletons holds database
-    event rows, padded with -1, with lengths and weights alongside, and
+    event rows (int32), padded with -1, with lengths and weights in narrow
+    unsigned types alongside, and
     the skeletons of db.ordering[i] are rows offsets[i]:offsets[i + 1].
     zero is the place of state 0, which owns the zero loop. Iterating
     gives the states in the ordering, and tables[state] the state's rows.

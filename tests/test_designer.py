@@ -52,6 +52,11 @@ def paths12(db12):
     return expand_and_dedup(build_tables(db12, 12, 9), 12)
 
 
+@pytest.fixture(scope="module")
+def paths16(code):
+    return expand_and_dedup(build_tables(collect_iees(code, 12, 16), 16, 12), 16)
+
+
 class TestCandidates:
     def test_degree_six_count_and_ends(self):
         cands = candidate_list(6)
@@ -110,10 +115,11 @@ class TestUndetectedSpectrum:
     def test_working_memory_at_n70(self, paths70):
         # Beyond the path set the spectrum holds the base words sorted by
         # rotation count, and while it sorts them the int64 order (half the
-        # words at N=70's two limbs); then one uint32 residue per base and
-        # its temporaries. The counts, shifts and weights are one byte per
-        # base and the bit lengths and shifts run in blocks, so 2.0 times
-        # the words is measured; 5.5 times when those columns were int64 or
+        # words at N=70's two limbs); then one residue per base, a uint8 for
+        # 0x63's degree 6, and its temporaries. The counts, shifts and
+        # weights are one byte per base and the bit lengths and shifts run
+        # in blocks, so 1.8 times the words is measured; 2.0 times with
+        # uint32 residues, and 5.5 times when those columns were int64 or
         # float64 over every base at once.
         spectrum, growth = traced_growth(undetected_spectrum, paths70, 0x63)
         assert spectrum.nonzero() == GOLDEN_63
@@ -155,6 +161,30 @@ class TestRotationResidues:
                 for b, word in enumerate(words[:live]):
                     rotated = ((word << r) | (word >> (N - r))) & mask
                     assert res[b].tolist() == [_divmod(rotated, crc)[1]], (N, crc, r, b)
+            assert r == N - 1
+
+    @pytest.mark.parametrize("N", [4, 63, 64, 65, 70, 129])
+    def test_every_degree_in_its_lane(self, N):
+        # Every degree 1..31, both sides of 8 and 16 among them, in the
+        # narrowest lane that holds its residues. Per degree: the CRC with
+        # every tap set, whose top tap the lane drops at degrees 8 and 16,
+        # and a random one.
+        rng = random.Random(N)
+        mask = (1 << N) - 1
+        words = [1, 1 << (N - 1), mask] + [rng.getrandbits(N) for _ in range(4)]
+        counts = [N] * 3 + sorted((rng.randint(1, N) for _ in range(4)), reverse=True)
+        width = (N + 7) // 8
+        data = np.array([list(w.to_bytes(width, "little")) for w in words], dtype=np.uint8)
+        for degree in range(1, 32):
+            lane = np.uint8 if degree <= 8 else np.uint16 if degree <= 16 else np.uint32
+            crcs = [(2 << degree) - 1, (1 << degree) | rng.getrandbits(degree) | 1]
+            tables = _residue_tables(crcs, degree, width)
+            assert tables.polys.dtype == tables.tables.dtype == lane, degree
+            for r, res in enumerate(_rotation_residues(data, np.array(counts), N, tables)):
+                assert res.dtype == lane
+                for b, word in enumerate(words[: len(res)]):
+                    rotated = ((word << r) | (word >> (N - r))) & mask
+                    assert res[b].tolist() == [_divmod(rotated, crc)[1] for crc in crcs], (degree, r, b)
             assert r == N - 1
 
 
@@ -277,6 +307,25 @@ def _check_against_exhaustive(paths, m):
     return result
 
 
+def _loose_first_bounds(paths, m, result, cells):
+    """The rounds of result that span more than one block of cells // survivors
+    rows and whose first bound on C* is loose: the CRC with the fewest zeros
+    in the first block (the first such) counts above C* over the round."""
+    bases = designer._by_rotation_count(paths)
+    spectra = _exhaustive_spectra(paths, m)
+    alive, loose = tuple(spectra), []
+    for row in result.rounds:
+        rows = bases.select(bases.weights == row.d)
+        step = max(1, cells // len(alive))
+        if step < len(rows.counts):
+            tables = _residue_tables([int(h, 16) for h in alive], m, (paths.N + 7) // 8)
+            first = designer._undetected_counts(rows.select(slice(0, step)), paths.N, tables)
+            if spectra[alive[int(np.argmin(first))]].counts[row.d] > row.c_star:
+                loose.append((m, row.d))
+        alive = row.survivors_hex
+    return loose
+
+
 class TestSearch:
     def test_winner_is_lexicographic_argmin(self):
         # Every (N, d_tilde) of the oracle-equivalence criterion, m = 3 and 4.
@@ -302,20 +351,48 @@ class TestSearch:
         assert 1 < len(result.survivors) < len(candidate_list(m))
         assert [r.d for r in result.rounds] == list(range(1, d_tilde))
 
-    @pytest.mark.parametrize("cells", [1, 7])
-    def test_small_base_blocks_change_nothing(self, paths12, paths70, monkeypatch, cells):
+    @pytest.mark.parametrize("cells", [1, 7, 64])
+    def test_small_base_blocks_change_nothing(self, paths12, paths16, paths70, monkeypatch, cells):
         # One-row blocks, and ragged last blocks once few candidates are left;
         # the shift-first fold's bit lengths and shifts in blocks of 1,000
-        # bases, the last of paths70's blocks short.
-        cases = [(paths12, m) for m in range(3, 7)] + [(paths70, 6)]
+        # bases, the last of paths70's blocks short. A round that spans
+        # blocks is pruned, and in some of them, at every cells, the CRC
+        # counted first to bound C* counts above it. At N=16 some CRCs
+        # counted in full later already have zeros in the rows before, so
+        # a bound that left those out would drop the least.
+        cases = [(paths, m) for paths in (paths12, paths16) for m in range(3, 9)] + [(paths70, 6)]
         defaults = [search_dso(paths, m) for paths, m in cases]
         monkeypatch.setattr(designer, "_CELLS", cells)
         monkeypatch.setattr(designer, "_BLOCK", 1000)
+        loose = []
         for (paths, m), default in zip(cases, defaults):
             result = _check_against_exhaustive(paths, m)
             assert (result.rounds, result.survivors, result.spectrum) == (
                 default.rounds, default.survivors, default.spectrum
             ), m
+            loose += _loose_first_bounds(paths, m, result, cells)
+        assert loose
+
+    def test_pruned_rounds_skip_dropped_candidates(self, paths16, monkeypatch):
+        # In blocks of 64 residues every round of the degree-8 screen at N=16
+        # spans blocks, and a candidate dropped mid-round is not counted over
+        # the rest: 8,866 residues are taken, leads included, where the
+        # rounds' rows times the candidates entering them are 13,356. The
+        # bound is 70% of those.
+        bases = designer._by_rotation_count(paths16)
+        taken, count = [], designer._undetected_counts
+
+        def counting(rows, N, crcs):
+            taken.append(len(rows.counts) * len(crcs.polys))
+            return count(rows, N, crcs)
+
+        monkeypatch.setattr(designer, "_CELLS", 64)
+        monkeypatch.setattr(designer, "_undetected_counts", counting)
+        result = search_dso(paths16, 8)
+        entering = [len(candidate_list(8))] + [len(r.survivors_hex) for r in result.rounds[:-1]]
+        full = sum(n * np.count_nonzero(bases.weights == r.d) for n, r in zip(entering, result.rounds))
+        assert full == 13356
+        assert sum(taken) <= 0.7 * full
 
     def test_rounds_shrink_monotonically(self, paths12):
         result = search_dso(paths12, 4)
@@ -394,7 +471,7 @@ class TestHighDegreePins:
         assert result.spectrum.nonzero() == {16: 118}
 
     def test_degree_14_tie_and_rounds(self, paths70):
-        # About 2 s on a 2-core machine.
+        # Under 1 s on a 2-core machine.
         result = search_dso(paths70, 14)
         sizes, digest = _round_pins(result)
         counts = [8192] * 5 + [8190, 8190, 8183, 8175, 8098, 8042, 7267, 6736, 3494, 1879, 23, 2]
@@ -406,7 +483,7 @@ class TestHighDegreePins:
 
     @pytest.mark.extended
     def test_degree_16_tie_and_rounds(self, paths70):
-        # About 20 s and 145 MiB on a 2-core machine.
+        # About 10 s and 94 MiB on a 2-core machine.
         result = search_dso(paths70, 16)
         sizes, digest = _round_pins(result)
         counts = [32768] * 7 + [32762, 32761, 32680, 32612, 31662, 31098, 26323, 22546, 6678, 2764]
