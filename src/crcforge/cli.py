@@ -219,13 +219,9 @@ def cmd_bound(args) -> int:
 def cmd_growth(args) -> int:
     # A malformed range is refused before the load, which re-runs the collection.
     lengths = _parse_l_range(args.l_range)
-    # The reconstructor is imported before the load, so that the memory of
-    # compiling it, where no bytecode is cached, is not held on top of the
-    # loaded database's: 0.3 MiB of the memory-6 growth run's peak.
-    growth_profile = _cli.growth_profile
     db = _cli.load_database(args.iee)
     d_tilde = args.dtilde if args.dtilde is not None else db.d_tilde
-    profile = growth_profile(db, d_tilde, lengths)
+    profile = _cli.growth_profile(db, d_tilde, lengths)
     for l, count in profile:
         print(f"l={l} count={count}")
     if args.out:

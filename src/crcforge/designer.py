@@ -43,7 +43,6 @@ one thread.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -98,24 +97,7 @@ class _Crcs(NamedTuple):
     tables: np.ndarray  # (2 * width, 16, crcs): tables[k][b] = (b(x) * x^(4k)) mod p
 
     def pick(self, idx) -> "_Crcs":
-        """The CRCs idx, with their tables packed in place into the front of
-        these tables' buffer, which is spent.
-
-        Packed table k ends before table k + 1 of these begins, and each
-        table is gathered before it is written, so none is overwritten
-        before it is read. Tables that fill at most half of the buffer are
-        copied out instead, and the buffer is freed: a search holds at most
-        one and a half buffers of tables, and at most twice the tables of
-        its survivors.
-        """
-        shape = (*self.tables.shape[:-1], len(idx))
-        buffer = self.tables if self.tables.base is None else self.tables.base
-        if 2 * math.prod(shape) <= buffer.size:
-            return _Crcs(self.polys[idx], self.degree, np.take(self.tables, idx, axis=-1))
-        packed = self.tables.reshape(-1)[: math.prod(shape)].reshape(shape)
-        for k, table in enumerate(self.tables):
-            packed[k] = table[:, idx]
-        return _Crcs(self.polys[idx], self.degree, packed)
+        return _Crcs(self.polys[idx], self.degree, np.take(self.tables, idx, axis=-1))
 
 
 def _times_x(res: np.ndarray, polys: np.ndarray, degree: int) -> None:
@@ -346,8 +328,8 @@ def search_dso(paths: TBPathSet, m: int, threads: int = 1) -> DsoSearchResult:
     fill a block, they are dropped, tables included, and the rows left are
     re-blocked at _CELLS // survivors.
     """
-    crcs, width = candidate_list(m), (paths.N + 7) // 8
-    tables = _residue_tables(crcs, m, width)
+    crcs = candidate_list(m)
+    tables = _residue_tables(crcs, m, (paths.N + 7) // 8)
     bases = _by_rotation_count(paths)
     alive = np.arange(len(crcs))  # survivors, with their tables in `tables`
     hexes = np.array([hex(c) for c in crcs], dtype=object)
@@ -365,8 +347,7 @@ def search_dso(paths: TBPathSet, m: int, threads: int = 1) -> DsoSearchResult:
             lead = int(np.argmin(running))
             if running[lead] < bound:
                 counted[lead] = True
-                lead_tables = _residue_tables([crcs[alive[lead]]], m, width)
-                rest = _undetected_counts(rows.select(slice(lo, None)), paths.N, lead_tables)
+                rest = _undetected_counts(rows.select(slice(lo, None)), paths.N, tables.pick([lead]))
                 bound = min(bound, int(values[lead] + rest[0]))
             keep = np.flatnonzero(values <= bound)
             if (len(alive) - len(keep)) * (len(rows.counts) - lo) >= _CELLS:

@@ -148,7 +148,8 @@ def _skeletons(
     del blocks, rows, ev_key, ev_weight, ev_length
     order = np.lexsort((*events.T[::-1], length, weight, place))
     offsets = np.concatenate(([0], np.cumsum(np.bincount(place, minlength=places))))
-    return zero, offsets, events[order], length[order], weight[order]
+    # The returned lengths and weights are signed, so a caller's difference cannot wrap.
+    return zero, offsets, events[order], length[order].astype(np.int64), weight[order].astype(np.int64)
 
 
 class WeightLengthTable(NamedTuple):
@@ -164,9 +165,9 @@ class ReconstructionTables:
     """The skeletons of every state for one (N, d_tilde) reconstruction run.
 
     The columns are in the database's layout: skeletons holds database
-    event rows (int32), padded with -1, with lengths and weights in narrow
-    unsigned types alongside, and
-    the skeletons of db.ordering[i] are rows offsets[i]:offsets[i + 1].
+    event rows (int32), padded with -1, with lengths and weights (int64)
+    alongside, and the skeletons of db.ordering[i] are rows
+    offsets[i]:offsets[i + 1].
     zero is the place of state 0, which owns the zero loop. Iterating
     gives the states in the ordering, and tables[state] the state's rows.
     """

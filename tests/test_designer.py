@@ -483,7 +483,7 @@ class TestHighDegreePins:
 
     @pytest.mark.extended
     def test_degree_16_tie_and_rounds(self, paths70):
-        # About 10 s and 94 MiB on a 2-core machine.
+        # About 8 s and 97 MiB on a 2-core machine.
         result = search_dso(paths70, 16)
         sizes, digest = _round_pins(result)
         counts = [32768] * 7 + [32762, 32761, 32680, 32612, 31662, 31098, 26323, 22546, 6678, 2764]
