@@ -11,8 +11,9 @@ word's residue in two XOR folds per byte column, and the linear rule
     res(rot w) = (x * res(w) mod p) ^ w_{N-1} * ((x^N + 1) mod p)
 
 steps every base to its next rotation at once. With the bases sorted by
-rotation count, the ones still rotating at any step are a prefix, and a
-matrix of (bases, candidates) residues advances all candidates together.
+weight, then by rotations left, most first, each weight is a slice whose
+bases still rotating at any step are a prefix, and a matrix of (bases,
+candidates) residues advances all candidates together.
 Each residue is held in the narrowest unsigned type that holds a degree-m
 residue (uint8 up to m=8, uint16 up to 16, uint32 up to 31), tables
 included. The search feeds that matrix one slice of bases at a time, of
@@ -30,15 +31,14 @@ d_tilde=18 that is 16% of the rotations: at most 23 steps per base, not 69.
 
 The design search is the distance-ordered elimination of Lou, Daneshrad
 and Wesel: at d = 1, 2, ... it screens the surviving candidates on the
-weight-d bases only and keeps those with the fewest undetected paths,
+weight-d slice only and keeps those with the fewest undetected paths,
 stopping once one survivor is left or d reaches d_tilde. A round longer
 than one slice is pruned: a candidate counted over every row bounds the
 least count C*, and A_d only grows as rows are added, so a candidate
 whose count over part of the rows is already above that bound is dropped
-before the rest. Only a unique
-winner's full spectrum is computed: a tie lasts through every d below
-d_tilde, so each tied survivor's A_d is round d's C*. Everything runs on
-one thread.
+before the rest. Only a unique winner's full spectrum is computed: a tie
+lasts through every d below d_tilde, so each tied survivor's A_d is round
+d's C*. Everything runs on one thread.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import numpy as np
 from .bound import DistanceSpectrum
 from .errors import InvalidCrcError
 from .gf2 import Crc
-from .reconstructor import TBPathSet, _count_dtype
+from .reconstructor import TBPathSet, _count_dtype, _shift_left
 
 __all__ = [
     "EliminationRound",
@@ -66,7 +66,7 @@ _MAX_DEGREE = 31
 # The most residues a search round holds at once: 1, 2 or 4 MiB as the
 # lane is 8, 16 or 32 bits wide.
 _CELLS = 1 << 20
-# Bases per block of the shift-first fold's bit-length scan and shifts.
+# Bases per block of the shift-first fold's bit-length scan.
 _BLOCK = 1 << 12
 
 
@@ -145,35 +145,23 @@ def _residues(data: np.ndarray, tables: np.ndarray) -> np.ndarray:
 
 class _Bases(NamedTuple):
     """A path set's base words, each shifted up past its unwrapped
-    rotations, most remaining rotations first, so that the bases with more
-    than r rotations left are a prefix, for every r."""
+    rotations, sorted by weight, then by rotations left, most first, so
+    that in each weight's slice the bases with more than r rotations left
+    are a prefix, for every r."""
 
     data: np.ndarray  # (bases, ceil(N/8)) little-endian bytes
     counts: np.ndarray  # rotations left to step, rotation 0 included
     first: np.ndarray  # the rotations of the path set that rotation 0 stands for
     weights: np.ndarray
 
-    def select(self, mask) -> "_Bases":
-        return _Bases._make(field[mask] for field in self)
+    def select(self, rows: slice) -> "_Bases":
+        return _Bases._make(field[rows] for field in self)
 
-
-def _shift_left(limbs: np.ndarray, shift: np.ndarray) -> None:
-    """limbs <<= shift row by row, in place, on rows of little-endian uint64
-    limbs, for shifts below the row's width, _BLOCK rows at a time."""
-    width = limbs.shape[1]
-    whole = shift >> 6
-    for w in range(1, width):
-        rows = np.flatnonzero(whole == w)
-        limbs[rows, w:] = limbs[rows, : width - w]
-        limbs[rows, :w] = 0
-    for lo in range(0, len(limbs), _BLOCK):
-        block = limbs[lo : lo + _BLOCK]
-        bits = (shift[lo : lo + _BLOCK] & 63).astype(np.uint64)[:, None]
-        # The carry from the limb below is w >> (64 - bits), in two steps, as
-        # numpy leaves a shift by 64 undefined; both give 0 at bits = 0.
-        carry = (block[:, :-1] >> np.uint64(1)) >> (np.uint64(63) - bits)
-        block <<= bits
-        block[:, 1:] |= carry
+    def of_weight(self, d: int) -> "_Bases":
+        """The bases of weight d, a slice of views."""
+        # d in the weights' own type, or searchsorted casts the whole column.
+        d = self.weights.dtype.type(d)
+        return self.select(slice(np.searchsorted(self.weights, d), np.searchsorted(self.weights, d, side="right")))
 
 
 def _bit_lengths(bases: np.ndarray, dtype: np.dtype) -> np.ndarray:
@@ -199,15 +187,16 @@ def _by_rotation_count(paths: TBPathSet) -> _Bases:
     A base b with t zero bits at the top is shifted up by
     s = min(t, count - 1), in place on the sorted copy; rotation 0 of
     x^s * b stands for s + 1 rotations, and count - s rotations are left.
+    The copy is sorted by weight, then by rotations left, most first.
     Beyond the path set, the sorted copy of the base words, the sort order
-    (one index per base) and _BLOCK rows of scratch are held at once; the
+    (one index per base) and a block of scratch rows are held at once; the
     counts, shifts and firsts are in _count_dtype(N).
     """
     N = paths.N
     counts = paths.counts.astype(_count_dtype(N))
     shift = np.minimum(N - _bit_lengths(paths.bases, counts.dtype), counts - 1)
     counts -= shift
-    order = np.argsort(-counts, kind="stable")
+    order = np.lexsort((-counts, paths.base_weights))
     limbs = paths.bases[order]
     shift, counts, weights = shift[order], counts[order], paths.base_weights[order]
     del order
@@ -246,8 +235,8 @@ def _rotation_residues(
 def _undetected_counts(bases: _Bases, N: int, crcs: _Crcs) -> np.ndarray:
     """For each CRC, the number of the bases' paths it divides.
 
-    The bases go through in slices of at most _CELLS residues; slices of
-    the descending counts are descending too.
+    The bases' counts must be descending, as in a weight slice; the bases go
+    through in slices of at most _CELLS residues, whose counts descend too.
     """
     step = max(1, _CELLS // len(crcs.polys))
     values = np.zeros(len(crcs.polys), dtype=np.int64)
@@ -263,14 +252,9 @@ def _undetected_counts(bases: _Bases, N: int, crcs: _Crcs) -> np.ndarray:
 
 
 def _spectrum(paths: TBPathSet, bases: _Bases, crc: int, tables: _Crcs) -> DistanceSpectrum:
-    """The rotations the CRC divides, counted by weight from the indices of their zero residues."""
-    hist = np.zeros(paths.d_tilde, dtype=np.int64)
-    for r, res in enumerate(_rotation_residues(bases.data, bases.counts, paths.N, tables)):
-        rows = np.flatnonzero(res[:, 0] == 0)
-        # Rotation 0 counts with its multiplicity.
-        weights = bases.first[rows] if r == 0 else None
-        hist += np.bincount(bases.weights[rows], weights, paths.d_tilde).astype(np.int64)
-    return DistanceSpectrum(crc, paths.N, paths.d_tilde, tuple(int(c) for c in hist))
+    """The paths the one CRC of `tables` divides, counted one weight slice at a time."""
+    counts = (int(_undetected_counts(bases.of_weight(d), paths.N, tables)[0]) for d in range(paths.d_tilde))
+    return DistanceSpectrum(crc, paths.N, paths.d_tilde, tuple(counts))
 
 
 def undetected_spectrum(paths: TBPathSet, crc: int) -> DistanceSpectrum:
@@ -337,7 +321,7 @@ def search_dso(paths: TBPathSet, m: int, threads: int = 1) -> DsoSearchResult:
     for d in range(1, paths.d_tilde):
         if len(alive) == 1:
             break
-        rows = bases.select(bases.weights == d)
+        rows = bases.of_weight(d)
         step = max(1, _CELLS // len(alive))
         values = _undetected_counts(rows.select(slice(0, step)), paths.N, tables)
         bound, counted = np.iinfo(np.int64).max, np.zeros(len(alive), dtype=bool)

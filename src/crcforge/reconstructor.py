@@ -58,10 +58,11 @@ __all__ = [
     "growth_profile",
 ]
 
-# uint64 limbs per block of the necklace guard's N - 1 rotations (256 KiB):
-# one block's rotating copy and scratch rows are held, not the path set's.
-# A block stays in cache, so the guard at (13,17) N=70 d_tilde=22 took
-# 0.85 s where rotating every base at once took 1.55 s (2-core host).
+# uint64 limbs per block of the necklace guard's N - 1 rotations and of the
+# per-row bit shifts (256 KiB): one block's rotating copy and scratch rows
+# are held, not the path set's. A block stays in cache, so the guard at
+# (13,17) N=70 d_tilde=22 took 0.85 s where rotating every base at once
+# took 1.55 s (2-core host).
 _BLOCK = 1 << 15
 
 
@@ -401,23 +402,25 @@ def _composition_table(total: int, parts: int) -> np.ndarray:
     return np.column_stack((table, left))
 
 
-def _shift_left(words: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """words << shift row by row, on rows of little-endian uint64 limbs.
-
-    Each row has its own shift; bits pushed past the last limb are lost.
-    """
-    limbs = words.shape[1]
+def _shift_left(limbs: np.ndarray, shift: np.ndarray) -> None:
+    """limbs <<= shift row by row, in place, on rows of little-endian uint64
+    limbs, for shifts below the row's width; bits pushed past the last limb
+    are lost. The bit shifts run over _BLOCK limbs of rows at a time."""
+    width = limbs.shape[1]
     whole = shift >> 6
-    if whole.any():
-        src = np.arange(limbs) - whole[:, None]
-        words = np.take_along_axis(words, np.maximum(src, 0), axis=1)
-        words[src < 0] = 0
-    bits = (shift & 63).astype(np.uint64)[:, None]
-    out = words << bits
-    # The carry from the limb below is w >> (64 - bits). numpy leaves a
-    # shift by 64 undefined, so it takes two steps, which give 0 at bits = 0.
-    out[:, 1:] |= (words[:, :-1] >> np.uint64(1)) >> (np.uint64(63) - bits)
-    return out
+    for w in range(1, width):
+        rows = np.flatnonzero(whole == w)
+        limbs[rows, w:] = limbs[rows, : width - w]
+        limbs[rows, :w] = 0
+    rows = max(1, _BLOCK // width)
+    for lo in range(0, len(limbs), rows):
+        block = limbs[lo : lo + rows]
+        bits = (shift[lo : lo + rows] & 63).astype(np.uint64)[:, None]
+        # The carry from the limb below is w >> (64 - bits), in two steps, as
+        # numpy leaves a shift by 64 undefined; both give 0 at bits = 0.
+        carry = (block[:, :-1] >> np.uint64(1)) >> (np.uint64(63) - bits)
+        block <<= bits
+        block[:, 1:] |= carry
 
 
 def _build_bases(tables: ReconstructionTables) -> TBPathSet:
@@ -455,10 +458,13 @@ def _build_bases(tables: ReconstructionTables) -> TBPathSet:
         # Event k starts after the events and gaps before it; event 0 at time 0.
         start = ((np.cumsum(lens, axis=1) - lens)[:, None, :] + gaps).reshape(-1, comp.shape[1])
         word = np.zeros((len(start), limbs), dtype=np.uint64)
-        event = np.zeros_like(word)
+        event = np.empty_like(word)
         for k in range(comp.shape[1]):
+            # The limbs above the event's hold the last event's shifted bits.
+            event[:, width:] = 0
             event[:, :width] = db.inputs[np.repeat(sk_events[:, k], len(comp)), :width]
-            word |= _shift_left(event, start[:, k])
+            _shift_left(event, start[:, k])
+            word |= event
         rows = (first[members][:, None] + np.arange(len(comp))).ravel()
         bases[rows] = word
         counts[rows] = (lens[:, -1][:, None] + comp[:, -1]).ravel()

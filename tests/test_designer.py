@@ -9,7 +9,7 @@ from conftest import rotations, traced_growth
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crcforge import designer
+from crcforge import designer, reconstructor
 from crcforge.bound import (
     DistanceSpectrum,
     bound_sweep,
@@ -271,8 +271,11 @@ class TestShiftFirst:
         spectra = [_row_spectrum(paths, rows, weights, crc) for crc in crcs]
         cands = _residue_tables(candidate_list(m), m, (paths.N + 7) // 8)
         for d in range(1, paths.d_tilde):
-            got = designer._undetected_counts(bases.select(bases.weights == d), paths.N, cands)
+            rows = bases.of_weight(d)
+            assert (rows.weights == d).all() and (np.diff(rows.counts) <= 0).all(), d
+            got = designer._undetected_counts(rows, paths.N, cands)
             assert got.tolist() == [s.counts[d] for s in spectra[: len(got)]], d
+        assert sum(len(bases.of_weight(d).counts) for d in range(paths.d_tilde)) == len(bases.counts)
         for crc, expect in zip(crcs, spectra):
             tables = _residue_tables([crc], crc.bit_length() - 1, (paths.N + 7) // 8)
             assert designer._spectrum(paths, bases, crc, tables) == expect, hex(crc)
@@ -315,7 +318,7 @@ def _loose_first_bounds(paths, m, result, cells):
     spectra = _exhaustive_spectra(paths, m)
     alive, loose = tuple(spectra), []
     for row in result.rounds:
-        rows = bases.select(bases.weights == row.d)
+        rows = bases.of_weight(row.d)
         step = max(1, cells // len(alive))
         if step < len(rows.counts):
             tables = _residue_tables([int(h, 16) for h in alive], m, (paths.N + 7) // 8)
@@ -354,16 +357,18 @@ class TestSearch:
     @pytest.mark.parametrize("cells", [1, 7, 64])
     def test_small_base_blocks_change_nothing(self, paths12, paths16, paths70, monkeypatch, cells):
         # One-row blocks, and ragged last blocks once few candidates are left;
-        # the shift-first fold's bit lengths and shifts in blocks of 1,000
-        # bases, the last of paths70's blocks short. A round that spans
-        # blocks is pruned, and in some of them, at every cells, the CRC
-        # counted first to bound C* counts above it. At N=16 some CRCs
-        # counted in full later already have zeros in the rows before, so
-        # a bound that left those out would drop the least.
+        # the shift-first fold's bit lengths in blocks of 1,000 bases and its
+        # shifts in blocks of 1,000 limbs, the last of paths70's blocks
+        # short. A round that spans blocks is pruned, and in some of them,
+        # at every cells, the CRC counted first to bound C* counts above
+        # it. At N=16 some CRCs counted in full later already have zeros in
+        # the rows before, so a bound that left those out would drop the
+        # least.
         cases = [(paths, m) for paths in (paths12, paths16) for m in range(3, 9)] + [(paths70, 6)]
         defaults = [search_dso(paths, m) for paths, m in cases]
         monkeypatch.setattr(designer, "_CELLS", cells)
         monkeypatch.setattr(designer, "_BLOCK", 1000)
+        monkeypatch.setattr(reconstructor, "_BLOCK", 1000)
         loose = []
         for (paths, m), default in zip(cases, defaults):
             result = _check_against_exhaustive(paths, m)

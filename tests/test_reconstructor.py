@@ -271,16 +271,19 @@ class TestExpansion:
                 assert _row_words(limbs.T) == words, (N, step)
 
     @pytest.mark.parametrize("N", [5, 64, 65, 128, 129, 192])
-    def test_shift_left_against_int_shift(self, N):
+    def test_shift_left_against_int_shift(self, N, monkeypatch):
         # Per-row shifts, whole-limb shifts included, where numpy leaves a
-        # shift by 64 undefined; the word stays within N bits.
+        # shift by 64 undefined; the word stays within N bits. The rows
+        # shift in place, in blocks of 30 limbs, the last one short.
         rng = random.Random(N)
         words, shifts = [], []
         for shift in list(range(0, N, 64)) + list(range(N)) + [rng.randrange(N) for _ in range(100)]:
             words.append(rng.getrandbits(N - shift) | (1 << (N - shift - 1)))
             shifts.append(shift)
-        shifted = reconstructor._shift_left(_limb_rows(words, N), np.array(shifts, dtype=np.int32))
-        assert _row_words(shifted) == [w << s for w, s in zip(words, shifts)]
+        monkeypatch.setattr(reconstructor, "_BLOCK", 30)
+        limbs = _limb_rows(words, N)
+        reconstructor._shift_left(limbs, np.array(shifts, dtype=np.int32))
+        assert _row_words(limbs) == [w << s for w, s in zip(words, shifts)]
 
     @pytest.mark.parametrize("total,parts", [(0, 1), (5, 1), (0, 3), (4, 2), (3, 4), (7, 3)])
     def test_composition_table(self, total, parts):
@@ -292,12 +295,16 @@ class TestExpansion:
     @example((ConvCode(["3", "2"], 1), 129, 6, [1, 0]))
     @example((ConvCode(["3", "2"], 1), 129, 9, [0, 1]))
     @example((ConvCode(["13", "17"], 3), 65, 9, [3, 1, 0, 2, 4, 5, 6, 7]))
+    @example((ConvCode(["5", "7"], 2), 130, 16, [0, 1, 2, 3]))
     def test_builder_matches_base_words(self, case):
         # The numpy build against the per-composition generator, one state
         # after another: the same bases, rotation counts and weights in the
         # same order, for words of one to three limbs. A state first in the
         # ordering other than 0 has no zero loop but long events through
-        # state 0, so it fills lengths past a limb too.
+        # state 0, so it fills lengths past a limb too. At (5,7) N=130
+        # d_tilde=16 three-limb words are built from one-limb events, each
+        # shifted in a scratch row whose upper limbs the event before it
+        # left set.
         code, N, d_tilde, ordering = case
         tables = build_tables(collect_iees(code, d_tilde, N, ordering), N, d_tilde)
         paths = expand_and_dedup(tables, N)
